@@ -12,18 +12,30 @@ Every transform keeps the parent's timestamp grid: the distortions are
 index-space operations and inventing warped calendar dates would corrupt
 source semantics. Outputs carry a provenance record naming the parent,
 the method, and the seed that produced them.
+
+Each transform is a values kernel (``*_values``: array in, array out) plus
+a wrapper that builds the output :class:`TimeSeries`. ``augment_set``
+works on the kernels so it can test a parent's candidates as one batch
+and build each output series once. The wrappers take an integer seed
+(anything ``operator.index`` accepts, numpy integers included) and record
+it; a ``Generator`` raises ``TypeError``, since no recorded seed could
+reproduce its draws.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, replace as dc_replace
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .changepoint import DetectorConfig, SeriesTooShortError, ShiftCategory, classify
+from .changepoint import DetectorConfig, SeriesTooShortError
+# Shift verification of a batch of candidates. ``augment_set`` reaches it
+# through this module name, which perfbench's tracer wraps to time it.
+from .changepoint import classify_rows as classify
 from .series import AugmentMethod, MAX_SEED, Provenance, Stage, TimeSeries
 
 logger = logging.getLogger(__name__)
@@ -98,12 +110,6 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _as_rng(rng: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def gen_warp_path(n: int, config: AugmentConfig, rng: int | np.random.Generator) -> WarpPath:
     """Random smooth monotone warp path of length ``n``.
 
@@ -116,7 +122,10 @@ def gen_warp_path(n: int, config: AugmentConfig, rng: int | np.random.Generator)
     """
     if n < 4:
         raise SeriesTooShortError(f"warp path needs length >= 4, got {n}")
-    gen = _as_rng(rng)
+    return WarpPath(mapping=tuple(_warp_positions(n, config, np.random.default_rng(rng))))
+
+
+def _warp_positions(n: int, config: AugmentConfig, gen: np.random.Generator) -> np.ndarray:
     anchors = np.linspace(0.0, n - 1.0, config.knot_count + 2)
     speeds = np.empty(config.knot_count + 2)
     speeds[0] = speeds[-1] = 1.0
@@ -129,7 +138,7 @@ def gen_warp_path(n: int, config: AugmentConfig, rng: int | np.random.Generator)
     path = cumulative * ((n - 1.0) / cumulative[-1])
     path[0] = 0.0
     path[-1] = float(n - 1)
-    return WarpPath(mapping=tuple(path))
+    return path
 
 
 def _resample(values: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -140,34 +149,40 @@ def _resample(values: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 
 def _augmented(
-    parent: TimeSeries, values: np.ndarray, method: AugmentMethod, seed: int, out_id: str | None
+    parent: TimeSeries,
+    values: np.ndarray,
+    method: AugmentMethod,
+    seed: int,
+    out_id: str | None,
+    verified: bool = False,
 ) -> TimeSeries:
     return TimeSeries(
         id=out_id or f"{parent.id}-{method.value}",
         source=parent.source,
         timestamps=parent.timestamps,
-        values=tuple(float(v) for v in values),
+        values=tuple(values.tolist()),
         stage=Stage.AUGMENTED,
         provenance=Provenance(
-            parent_id=parent.id, method=method, seed=seed, shift_verified=False
+            parent_id=parent.id, method=method, seed=seed, shift_verified=verified
         ),
         comment=parent.comment,
     )
 
 
-def time_warp(
-    series: TimeSeries,
-    config: AugmentConfig,
-    rng: int | np.random.Generator,
-    out_id: str | None = None,
-) -> TimeSeries:
-    """Resample the values along a random smooth monotone warp path."""
-    n = len(series)
+def time_warp_values(values: np.ndarray, config: AugmentConfig, seed: int) -> np.ndarray:
+    """``values`` resampled along the warp path that ``seed`` draws."""
+    n = values.size
     if n < 4:
         raise SeriesTooShortError(f"time warp needs length >= 4, got {n}")
-    seed = rng if isinstance(rng, int) else 0
-    path = gen_warp_path(n, config, rng)
-    warped = _resample(series.values_array(), path.as_array())
+    return _resample(values, _warp_positions(n, config, np.random.default_rng(seed)))
+
+
+def time_warp(
+    series: TimeSeries, config: AugmentConfig, seed: int, out_id: str | None = None
+) -> TimeSeries:
+    """Resample the values along a random smooth monotone warp path."""
+    seed = operator.index(seed)
+    warped = time_warp_values(series.values_array(), config, seed)
     return _augmented(series, warped, AugmentMethod.TIME_WARP, seed, out_id)
 
 
@@ -187,22 +202,24 @@ def apply_window_warp(
     return _resample(combined, np.linspace(0.0, combined.size - 1.0, n))
 
 
-def window_warp(
-    series: TimeSeries,
-    config: AugmentConfig,
-    rng: int | np.random.Generator,
-    out_id: str | None = None,
-) -> TimeSeries:
+def window_warp_values(values: np.ndarray, config: AugmentConfig, seed: int) -> np.ndarray:
     """Warp one random window by a random scale; draws start then scale."""
-    n = len(series)
+    n = values.size
     if n < 10:
         raise SeriesTooShortError(f"window warp needs length >= 10, got {n}")
-    seed = rng if isinstance(rng, int) else 0
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(seed)
     width = max(1, round(config.window_warp_fraction * n))
     start = int(gen.integers(0, n - width + 1))
     scale = float(gen.choice(config.warp_scales))
-    warped = apply_window_warp(series.values_array(), start, width, scale)
+    return apply_window_warp(values, start, width, scale)
+
+
+def window_warp(
+    series: TimeSeries, config: AugmentConfig, seed: int, out_id: str | None = None
+) -> TimeSeries:
+    """Warp one random window by a random scale; draws start then scale."""
+    seed = operator.index(seed)
+    warped = window_warp_values(series.values_array(), config, seed)
     return _augmented(series, warped, AugmentMethod.WINDOW_WARP, seed, out_id)
 
 
@@ -213,25 +230,65 @@ def apply_window_slice(values: np.ndarray, start: int, length: int) -> np.ndarra
     return _resample(window, np.linspace(0.0, length - 1.0, values.size))
 
 
-def window_slice(
-    series: TimeSeries,
-    config: AugmentConfig,
-    rng: int | np.random.Generator,
-    out_id: str | None = None,
-) -> TimeSeries:
+def window_slice_values(values: np.ndarray, config: AugmentConfig, seed: int) -> np.ndarray:
     """Interpolate a random contiguous slice back to full length."""
-    n = len(series)
+    n = values.size
     if n < 10:
         raise SeriesTooShortError(f"window slice needs length >= 10, got {n}")
-    seed = rng if isinstance(rng, int) else 0
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(seed)
     length = max(2, round(config.slice_fraction * n))
     start = int(gen.integers(0, n - length + 1))
-    sliced = apply_window_slice(series.values_array(), start, length)
+    return apply_window_slice(values, start, length)
+
+
+def window_slice(
+    series: TimeSeries, config: AugmentConfig, seed: int, out_id: str | None = None
+) -> TimeSeries:
+    """Interpolate a random contiguous slice back to full length."""
+    seed = operator.index(seed)
+    sliced = window_slice_values(series.values_array(), config, seed)
     return _augmented(series, sliced, AugmentMethod.WINDOW_SLICE, seed, out_id)
 
 
-_METHOD_CYCLE = (time_warp, window_warp, window_slice)
+_METHOD_CYCLE = (
+    (AugmentMethod.TIME_WARP, time_warp_values),
+    (AugmentMethod.WINDOW_WARP, window_warp_values),
+    (AugmentMethod.WINDOW_SLICE, window_slice_values),
+)
+
+
+def _draws(
+    parent: TimeSeries, config: AugmentConfig, detector: DetectorConfig
+) -> list[tuple[AugmentMethod, int, np.ndarray, bool]]:
+    """Method, seed, values and verified flag of each of one parent's
+    ``factor`` outputs, in ordinal order.
+
+    Each round draws every pending ordinal at the round's attempt number
+    and tests the whole batch with one ``classify`` call; the candidates
+    that lost their shift are redrawn in the next round.
+    """
+    values = parent.values_array()
+    draws: list[tuple[AugmentMethod, int, np.ndarray]] = [None] * config.factor
+    verified: set[int] = set()
+    pending = list(range(config.factor))
+    for attempt in range(config.max_retries):
+        for ordinal in pending:
+            seed = derive_seed(config.master_seed, parent.id, ordinal, attempt)
+            method, kernel = _METHOD_CYCLE[ordinal % 3]
+            draws[ordinal] = (method, seed, kernel(values, config, seed))
+        if not config.verify_shift:
+            pending = []
+            break
+        shifted = classify(np.stack([draws[ordinal][2] for ordinal in pending]), detector)
+        verified.update(ordinal for ordinal, ok in zip(pending, shifted) if ok)
+        pending = [ordinal for ordinal, ok in zip(pending, shifted) if not ok]
+        if not pending:
+            break
+    for ordinal in pending:  # every attempt failed: window-slice the last seed
+        seed = draws[ordinal][1]
+        sliced = window_slice_values(values, config, seed)
+        draws[ordinal] = (AugmentMethod.WINDOW_SLICE, seed, sliced)
+    return [(*draw, ordinal in verified) for ordinal, draw in enumerate(draws)]
 
 
 def augment_set(
@@ -259,27 +316,13 @@ def augment_set(
     out: list[TimeSeries] = []
     unverified = 0
     for series in pruned:
-        for ordinal in range(config.factor):
-            transform = _METHOD_CYCLE[ordinal % 3]
-            out_id = f"{series.id}-aug{ordinal}"
-            if not config.verify_shift:
-                seed = derive_seed(config.master_seed, series.id, ordinal, 0)
-                candidate = transform(series, config, seed, out_id=out_id)
-            else:
-                seed = 0
-                for attempt in range(config.max_retries):
-                    seed = derive_seed(config.master_seed, series.id, ordinal, attempt)
-                    candidate = transform(series, config, seed, out_id=out_id)
-                    if classify(candidate, detector) is ShiftCategory.SHIFT:
-                        candidate = dc_replace(
-                            candidate,
-                            provenance=dc_replace(candidate.provenance, shift_verified=True),
-                        )
-                        break
-                else:
-                    candidate = window_slice(series, config, seed, out_id=out_id)
-                    unverified += 1
-            out.append(candidate)
+        for ordinal, (method, seed, values, verified) in enumerate(
+            _draws(series, config, detector)
+        ):
+            out.append(
+                _augmented(series, values, method, seed, f"{series.id}-aug{ordinal}", verified)
+            )
+            unverified += not verified
 
     if out and config.verify_shift:
         share = unverified / len(out)

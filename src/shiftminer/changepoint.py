@@ -11,11 +11,18 @@ where ``cost`` is the squared distance of a segment from its own mean
 boundary. The end sentinel is free, so a constant series scores 0 with
 the single-segment solution regardless of ``beta``.
 
-Two solvers are provided: greedy binary segmentation (the production
-path, penalized or fixed split count) and an exact dynamic program over
-(position, segments used) for a fixed split count, which serves as the
-quality oracle for the greedy search. All tie-breaks prefer the smallest
-index so results are deterministic across platforms and thread schedules.
+Two solvers are provided: greedy binary segmentation (penalized or fixed
+split count) and an exact dynamic program over (position, segments used)
+for a fixed split count, which serves as the quality oracle for the greedy
+search. All tie-breaks prefer the smallest index so results are
+deterministic across platforms and thread schedules.
+
+The shift test used by pruning and augmentation needs only the yes/no
+answer of binary segmentation, and that answer is decided by its first
+greedy split: later rounds only add boundaries. :func:`classify_rows`
+therefore computes just the best single split of each series, for a
+whole batch of equal-length series in one prefix-sum pass, and
+:func:`classify` is its one-series form.
 """
 
 from __future__ import annotations
@@ -145,22 +152,26 @@ class _PrefixCost:
         return np.maximum(0.0, total - lin * lin / (np.asarray(ends) - starts))
 
 
-def default_penalty(values: Sequence[float], scale: float | None = None) -> float:
+def default_penalty(
+    values: Sequence[float] | np.ndarray, scale: float | None = None
+) -> float | np.ndarray:
     """Adaptive boundary charge ``scale * sigma2_hat * log(n)``.
 
     ``sigma2_hat = mean(diff(x)^2) / 2`` estimates the noise variance from
     first differences, which a small number of level shifts barely moves.
+    Computed along the last axis, so a 2-D input gives one charge per row.
     """
     if scale is None:
         scale = PENALTY_SCALE
     x = np.asarray(values, dtype=float)
-    if x.size < 2:
+    n = x.shape[-1] if x.ndim else 0
+    if n < 2:
         raise SeriesTooShortError("need >= 2 values to estimate a penalty")
-    sigma2 = 0.5 * float(np.mean(np.diff(x) ** 2))
-    return scale * sigma2 * math.log(x.size)
+    sigma2 = 0.5 * np.mean(np.diff(x) ** 2, axis=-1)
+    return scale * sigma2 * math.log(n)
 
 
-def _resolve_penalty(values: np.ndarray, config: DetectorConfig) -> float:
+def _resolve_penalty(values: np.ndarray, config: DetectorConfig) -> float | np.ndarray:
     if config.penalty_beta is not None:
         return config.penalty_beta
     return default_penalty(values)
@@ -307,23 +318,62 @@ def exact_segmentation(
     return ChangePointSet(boundaries=tuple(boundaries), objective=objective)
 
 
+def classify_rows(values: np.ndarray, config: DetectorConfig) -> np.ndarray:
+    """Shift flag per row of a 2-D array of equal-length series.
+
+    Row ``i`` is True exactly when :func:`binary_segmentation` of its
+    z-scored values (as in :func:`classify`) keeps an internal boundary.
+    That is decided by the first greedy split alone: with ``known_k`` it is
+    made whenever ``known_k >= 1`` and a split fits, and in penalized mode
+    it is kept exactly when the best single split's cost reduction exceeds
+    ``beta``. Only that split is computed, for all rows in one prefix-sum
+    pass with the same floating-point operations as the full search.
+    """
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("classify_rows needs a 2-D array, one series per row")
+    rows, n = x.shape
+    m = config.min_segment_size
+    if n < max(2, m):
+        raise SeriesTooShortError(f"series of length {n} cannot be segmented")
+    if n < 2 * m or config.known_k == 0:
+        return np.zeros(rows, dtype=bool)
+    if config.known_k is not None:
+        return np.ones(rows, dtype=bool)
+
+    std = x.std(axis=1, keepdims=True)
+    flat = std[:, 0] == 0
+    z = (x - x.mean(axis=1, keepdims=True)) / np.where(flat[:, None], 1.0, std)
+    z[flat] = 0.0
+    beta = _resolve_penalty(z, config)
+
+    s1 = np.cumsum(z, axis=1)
+    s2 = np.cumsum(z * z, axis=1)
+    splits = np.arange(m, n - m + 1)
+    lin, sq = s1[:, splits - 1], s2[:, splits - 1]
+    lin_n, sq_n = s1[:, -1:], s2[:, -1:]
+    rest = lin_n - lin
+    whole = np.maximum(0.0, sq_n - lin_n * lin_n / n)
+    left = np.maximum(0.0, sq - lin * lin / splits)
+    right = np.maximum(0.0, (sq_n - sq) - rest * rest / (n - splits))
+    return (whole - left - right).max(axis=1) > beta
+
+
 def classify(series: TimeSeries, config: DetectorConfig) -> ShiftCategory:
-    """Standardize, segment, and bucket a series by shift presence.
+    """Standardize a series and bucket it by shift presence.
 
     Values are z-scored first so the penalty is comparable across sources
     with different units; a constant series standardizes to zeros and is
-    always shift-free. The series has no shift exactly when the detected
-    boundary set is the bare end sentinel.
+    shift-free in penalized mode. The series has a shift exactly when the
+    first greedy split of binary segmentation is kept (see
+    :func:`classify_rows`, of which this is the one-series form).
     """
     x = series.values_array()
     if x.size < max(2, config.min_segment_size):
         raise SeriesTooShortError(f"series {series.id!r} too short to classify")
-    std = float(x.std())
-    z = (x - x.mean()) / std if std > 0 else np.zeros_like(x)
-    result = binary_segmentation(z, config)
-    if result.boundaries == (x.size,):
-        return ShiftCategory.NO_SHIFT
-    return ShiftCategory.SHIFT
+    if classify_rows(x[np.newaxis], config)[0]:
+        return ShiftCategory.SHIFT
+    return ShiftCategory.NO_SHIFT
 
 
 def detect(series: TimeSeries, config: DetectorConfig) -> ChangePointSet:
@@ -337,15 +387,15 @@ def detect(series: TimeSeries, config: DetectorConfig) -> ChangePointSet:
 def prune(dataset: list[TimeSeries], config: DetectorConfig) -> list[TimeSeries]:
     """Keep only series with a detected shift, restamped to the pruned stage.
 
-    Per-series failures are logged and the series skipped; order is
-    preserved.
+    A series too short to classify is logged and skipped; any other error
+    propagates. Order is preserved.
     """
     kept: list[TimeSeries] = []
     for series in dataset:
         try:
             category = classify(series, config)
-        except Exception:
-            logger.exception("classification failed for %s; skipping", series.id)
+        except SeriesTooShortError as exc:
+            logger.warning("skipping %s: %s", series.id, exc)
             continue
         if category is ShiftCategory.SHIFT:
             kept.append(dc_replace(series, stage=Stage.PRUNED))

@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 collection error,
-4 pruning left nothing, 5 I/O error.
+Exit codes: 0 success, 1 any other stage failure (for example in
+augment), 2 configuration error, 3 collection error, 4 pruning left
+nothing, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -15,10 +16,15 @@ from . import pipeline, querygen, sources, storage
 from .series import Source
 
 EXIT_OK = 0
+EXIT_STAGE = 1
 EXIT_CONFIG = 2
 EXIT_COLLECT = 3
 EXIT_EMPTY_PRUNE = 4
 EXIT_IO = 5
+EXIT_CODES_HELP = (
+    "exit codes: 0 success, 1 any other stage failure (for example in augment), "
+    "2 configuration error, 3 collection error, 4 pruning left nothing, 5 I/O error"
+)
 
 logger = logging.getLogger(__name__)
 
@@ -32,7 +38,7 @@ def _common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="shiftminer")
+    parser = argparse.ArgumentParser(prog="shiftminer", epilog=EXIT_CODES_HELP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-queries", help="ask the completion backend for queries")
@@ -247,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_IO
         if exc.stage in ("queries", "collect"):
             return EXIT_COLLECT
-        return 1
+        return EXIT_STAGE
     except pipeline.PruningEmptyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_PRUNE

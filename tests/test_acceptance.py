@@ -6,6 +6,7 @@ capture so they always reach the terminal).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from datetime import date, timedelta
@@ -237,6 +238,21 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
     }
 
 
+def _tree_digest(tree: dict[str, bytes]) -> str:
+    """sha256 over every file in path order: path, NUL, 8-byte big-endian length, bytes."""
+    h = hashlib.sha256()
+    for rel in sorted(tree):
+        data = tree[rel]
+        h.update(rel.encode("utf-8") + b"\0" + len(data).to_bytes(8, "big"))
+        h.update(data)
+    return h.hexdigest()
+
+
+# Digest of the replay demo's dataset tree. A change here is a declared
+# change of output bytes: record its cause and both values in CHANGES.md.
+DEMO_TREE_SHA256 = "35dfdc052dbdbc86fe75dce562ef3cab496357387f72012d1d907bc23ffed0d8"
+
+
 def test_criterion_6_replay_runs_byte_identical(capsys, fred_corpus, tmp_path):
     config_path = demo.build_demo_config(
         fred_corpus["fixtures"], tmp_path / "data", fred_corpus["query_file"],
@@ -258,6 +274,7 @@ def test_criterion_6_replay_runs_byte_identical(capsys, fred_corpus, tmp_path):
     assert manifest_a == manifest_b
     assert report_a == report_b
     assert tree_a == tree_b
+    assert _tree_digest(tree_a) == DEMO_TREE_SHA256
     verdict(capsys, f"CRITERION 6: PASS - two replay runs byte-identical over "
                     f"{len(tree_a)} files (241 originals, {manifest_a.count_pruned} pruned, "
                     f"{manifest_a.count_augmented} augmented)")

@@ -19,6 +19,7 @@ from shiftminer.changepoint import (
     ShiftCategory,
     binary_segmentation,
     classify,
+    classify_rows,
     default_penalty,
     detect,
     exact_segmentation,
@@ -297,6 +298,104 @@ class TestClassify:
         assert default_penalty([3.0, 3.0, 3.0]) == 0.0
 
 
+# --- first-split shift test against full binary segmentation -------------------------
+
+
+KINDS = ("walk", "step", "noise", "constant")
+
+
+def make_values(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "walk":
+        return np.cumsum(rng.normal(0, 1, n))
+    if kind == "step":
+        return step_values(n, shift=float(rng.uniform(0.2, 3.0)), noise=1.0, seed=seed)
+    if kind == "noise":
+        return rng.normal(0, 1, n)
+    return np.full(n, float(rng.uniform(-5, 5)))
+
+
+def zscore(values: np.ndarray) -> np.ndarray:
+    std = float(values.std())
+    return (values - values.mean()) / std if std > 0 else np.zeros_like(values)
+
+
+def oracle_shift(values: np.ndarray, config: DetectorConfig) -> bool:
+    """Shift exactly when full binary segmentation keeps an internal boundary."""
+    return binary_segmentation(zscore(values), config).boundaries != (values.size,)
+
+
+SHIFT_CONFIGS = [
+    DetectorConfig(),
+    DetectorConfig(min_segment_size=1),
+    DetectorConfig(min_segment_size=5),
+    DetectorConfig(min_segment_size=30),
+    DetectorConfig(penalty_beta=0.0),
+    DetectorConfig(penalty_beta=4.0, min_segment_size=3),
+    DetectorConfig(max_changepoints=1),
+    DetectorConfig(max_changepoints=1, min_segment_size=8),
+    DetectorConfig(known_k=0),
+    DetectorConfig(known_k=1),
+    DetectorConfig(known_k=2, min_segment_size=4),
+    DetectorConfig(known_k=1, min_segment_size=25),
+]
+
+
+class TestFirstSplitShiftTest:
+    @pytest.mark.parametrize("config", SHIFT_CONFIGS)
+    def test_seeded_matches_binary_segmentation(self, config):
+        m = config.min_segment_size
+        # lengths around 2 * min_segment_size, where no split fits below it
+        lengths = {max(2, m), max(2, 2 * m - 1), 2 * m, 2 * m + 1, 12, 60, 150}
+        lengths = sorted(n for n in lengths if n >= m)
+        for kind in KINDS:
+            for n in lengths:
+                for seed in range(4):
+                    values = make_values(kind, n, seed)
+                    got = classify(make_series(values), config) is ShiftCategory.SHIFT
+                    assert got == oracle_shift(values, config), (kind, n, seed)
+
+    @given(
+        st.sampled_from(KINDS),
+        st.integers(2, 120),
+        st.integers(0, 10_000),
+        st.sampled_from(SHIFT_CONFIGS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_matches_binary_segmentation(self, kind, n, seed, config):
+        n = max(n, config.min_segment_size)
+        values = make_values(kind, n, seed)
+        got = classify(make_series(values), config) is ShiftCategory.SHIFT
+        assert got == oracle_shift(values, config)
+
+    @given(
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=12),
+        st.integers(2, 90),
+        st.integers(0, 10_000),
+        st.sampled_from(SHIFT_CONFIGS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_one_series_at_a_time(self, kinds, n, seed, config):
+        n = max(n, config.min_segment_size)
+        rows = np.stack([make_values(kind, n, seed + i) for i, kind in enumerate(kinds)])
+        expect = [classify(make_series(row), config) is ShiftCategory.SHIFT for row in rows]
+        assert classify_rows(rows, config).tolist() == expect
+
+    def test_too_short_raises_like_binary_segmentation(self):
+        config = DetectorConfig(min_segment_size=6)
+        values = np.arange(5.0)
+        with pytest.raises(SeriesTooShortError):
+            binary_segmentation(values, config)
+        with pytest.raises(SeriesTooShortError):
+            classify(make_series(values), config)
+        with pytest.raises(SeriesTooShortError):
+            classify_rows(values[np.newaxis], config)
+
+    def test_rows_must_be_two_dimensional(self):
+        with pytest.raises(ValueError):
+            classify_rows(np.zeros(10), DetectorConfig())
+
+
 class TestPrune:
     def test_keeps_only_shifted(self):
         constant1 = make_series([1.0] * 60, sid="c1")
@@ -313,6 +412,22 @@ class TestPrune:
         series = [make_series(step_values(60, 5.0, seed=i), sid=f"s{i}") for i in range(5)]
         kept = prune(series, DetectorConfig())
         assert [s.id for s in kept] == [f"s{i}" for i in range(5)]
+
+    def test_too_short_series_logged_and_skipped(self, caplog):
+        short = make_series([1.0, 2.0, 3.0], sid="short")
+        step = make_series(step_values(60, 5.0), sid="s")
+        with caplog.at_level("WARNING", logger="shiftminer.changepoint"):
+            kept = prune([short, step], DetectorConfig(min_segment_size=5))
+        assert [s.id for s in kept] == ["s"]
+        assert "short" in caplog.text
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(series, config):
+            raise RuntimeError("detector broke")
+
+        monkeypatch.setattr("shiftminer.changepoint.classify", broken)
+        with pytest.raises(RuntimeError, match="detector broke"):
+            prune([make_series(step_values(60, 5.0))], DetectorConfig())
 
 
 def test_exact_segmentation_handles_long_series():

@@ -131,6 +131,16 @@ class TestRun:
             run(load_config(config_path), now=NOW)
         assert isinstance(err.value.cause, PruningEmptyError)
 
+    def test_prune_error_becomes_stage_error(self, mini_corpus, monkeypatch):
+        def broken(series, config):
+            raise RuntimeError("detector broke")
+
+        monkeypatch.setattr("shiftminer.changepoint.classify", broken)
+        with pytest.raises(StageError) as err:
+            run(load_config(mini_corpus["config_path"]), now=NOW)
+        assert err.value.stage == "prune"
+        assert isinstance(err.value.cause, RuntimeError)
+
     def test_generated_queries_via_llm_fixture(self, tmp_path):
         fixtures = tmp_path / "fx"
         query_file = demo.build_fred_corpus(fixtures, count=12, seed=9)
@@ -303,6 +313,13 @@ class TestCli:
         config_path = demo.build_demo_config(fixtures, tmp_path / "data", query_file,
                                              dataset_name="flat")
         assert main(["run", "--config", str(config_path)]) == 4
+
+    def test_exit_code_other_stage_error(self, mini_corpus, capsys, monkeypatch):
+        def broken(pruned, config, detector):
+            raise RuntimeError("augment broke")
+
+        monkeypatch.setattr("shiftminer.pipeline.augment_set", broken)
+        assert main(["run", "--config", str(mini_corpus["config_path"])]) == 1
 
     def test_exit_code_io_error(self, mini_corpus, tmp_path, capsys):
         config = json.loads(Path(mini_corpus["config_path"]).read_text())
