@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
+from dataclasses import replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 from . import pipeline, querygen, sources, storage
-from .series import Source
+from .series import Source, Stage
 
 EXIT_OK = 0
 EXIT_STAGE = 1
@@ -28,12 +31,17 @@ EXIT_CODES_HELP = (
 
 logger = logging.getLogger(__name__)
 
+_FLAGS = {
+    "--transport": dict(choices=("live", "replay", "record"), default=None),
+    "--seed": dict(type=int, default=None),
+    "--output-dir": dict(type=Path, default=None),
+    "--fixtures": dict(type=Path, default=Path("fixtures")),
+}
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--transport", choices=("live", "replay", "record"), default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--output-dir", type=Path, default=None)
-    parser.add_argument("--fixtures", type=Path, default=Path("fixtures"))
+
+def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
     parser.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -42,25 +50,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-queries", help="ask the completion backend for queries")
-    p.add_argument("--source", required=True, choices=[s.value for s in Source if s is not Source.SYNTHETIC])
+    p.add_argument("--source", required=True, choices=[s.value for s in sources.CONNECTORS])
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--max-rounds", type=int, default=2)
-    _common(p)
+    _flags(p, "--transport", "--fixtures")
 
     p = sub.add_parser("collect", help="run the query and collection stages")
     p.add_argument("--config", type=Path, required=True)
-    _common(p)
+    _flags(p, "--transport", "--output-dir")
 
     p = sub.add_parser("prune", help="keep only series with a detected shift")
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", type=Path, default=None)
-    _common(p)
+    _flags(p, "--output-dir")
 
     p = sub.add_parser("augment", help="expand the pruned stage")
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", type=Path, default=None)
-    _common(p)
+    _flags(p, "--seed", "--output-dir")
 
     p = sub.add_parser("split", help="leakage-free train/test split")
     p.add_argument("--dataset", required=True)
@@ -80,41 +88,51 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline from a config file")
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--force", action="store_true")
-    _common(p)
+    _flags(p, "--transport", "--seed", "--output-dir")
 
     p = sub.add_parser("discover", help="prompt for candidate data sources, write a catalog")
     p.add_argument("--out", type=Path, default=Path("data/catalog.json"))
     p.add_argument("--max-rounds", type=int, default=1)
-    _common(p)
+    _flags(p, "--transport", "--fixtures")
     return parser
 
 
-def _apply_overrides(config: pipeline.PipelineConfig, args) -> pipeline.PipelineConfig:
-    from dataclasses import replace
+def _load_config(args) -> pipeline.PipelineConfig:
+    """The config file with the command line's overrides applied.
 
+    ``prune`` and ``augment`` fall back to the defaults without a config
+    file; their stages never read the source.
+    """
+    if args.config is None:
+        config = pipeline.PipelineConfig(dataset_name=args.dataset, source=Source.SYNTHETIC)
+    else:
+        config = pipeline.load_config(args.config)
     updates = {}
+    if getattr(args, "dataset", None):
+        updates["dataset_name"] = args.dataset
     if getattr(args, "transport", None):
         updates["transport_mode"] = args.transport
     if getattr(args, "seed", None) is not None:
         updates["master_seed"] = args.seed
     if getattr(args, "output_dir", None) is not None:
         updates["output_dir"] = args.output_dir
-    return replace(config, **updates) if updates else config
+    return replace(config, **updates)
 
 
-def _backend_for(mode: str, fixtures: Path) -> querygen.CompletionBackend:
-    llm_root = fixtures / "llm"
-    if mode == "replay":
-        return querygen.ReplayBackend(llm_root)
-    live = querygen.HttpBackend()
-    if mode == "record":
-        return querygen.RecordBackend(llm_root, live)
-    return live
+def _fixed_now() -> str | None:
+    """Honor SOURCE_DATE_EPOCH for reproducible manifests."""
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    if not epoch:
+        return None
+    try:
+        stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+    except ValueError:
+        return None
+    return stamp.replace(microsecond=0).isoformat()
 
 
 def _cmd_generate_queries(args) -> int:
-    mode = args.transport or "replay"
-    backend = _backend_for(mode, args.fixtures)
+    backend = pipeline.completion_backend(args.transport or "replay", args.fixtures)
     queries = querygen.generate_queries(
         Source(args.source), backend, query_count=args.count, max_rounds=args.max_rounds
     )
@@ -123,72 +141,28 @@ def _cmd_generate_queries(args) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args, collect_only: bool = False) -> int:
-    config = _apply_overrides(pipeline.load_config(args.config), args)
-    if collect_only:
-        config = _collect_only_run(config, force=getattr(args, "force", False))
-        return EXIT_OK
-    manifest = pipeline.run(config, force=getattr(args, "force", False), now=pipeline._fixed_now())
+def _cmd_run(args) -> int:
+    manifest = pipeline.run(_load_config(args), force=args.force, now=_fixed_now())
     print(pipeline.report(manifest), end="")
     return EXIT_OK
 
 
-def _collect_only_run(config: pipeline.PipelineConfig, force: bool):
-    import shutil
-
+def _cmd_collect(args) -> int:
+    config = _load_config(args)
+    originals = pipeline.Stages(config).collect()
     dataset_root = storage.dataset_dir(config.output_dir, config.dataset_name)
-    if dataset_root.exists() and any(dataset_root.iterdir()):
-        if not force:
-            raise pipeline.ConfigError(f"dataset directory {dataset_root} already exists")
-        shutil.rmtree(dataset_root)
-    transport = sources.make_transport(config.transport_mode, config.fixtures_dir)
-    runner = pipeline._Runner(config)
-    queries = runner._stage("queries", None, lambda: runner.queries(None))
-    originals = runner._stage("collect", None, lambda: runner.collect(queries, transport))
     print(f"collected {len(originals)} series into {dataset_root}")
-    return config
-
-
-def _load_stage_config(args) -> pipeline.PipelineConfig | None:
-    if getattr(args, "config", None) is None:
-        return None
-    return pipeline.load_config(args.config)
+    return EXIT_OK
 
 
 def _cmd_prune(args) -> int:
-    from .changepoint import DetectorConfig, prune as prune_series
-
-    config = _load_stage_config(args)
-    detector = config.detector if config else DetectorConfig()
-    root = args.output_dir or (config.output_dir if config else Path("data"))
-    originals = storage.load_stage(root, args.dataset, storage.Stage.ORIGINAL)
-    if not originals:
-        raise pipeline.ConfigError(f"dataset {args.dataset!r} has no original stage under {root}")
-    pruned = prune_series(originals, detector)
-    if not pruned:
-        raise pipeline.PruningEmptyError(f"dataset {args.dataset!r}: nothing survived pruning")
-    storage.save_stage(root, args.dataset, pruned)
+    originals, pruned = pipeline.Stages(_load_config(args)).rerun(Stage.PRUNED)
     print(f"kept {len(pruned)} of {len(originals)} series")
     return EXIT_OK
 
 
 def _cmd_augment(args) -> int:
-    from dataclasses import replace
-
-    from .augment import augment_set
-
-    config = _load_stage_config(args)
-    root = args.output_dir or (config.output_dir if config else Path("data"))
-    aug = config.augment if config else pipeline.AugmentConfig()
-    detector = config.detector if config else pipeline.DetectorConfig()
-    if aug.master_seed is None:
-        seed = args.seed if args.seed is not None else (config.master_seed if config else 0)
-        aug = replace(aug, master_seed=seed)
-    pruned = storage.load_stage(root, args.dataset, storage.Stage.PRUNED)
-    if not pruned:
-        raise pipeline.ConfigError(f"dataset {args.dataset!r} has no pruned stage under {root}")
-    augmented = augment_set(pruned, aug, detector)
-    storage.save_stage(root, args.dataset, augmented)
+    _, augmented = pipeline.Stages(_load_config(args)).rerun(Stage.AUGMENTED)
     print(f"wrote {len(augmented)} augmented series")
     return EXIT_OK
 
@@ -217,7 +191,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_discover(args) -> int:
-    backend = _backend_for(args.transport or "replay", args.fixtures)
+    backend = pipeline.completion_backend(args.transport or "replay", args.fixtures)
     entries = querygen.discover_sources(backend, max_rounds=args.max_rounds)
     querygen.write_catalog(entries, args.out)
     print(f"wrote {len(entries)} catalog entries to {args.out}")
@@ -232,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     handlers = {
         "generate-queries": _cmd_generate_queries,
-        "collect": lambda a: _cmd_run(a, collect_only=True),
+        "collect": _cmd_collect,
         "prune": _cmd_prune,
         "augment": _cmd_augment,
         "split": _cmd_split,
@@ -254,17 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         if exc.stage in ("queries", "collect"):
             return EXIT_COLLECT
         return EXIT_STAGE
-    except pipeline.PruningEmptyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_PRUNE
-    except (
-        sources.AuthMissingError,
-        sources.FixtureMissingError,
-        sources.EmptyResultError,
-        querygen.BackendFailureError,
-        querygen.NoQueriesFoundError,
-        sources.QueryFieldError,
-    ) as exc:
+    except (querygen.BackendFailureError, querygen.NoQueriesFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLLECT
     except (storage.IoFailureError, OSError) as exc:

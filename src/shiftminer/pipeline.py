@@ -9,11 +9,11 @@ including the bytes on disk, as long as the caller supplies the
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import shutil
 from dataclasses import dataclass, field, replace as dc_replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,6 @@ import numpy as np
 from . import querygen, sources, storage
 from .augment import AugmentConfig, augment_set
 from .changepoint import DetectorConfig, prune
-from .metrics import mae_coverage, mse, mse_variance  # re-exported utility metrics
 from .series import Source, Stage, TimeSeries
 from .storage import DatasetManifest
 
@@ -30,13 +29,12 @@ __all__ = [
     "ConfigError",
     "StageError",
     "PruningEmptyError",
+    "Stages",
+    "completion_backend",
     "run",
     "split_train_test",
     "split_dataset",
     "report",
-    "mse",
-    "mse_variance",
-    "mae_coverage",
 ]
 
 logger = logging.getLogger(__name__)
@@ -117,24 +115,26 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config {path}: {exc}") from exc
 
 
-def _resolved_augment(config: PipelineConfig) -> AugmentConfig:
-    if config.augment.master_seed is None:
-        return dc_replace(config.augment, master_seed=config.master_seed)
-    return config.augment
-
-
-def _default_backend(config: PipelineConfig) -> querygen.CompletionBackend:
-    llm_root = config.fixtures_dir / "llm"
-    if config.transport_mode == "replay":
+def completion_backend(transport_mode: str, fixtures_dir: Path) -> querygen.CompletionBackend:
+    """The completion backend for a transport mode; replay and record keep
+    their completions under ``<fixtures_dir>/llm``."""
+    llm_root = fixtures_dir / "llm"
+    if transport_mode == "replay":
         return querygen.ReplayBackend(llm_root)
     live = querygen.HttpBackend()
-    if config.transport_mode == "record":
+    if transport_mode == "record":
         return querygen.RecordBackend(llm_root, live)
     return live
 
 
-class _Runner:
-    """Executes stages in order, wiping a stage's partial output on failure."""
+class Stages:
+    """The pipeline's stages for one config; ``notes`` gathers the manifest
+    notes of the stages run so far.
+
+    Each stage replaces its directory ``<output_dir>/<dataset>/<stage>/``:
+    the old contents go first, so no stale series survive a rerun, and a
+    failure removes the partial output again and raises :class:`StageError`.
+    """
 
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
@@ -142,49 +142,92 @@ class _Runner:
         self.name = config.dataset_name
         self.notes: dict[str, str] = {}
 
-    def _stage(self, label: str, stage: Stage | None, fn):
+    @contextlib.contextmanager
+    def _stage(self, label: str, stage: Stage | None = None):
+        directory = None if stage is None else storage.stage_dir(self.root, self.name, stage)
         try:
-            return fn()
+            if directory is not None and directory.exists():
+                shutil.rmtree(directory)
+            yield
         except Exception as exc:
-            if stage is not None:
-                shutil.rmtree(storage.stage_dir(self.root, self.name, stage), ignore_errors=True)
+            if directory is not None:
+                shutil.rmtree(directory, ignore_errors=True)
             raise StageError(label, exc) from exc
 
-    def queries(self, backend: querygen.CompletionBackend | None) -> list[sources.SourceQuery]:
-        config = self.config
-        if config.query_file is not None:
-            self.notes["queries"] = "external"
-            loaded = sources.load_queries(config.query_file, default_source=config.source)
-            return sources.dedup_queries(loaded)
-        self.notes["queries"] = "generated"
-        backend = backend or _default_backend(config)
-        return querygen.generate_queries(config.source, backend, query_count=config.query_count)
-
     def collect(
-        self, queries: list[sources.SourceQuery], transport: sources.Transport
+        self,
+        *,
+        force: bool = False,
+        transport: sources.Transport | None = None,
+        backend: querygen.CompletionBackend | None = None,
     ) -> list[TimeSeries]:
-        collected, failures = sources.fetch_all(queries, transport)
-        self.notes["fetch_failures"] = str(len(failures))
-        if not collected:
-            raise sources.EmptyResultError("no series collected")
-        storage.save_stage(self.root, self.name, collected)
+        """Start the dataset directory afresh, then run the query and
+        collection stages. An existing dataset directory is only
+        overwritten with ``force=True``."""
+        config = self.config
+        dataset_root = storage.dataset_dir(self.root, self.name)
+        if dataset_root.exists() and any(dataset_root.iterdir()):
+            if not force:
+                raise ConfigError(
+                    f"dataset directory {dataset_root} already exists; "
+                    "only a forced run overwrites it"
+                )
+            shutil.rmtree(dataset_root)
+        transport = transport or sources.make_transport(config.transport_mode, config.fixtures_dir)
+
+        with self._stage("queries"):
+            if config.query_file is not None:
+                self.notes["queries"] = "external"
+                loaded = sources.load_queries(config.query_file, default_source=config.source)
+                queries = sources.dedup_queries(loaded)
+            else:
+                self.notes["queries"] = "generated"
+                backend = backend or completion_backend(config.transport_mode, config.fixtures_dir)
+                queries = querygen.generate_queries(
+                    config.source, backend, query_count=config.query_count
+                )
+        with self._stage("collect", Stage.ORIGINAL):
+            collected, failures = sources.fetch_all(queries, transport)
+            self.notes["fetch_failures"] = str(len(failures))
+            if not collected:
+                raise sources.EmptyResultError("no series collected")
+            storage.save_stage(self.root, self.name, collected)
         return collected
 
     def prune(self, originals: list[TimeSeries]) -> list[TimeSeries]:
-        pruned = prune(originals, self.config.detector)
-        if not pruned:
-            raise PruningEmptyError(f"dataset {self.name!r}: no series with a detected shift")
-        storage.save_stage(self.root, self.name, pruned)
+        with self._stage("prune", Stage.PRUNED):
+            pruned = prune(originals, self.config.detector)
+            if not pruned:
+                raise PruningEmptyError(f"dataset {self.name!r}: no series with a detected shift")
+            storage.save_stage(self.root, self.name, pruned)
         return pruned
 
     def augment(self, pruned: list[TimeSeries]) -> list[TimeSeries]:
-        augmented = augment_set(pruned, _resolved_augment(self.config), self.config.detector)
-        storage.save_stage(self.root, self.name, augmented)
+        augment_config = self.config.augment
+        if augment_config.master_seed is None:
+            augment_config = dc_replace(augment_config, master_seed=self.config.master_seed)
+        with self._stage("augment", Stage.AUGMENTED):
+            augmented = augment_set(pruned, augment_config, self.config.detector)
+            storage.save_stage(self.root, self.name, augmented)
         unverified = sum(
             1 for s in augmented if s.provenance is not None and not s.provenance.shift_verified
         )
         self.notes["unverified_augmented"] = str(unverified)
         return augmented
+
+    def rerun(self, stage: Stage) -> tuple[list[TimeSeries], list[TimeSeries]]:
+        """Rerun the prune or augment stage on the stored stage before it;
+        returns that stage's series and the new ones."""
+        previous, step = {
+            Stage.PRUNED: (Stage.ORIGINAL, self.prune),
+            Stage.AUGMENTED: (Stage.PRUNED, self.augment),
+        }[stage]
+        inputs = storage.load_stage(self.root, self.name, previous)
+        if not inputs:
+            raise ConfigError(
+                f"dataset {self.name!r} has no {previous.value} stage under {self.root}"
+            )
+        return inputs, step(inputs)
 
 
 def run(
@@ -201,23 +244,10 @@ def run(
     the current UTC time is used. An existing dataset directory is only
     overwritten with ``force=True``.
     """
-    dataset_root = storage.dataset_dir(config.output_dir, config.dataset_name)
-    if dataset_root.exists() and any(dataset_root.iterdir()):
-        if not force:
-            raise ConfigError(
-                f"dataset directory {dataset_root} already exists; pass force to overwrite"
-            )
-        shutil.rmtree(dataset_root)
-
-    transport = transport or sources.make_transport(config.transport_mode, config.fixtures_dir)
-    runner = _Runner(config)
-
-    queries = runner._stage("queries", None, lambda: runner.queries(backend))
-    originals = runner._stage(
-        "collect", Stage.ORIGINAL, lambda: runner.collect(queries, transport)
-    )
-    pruned = runner._stage("prune", Stage.PRUNED, lambda: runner.prune(originals))
-    augmented = runner._stage("augment", Stage.AUGMENTED, lambda: runner.augment(pruned))
+    stages = Stages(config)
+    originals = stages.collect(force=force, transport=transport, backend=backend)
+    pruned = stages.prune(originals)
+    augmented = stages.augment(pruned)
 
     lengths = [len(s) for s in originals]
     manifest = DatasetManifest(
@@ -231,7 +261,7 @@ def run(
         count_augmented=len(augmented),
         seed=config.master_seed,
         created_at=now or storage.utc_now_iso(),
-        notes=dict(sorted(runner.notes.items())),
+        notes=dict(sorted(stages.notes.items())),
     )
     storage.write_manifest(config.output_dir, manifest)
     return manifest
@@ -400,17 +430,3 @@ def report(manifest: DatasetManifest, fmt: str = "text") -> str:
         ]
         return " | ".join(pairs) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def _fixed_now() -> str | None:
-    """CLI hook: honor SOURCE_DATE_EPOCH for reproducible manifests."""
-    import os
-
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if not epoch:
-        return None
-    try:
-        stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    except ValueError:
-        return None
-    return stamp.replace(microsecond=0).isoformat()

@@ -28,9 +28,8 @@ from .sources import (
     SourceQuery,
     dedup_queries,
     infer_source,
-    payload_from_raw,
-    validate_query,
-    _KNOWN_FIELDS,
+    known_fields,
+    query_from_raw,
 )
 
 logger = logging.getLogger(__name__)
@@ -279,23 +278,13 @@ def bind_queries(
         if source is not None and inferred is not None and inferred is not source:
             rejected.append((raw, f"fields identify {inferred.value}, expected {source.value}"))
             continue
-        extras = set(raw) - _KNOWN_FIELDS[target]
+        extras = set(raw) - known_fields(target)
         if extras:
             logger.warning("ignoring unknown fields %s", sorted(extras))
         try:
-            query = SourceQuery(
-                source=target,
-                payload=payload_from_raw(raw, target),
-                comment=str(raw.get("comment", "")),
-            )
+            accepted.append(query_from_raw(raw, target))
         except QueryFieldError as exc:
             rejected.append((raw, str(exc)))
-            continue
-        reasons = validate_query(query)
-        if reasons:
-            rejected.append((raw, "; ".join(reasons)))
-            continue
-        accepted.append(query)
     return accepted, rejected
 
 

@@ -6,6 +6,9 @@ offline run) can use recorded fixtures; live mode is the same code path
 with an HTTP client behind it. Responses are normalized into
 :class:`~shiftminer.series.TimeSeries` values at the original stage.
 
+Everything that differs between sources lives in :data:`CONNECTORS`,
+one :class:`Connector` record per source.
+
 Credentials come from the environment only (``FRED_API_KEY``,
 ``EIA_API_KEY``); they are attached to live requests but excluded from
 fixture keys and never written to fixture files.
@@ -21,10 +24,10 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 from .series import Source, Stage, TimeSeries, make_series_id
 
@@ -119,13 +122,6 @@ class TrendsQuery:
 
 Payload = FredQuery | EiaQuery | YahooQuery | TrendsQuery
 
-_PAYLOAD_TYPES: dict[Source, type] = {
-    Source.FRED: FredQuery,
-    Source.EIA: EiaQuery,
-    Source.YAHOO: YahooQuery,
-    Source.TRENDS: TrendsQuery,
-}
-
 
 @dataclass(frozen=True)
 class SourceQuery:
@@ -136,8 +132,8 @@ class SourceQuery:
     comment: str = ""
 
     def __post_init__(self) -> None:
-        expected = _PAYLOAD_TYPES.get(self.source)
-        if expected is None or not isinstance(self.payload, expected):
+        connector = CONNECTORS.get(self.source)
+        if connector is None or not isinstance(self.payload, connector.payload_type):
             raise QueryFieldError(
                 f"payload {type(self.payload).__name__} does not match source {self.source.value}"
             )
@@ -166,65 +162,22 @@ class RetryPolicy:
 
 def validate_query(query: SourceQuery) -> list[str]:
     """Structured validation; returns reasons, empty when the query is fine."""
-    reasons: list[str] = []
-    p = query.payload
-    if isinstance(p, FredQuery):
-        if not p.series_id:
-            reasons.append("empty identifier")
-        elif not _FRED_ID_RE.match(p.series_id):
-            reasons.append(f"series_id {p.series_id!r} must match [A-Z0-9_]+")
-        reasons.extend(_check_range(p.start_date, p.end_date))
-    elif isinstance(p, EiaQuery):
-        if not p.api_route:
-            reasons.append("empty identifier")
-        elif p.api_route.startswith("/") or "://" in p.api_route:
-            reasons.append("api_route must be a relative path")
-        if any(not k for k, _ in p.params):
-            reasons.append("params keys must be non-empty")
-    elif isinstance(p, YahooQuery):
-        if not p.ticker:
-            reasons.append("empty identifier")
-        reasons.extend(_check_range(p.start_date, p.end_date))
-    elif isinstance(p, TrendsQuery):
-        if not p.keyword:
-            reasons.append("empty identifier")
-        reasons.extend(_check_range(p.start_date, p.end_date))
+    payload = query.payload
+    connector = CONNECTORS[query.source]
+    reasons = [] if getattr(payload, connector.id_field) else ["empty identifier"]
+    reasons.extend(connector.check(payload))
+    if hasattr(payload, "start_date") and payload.start_date >= payload.end_date:
+        reasons.append(
+            "start after end" if payload.start_date > payload.end_date else "start equals end"
+        )
     return reasons
 
 
-def _check_range(start: date, end: date) -> list[str]:
-    if start >= end:
-        return ["start after end" if start > end else "start equals end"]
-    return []
-
-
 def canonical_query_key(query: SourceQuery) -> str:
-    """Dedup key: source plus sorted payload fields, comment excluded."""
-    p = query.payload
-    fields: dict[str, object]
-    if isinstance(p, FredQuery):
-        fields = {
-            "series_id": p.series_id,
-            "start_date": p.start_date.isoformat(),
-            "end_date": p.end_date.isoformat(),
-        }
-    elif isinstance(p, EiaQuery):
-        fields = {"api_route": p.api_route, "params": sorted(p.params)}
-    elif isinstance(p, YahooQuery):
-        fields = {
-            "ticker": p.ticker,
-            "start_date": p.start_date.isoformat(),
-            "end_date": p.end_date.isoformat(),
-            "interval": p.interval.value,
-        }
-    else:
-        fields = {
-            "keyword": p.keyword,
-            "start_date": p.start_date.isoformat(),
-            "end_date": p.end_date.isoformat(),
-            "geo": p.geo or "",
-        }
-    return json.dumps({"source": query.source.value, **fields}, sort_keys=True)
+    """Dedup key: the query-file object with its comment removed."""
+    raw = query_to_raw(query)
+    del raw["comment"]
+    return json.dumps(raw, sort_keys=True)
 
 
 def dedup_queries(queries: Sequence[SourceQuery]) -> list[SourceQuery]:
@@ -243,26 +196,19 @@ def dedup_queries(queries: Sequence[SourceQuery]) -> list[SourceQuery]:
 # --- raw object binding and query files -----------------------------------
 
 
-_DISTINGUISHING_FIELDS = (
-    ("series_id", Source.FRED),
-    ("api_route", Source.EIA),
-    ("ticker", Source.YAHOO),
-    ("keyword", Source.TRENDS),
-)
-
-_KNOWN_FIELDS: dict[Source, set[str]] = {
-    Source.FRED: {"series_id", "start_date", "end_date", "comment", "source"},
-    Source.EIA: {"api_route", "params", "comment", "source"},
-    Source.YAHOO: {"ticker", "start_date", "end_date", "interval", "comment", "source"},
-    Source.TRENDS: {"keyword", "geo", "timeframe", "start_date", "end_date", "comment", "source"},
-}
-
-
 def infer_source(raw: dict) -> Source | None:
-    for key, source in _DISTINGUISHING_FIELDS:
-        if key in raw:
+    """The first source whose identifier field ``raw`` carries."""
+    for source, connector in CONNECTORS.items():
+        if connector.id_field in raw:
             return source
     return None
+
+
+def known_fields(source: Source) -> set[str]:
+    """Field names a raw query object for ``source`` may carry."""
+    connector = CONNECTORS[source]
+    payload_fields = {f.name for f in fields(connector.payload_type)}
+    return payload_fields | set(connector.aliases) | {"comment", "source"}
 
 
 def _require(raw: dict, key: str) -> object:
@@ -279,84 +225,24 @@ def _as_date(raw: dict, key: str) -> date:
         raise QueryFieldError(f"field {key} is not an ISO date: {value!r}") from exc
 
 
-def payload_from_raw(raw: dict, source: Source) -> Payload:
-    """Build a typed payload from a raw JSON object; raises
-    :class:`QueryFieldError` for missing or malformed fields."""
-    if source is Source.FRED:
-        return FredQuery(
-            series_id=str(_require(raw, "series_id")),
-            start_date=_as_date(raw, "start_date"),
-            end_date=_as_date(raw, "end_date"),
-        )
-    if source is Source.EIA:
-        params = _require(raw, "params")
-        if not isinstance(params, dict):
-            raise QueryFieldError("field params must be an object")
-        return EiaQuery(
-            api_route=str(_require(raw, "api_route")),
-            params=tuple((str(k), str(v)) for k, v in params.items()),
-        )
-    if source is Source.YAHOO:
-        interval_raw = str(raw.get("interval", Interval.DAILY.value))
-        try:
-            interval = Interval(interval_raw)
-        except ValueError as exc:
-            raise QueryFieldError(f"unknown interval {interval_raw!r}") from exc
-        return YahooQuery(
-            ticker=str(_require(raw, "ticker")),
-            start_date=_as_date(raw, "start_date"),
-            end_date=_as_date(raw, "end_date"),
-            interval=interval,
-        )
-    if source is Source.TRENDS:
-        if "timeframe" in raw:
-            parts = str(raw["timeframe"]).split()
-            if len(parts) != 2:
-                raise QueryFieldError(f"timeframe must be 'START END': {raw['timeframe']!r}")
-            try:
-                start, end = (date.fromisoformat(p) for p in parts)
-            except ValueError as exc:
-                raise QueryFieldError(f"bad timeframe dates: {raw['timeframe']!r}") from exc
-        else:
-            start, end = _as_date(raw, "start_date"), _as_date(raw, "end_date")
-        geo = raw.get("geo")
-        return TrendsQuery(
-            keyword=str(_require(raw, "keyword")),
-            start_date=start,
-            end_date=end,
-            geo=str(geo) if geo else None,
-        )
-    raise QueryFieldError(f"source {source} does not accept queries")
+def query_from_raw(raw: dict, source: Source) -> SourceQuery:
+    """Bind and validate one raw JSON object; raises
+    :class:`QueryFieldError` with the reason for a missing, malformed or
+    invalid field."""
+    connector = CONNECTORS.get(source)
+    if connector is None:
+        raise QueryFieldError(f"source {source} does not accept queries")
+    query = SourceQuery(source, connector.from_raw(raw), str(raw.get("comment", "")))
+    reasons = validate_query(query)
+    if reasons:
+        raise QueryFieldError("; ".join(reasons))
+    return query
 
 
 def query_to_raw(query: SourceQuery) -> dict:
     """Serialize back to the JSON field spelling the binder accepts."""
-    p = query.payload
-    raw: dict[str, object] = {"source": query.source.value}
-    if isinstance(p, FredQuery):
-        raw.update(
-            series_id=p.series_id,
-            start_date=p.start_date.isoformat(),
-            end_date=p.end_date.isoformat(),
-        )
-    elif isinstance(p, EiaQuery):
-        raw.update(api_route=p.api_route, params=dict(p.params))
-    elif isinstance(p, YahooQuery):
-        raw.update(
-            ticker=p.ticker,
-            start_date=p.start_date.isoformat(),
-            end_date=p.end_date.isoformat(),
-            interval=p.interval.value,
-        )
-    else:
-        raw.update(
-            keyword=p.keyword,
-            timeframe=f"{p.start_date.isoformat()} {p.end_date.isoformat()}",
-        )
-        if p.geo:
-            raw["geo"] = p.geo
-    raw["comment"] = query.comment
-    return raw
+    payload_raw = CONNECTORS[query.source].to_raw(query.payload)
+    return {"source": query.source.value, **payload_raw, "comment": query.comment}
 
 
 def save_queries(queries: Sequence[SourceQuery], path: str | Path) -> Path:
@@ -380,15 +266,10 @@ def load_queries(path: str | Path, default_source: Source | None = None) -> list
         source = Source(raw["source"]) if "source" in raw else (infer_source(raw) or default_source)
         if source is None:
             raise QueryFieldError(f"{path}[{i}]: cannot determine source")
-        query = SourceQuery(
-            source=source,
-            payload=payload_from_raw(raw, source),
-            comment=str(raw.get("comment", "")),
-        )
-        reasons = validate_query(query)
-        if reasons:
-            raise QueryFieldError(f"{path}[{i}]: {'; '.join(reasons)}")
-        out.append(query)
+        try:
+            out.append(query_from_raw(raw, source))
+        except QueryFieldError as exc:
+            raise QueryFieldError(f"{path}[{i}]: {exc}") from exc
     return out
 
 
@@ -575,7 +456,7 @@ def make_transport(mode: str, fixtures_root: str | Path) -> Transport:
 
 
 def _api_key_for(source: Source, mode: str) -> str | None:
-    env_name = {Source.FRED: "FRED_API_KEY", Source.EIA: "EIA_API_KEY"}.get(source)
+    env_name = CONNECTORS[source].api_key_env
     if env_name is None:
         return None
     key = os.environ.get(env_name)
@@ -680,8 +561,6 @@ def fred_response_to_series(payload: FredQuery, comment: str, body: str) -> list
             if raw_value in (".", "", None):
                 continue
             observations.append((date.fromisoformat(row["date"]), _finite_float(raw_value)))
-    except ParseError:
-        raise
     except Exception as exc:
         raise ParseError(f"bad FRED body: {exc}") from exc
     if not observations:
@@ -756,8 +635,6 @@ def yahoo_response_to_series(payload: YahooQuery, comment: str, body: str) -> li
                 continue
             day = datetime.fromtimestamp(int(ts), tz=timezone.utc).date()
             observations.append((day, _finite_float(close)))
-    except ParseError:
-        raise
     except Exception as exc:
         raise ParseError(f"bad Yahoo body: {exc}") from exc
     if not observations:
@@ -781,8 +658,6 @@ def trends_response_to_series(payload: TrendsQuery, comment: str, body: str) -> 
                 continue
             day = datetime.fromtimestamp(int(entry["time"]), tz=timezone.utc).date()
             observations.append((day, _finite_float(values[0])))
-    except ParseError:
-        raise
     except Exception as exc:
         raise ParseError(f"bad Trends body: {exc}") from exc
     if not observations:
@@ -790,6 +665,182 @@ def trends_response_to_series(payload: TrendsQuery, comment: str, body: str) -> 
     observations.sort(key=lambda pair: pair[0])
     native = payload.keyword.replace(" ", "_") + (f"-{payload.geo}" if payload.geo else "")
     return [_series_or_parse_error(Source.TRENDS, native, comment, observations)]
+
+
+# --- connector table --------------------------------------------------------
+
+Send = Callable[[Request], Response]
+
+
+@dataclass(frozen=True)
+class Connector:
+    """Everything that differs between sources, in one record.
+
+    The generic query functions read the rest off the payload type: its
+    first field is the identifier, which must be non-empty and which marks
+    a raw object as this source's; ``start_date``/``end_date`` fields get
+    the range check.
+    """
+
+    payload_type: type
+    from_raw: Callable[[dict], Payload]
+    to_raw: Callable[[Payload], dict]
+    collect: Callable[[Payload, str, str | None, Send], list[TimeSeries]]
+    check: Callable[[Payload], list[str]] = lambda payload: []
+    api_key_env: str | None = None
+    aliases: tuple[str, ...] = ()
+
+    @property
+    def id_field(self) -> str:
+        return fields(self.payload_type)[0].name
+
+
+def _fred_from_raw(raw: dict) -> FredQuery:
+    return FredQuery(
+        series_id=str(_require(raw, "series_id")),
+        start_date=_as_date(raw, "start_date"),
+        end_date=_as_date(raw, "end_date"),
+    )
+
+
+def _fred_to_raw(p: FredQuery) -> dict:
+    return {
+        "series_id": p.series_id,
+        "start_date": p.start_date.isoformat(),
+        "end_date": p.end_date.isoformat(),
+    }
+
+
+def _fred_check(p: FredQuery) -> list[str]:
+    if p.series_id and not _FRED_ID_RE.match(p.series_id):
+        return [f"series_id {p.series_id!r} must match [A-Z0-9_]+"]
+    return []
+
+
+def _fred_collect(p: FredQuery, comment: str, api_key: str | None, send: Send) -> list[TimeSeries]:
+    return fred_response_to_series(p, comment, send(build_fred_request(p, api_key)).body)
+
+
+def _eia_from_raw(raw: dict) -> EiaQuery:
+    params = _require(raw, "params")
+    if not isinstance(params, dict):
+        raise QueryFieldError("field params must be an object")
+    return EiaQuery(
+        api_route=str(_require(raw, "api_route")),
+        params=tuple((str(k), str(v)) for k, v in params.items()),
+    )
+
+
+def _eia_to_raw(p: EiaQuery) -> dict:
+    return {"api_route": p.api_route, "params": dict(p.params)}
+
+
+def _eia_check(p: EiaQuery) -> list[str]:
+    reasons = []
+    if p.api_route.startswith("/") or "://" in p.api_route:
+        reasons.append("api_route must be a relative path")
+    if any(not k for k, _ in p.params):
+        reasons.append("params keys must be non-empty")
+    return reasons
+
+
+def _eia_collect(p: EiaQuery, comment: str, api_key: str | None, send: Send) -> list[TimeSeries]:
+    """Page through the rows until the reported total (or an empty page)."""
+    page_length = int(p.params_dict().get("length", EIA_DEFAULT_PAGE))
+    offset = int(p.params_dict().get("offset", 0))
+    rows: list[dict] = []
+    for _ in range(EIA_MAX_PAGES):
+        total, page = eia_rows(send(build_eia_request(p, api_key, offset)).body)
+        rows.extend(page)
+        offset += page_length
+        if not page or len(rows) >= total:
+            break
+    series = eia_rows_to_series(p, comment, rows)
+    if not series:
+        raise EmptyResultError(f"EIA {p.api_route}: no observations")
+    return series
+
+
+def _yahoo_from_raw(raw: dict) -> YahooQuery:
+    interval_raw = str(raw.get("interval", Interval.DAILY.value))
+    try:
+        interval = Interval(interval_raw)
+    except ValueError as exc:
+        raise QueryFieldError(f"unknown interval {interval_raw!r}") from exc
+    return YahooQuery(
+        ticker=str(_require(raw, "ticker")),
+        start_date=_as_date(raw, "start_date"),
+        end_date=_as_date(raw, "end_date"),
+        interval=interval,
+    )
+
+
+def _yahoo_to_raw(p: YahooQuery) -> dict:
+    return {
+        "ticker": p.ticker,
+        "start_date": p.start_date.isoformat(),
+        "end_date": p.end_date.isoformat(),
+        "interval": p.interval.value,
+    }
+
+
+def _yahoo_collect(
+    p: YahooQuery, comment: str, api_key: str | None, send: Send
+) -> list[TimeSeries]:
+    return yahoo_response_to_series(p, comment, send(build_yahoo_request(p)).body)
+
+
+def _trends_from_raw(raw: dict) -> TrendsQuery:
+    if "timeframe" in raw:
+        parts = str(raw["timeframe"]).split()
+        if len(parts) != 2:
+            raise QueryFieldError(f"timeframe must be 'START END': {raw['timeframe']!r}")
+        try:
+            start, end = (date.fromisoformat(p) for p in parts)
+        except ValueError as exc:
+            raise QueryFieldError(f"bad timeframe dates: {raw['timeframe']!r}") from exc
+    else:
+        start, end = _as_date(raw, "start_date"), _as_date(raw, "end_date")
+    geo = raw.get("geo")
+    return TrendsQuery(
+        keyword=str(_require(raw, "keyword")),
+        start_date=start,
+        end_date=end,
+        geo=str(geo) if geo else None,
+    )
+
+
+def _trends_to_raw(p: TrendsQuery) -> dict:
+    raw = {
+        "keyword": p.keyword,
+        "timeframe": f"{p.start_date.isoformat()} {p.end_date.isoformat()}",
+    }
+    if p.geo:
+        raw["geo"] = p.geo
+    return raw
+
+
+def _trends_collect(
+    p: TrendsQuery, comment: str, api_key: str | None, send: Send
+) -> list[TimeSeries]:
+    return trends_response_to_series(p, comment, send(build_trends_request(p)).body)
+
+
+# Insertion order is the order in which ``infer_source`` tries the identifier fields.
+CONNECTORS: dict[Source, Connector] = {
+    Source.FRED: Connector(
+        FredQuery, _fred_from_raw, _fred_to_raw, _fred_collect, _fred_check,
+        api_key_env="FRED_API_KEY",
+    ),
+    Source.EIA: Connector(
+        EiaQuery, _eia_from_raw, _eia_to_raw, _eia_collect, _eia_check,
+        api_key_env="EIA_API_KEY",
+    ),
+    Source.YAHOO: Connector(YahooQuery, _yahoo_from_raw, _yahoo_to_raw, _yahoo_collect),
+    Source.TRENDS: Connector(
+        TrendsQuery, _trends_from_raw, _trends_to_raw, _trends_collect, aliases=("timeframe",)
+    ),
+}
 
 
 # --- fetch ------------------------------------------------------------------
@@ -864,36 +915,11 @@ def fetch(
     policy = policy or RetryPolicy()
     clock, pacer = _resolve_timing(transport, policy, clock, pacer)
     key = _api_key_for(query.source, transport.mode)
-    payload = query.payload
 
-    if isinstance(payload, FredQuery):
-        response = _execute(build_fred_request(payload, key), transport, policy, pacer, clock)
-        return fred_response_to_series(payload, query.comment, response.body)
+    def send(request: Request) -> Response:
+        return _execute(request, transport, policy, pacer, clock)
 
-    if isinstance(payload, EiaQuery):
-        page_length = int(payload.params_dict().get("length", EIA_DEFAULT_PAGE))
-        offset = int(payload.params_dict().get("offset", 0))
-        rows: list[dict] = []
-        total = None
-        for _ in range(EIA_MAX_PAGES):
-            request = build_eia_request(payload, key, offset)
-            response = _execute(request, transport, policy, pacer, clock)
-            total, page = eia_rows(response.body)
-            rows.extend(page)
-            offset += page_length
-            if not page or len(rows) >= total:
-                break
-        series = eia_rows_to_series(payload, query.comment, rows)
-        if not series:
-            raise EmptyResultError(f"EIA {payload.api_route}: no observations")
-        return series
-
-    if isinstance(payload, YahooQuery):
-        response = _execute(build_yahoo_request(payload), transport, policy, pacer, clock)
-        return yahoo_response_to_series(payload, query.comment, response.body)
-
-    response = _execute(build_trends_request(payload), transport, policy, pacer, clock)
-    return trends_response_to_series(payload, query.comment, response.body)
+    return CONNECTORS[query.source].collect(query.payload, query.comment, key, send)
 
 
 def fetch_all(

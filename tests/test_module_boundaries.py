@@ -1,0 +1,70 @@
+"""Modules of the package use each other only through public names.
+
+A name with a leading underscore is private to the module that defines
+it; another module that imports it or reads it as an attribute couples
+itself to an implementation detail.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "shiftminer"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _internal(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "shiftminer"
+
+
+def private_uses(path: Path) -> list[str]:
+    """Every private name of another package module that ``path`` touches."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    module_names: set[str] = set()
+    found: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _internal(node):
+            package_import = node.module is None or node.module == "shiftminer"
+            for alias in node.names:
+                if package_import:
+                    module_names.add(alias.asname or alias.name)
+                if _private(alias.name):
+                    found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("shiftminer.") and alias.asname:
+                    module_names.add(alias.asname)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in module_names
+            and _private(node.attr)
+        ):
+            found.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(modules) > 5
+    violations = [use for path in modules for use in private_uses(path)]
+    assert violations == []
+
+
+def test_checker_sees_both_forms(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "from . import pipeline\n"
+        "from .sources import _KNOWN_FIELDS, load_queries\n"
+        "runner = pipeline._Runner\n"
+        "fine = pipeline.run\n"
+    )
+    assert private_uses(path) == [
+        "probe.py:2 imports _KNOWN_FIELDS",
+        "probe.py:3 reads pipeline._Runner",
+    ]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -343,6 +344,59 @@ class TestCli:
         pruned = load_stage(root, "mini", Stage.PRUNED)
         augmented = load_stage(root, "mini", Stage.AUGMENTED)
         assert len(augmented) == len(pruned) * 30
+
+    def test_prune_rerun_replaces_stage(self, mini_corpus, tmp_path, capsys):
+        config_path = str(mini_corpus["config_path"])
+        stage_root = mini_corpus["root"] / "data" / "mini"
+        assert main(["collect", "--config", config_path]) == 0
+        assert main(["prune", "--dataset", "mini", "--config", config_path]) == 0
+        first_kept = len(list((stage_root / "pruned").glob("*.csv")))
+        strict = json.loads(Path(config_path).read_text())
+        strict["detector"] = {"penalty_beta": 100}
+        strict_path = tmp_path / "strict.json"
+        strict_path.write_text(json.dumps(strict))
+        capsys.readouterr()
+        assert main(["prune", "--dataset", "mini", "--config", str(strict_path)]) == 0
+        kept = int(re.search(r"kept (\d+) of 16 series", capsys.readouterr().out).group(1))
+        assert 0 < kept < first_kept
+        assert len(list((stage_root / "pruned").glob("*.csv"))) == kept
+        assert main(["augment", "--dataset", "mini", "--config", str(strict_path)]) == 0
+        assert len(list((stage_root / "augmented").glob("*.csv"))) == 30 * kept
+
+    def test_failed_collect_leaves_no_original_stage(self, mini_corpus, monkeypatch, capsys):
+        from shiftminer import storage
+
+        save_series = storage.save_series
+        written = []
+
+        def fail_after_two(series, directory):
+            if len(written) == 2:
+                raise OSError("disk full")
+            written.append(save_series(series, directory))
+            return written[-1]
+
+        monkeypatch.setattr(storage, "save_series", fail_after_two)
+        assert main(["collect", "--config", str(mini_corpus["config_path"])]) == 5
+        assert len(written) == 2
+        assert not (mini_corpus["root"] / "data" / "mini" / "original").exists()
+
+    def test_stage_subcommands_without_config(self, mini_corpus, capsys):
+        main(["collect", "--config", str(mini_corpus["config_path"])])
+        root = mini_corpus["root"] / "data"
+        assert main(["augment", "--dataset", "mini", "--output-dir", str(root)]) == 2
+        assert "no pruned stage under" in capsys.readouterr().err
+        assert main(["prune", "--dataset", "mini", "--output-dir", str(root)]) == 0
+        assert main(["augment", "--dataset", "mini", "--output-dir", str(root),
+                     "--seed", "3"]) == 0
+        augmented = load_stage(root, "mini", Stage.AUGMENTED)
+        assert len(augmented) == 30 * len(load_stage(root, "mini", Stage.PRUNED))
+        assert main(["prune", "--dataset", "other", "--output-dir", str(root)]) == 2
+        assert "no original stage under" in capsys.readouterr().err
+
+    def test_stage_subcommand_rejects_unread_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["prune", "--dataset", "mini", "--transport", "live"])
+        assert exc.value.code == 2
 
 
 def test_config_accepts_changepoint_alias(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from datetime import date
@@ -9,12 +10,15 @@ import pytest
 from shiftminer import demo
 from shiftminer.series import Source, Stage
 from shiftminer.sources import (
+    CONNECTORS,
     AuthMissingError,
     EiaQuery,
     EmptyResultError,
     FixtureMissingError,
     FredQuery,
+    Interval,
     ParseError,
+    QueryFieldError,
     RateLimitedError,
     ReplayTransport,
     RequestPacer,
@@ -24,7 +28,10 @@ from shiftminer.sources import (
     TrendsQuery,
     UpstreamError,
     YahooQuery,
+    build_eia_request,
     build_fred_request,
+    build_trends_request,
+    build_yahoo_request,
     canonical_request_key,
     dedup_queries,
     eia_rows,
@@ -32,7 +39,10 @@ from shiftminer.sources import (
     fetch,
     fetch_all,
     fred_response_to_series,
+    known_fields,
     load_queries,
+    query_from_raw,
+    query_to_raw,
     save_queries,
     trends_response_to_series,
     validate_query,
@@ -419,3 +429,99 @@ class TestConcurrency:
         with pytest.raises(RateLimitedError):
             fetch(UNRATE, transport, policy, clock=clock, pacer=RequestPacer(clock, 0.0))
         assert clock.sleeps == [0.5, 1.5, 4.5]
+
+
+# --- replay compatibility: fixture keys and query files are pinned -------------
+
+GOLDEN_FRED = FredQuery("UNRATE", date(2007, 1, 1), date(2013, 1, 1))
+GOLDEN_EIA = EiaQuery(
+    "electricity/rto/daily-region-data/data",
+    (("frequency", "daily"), ("facets[respondent][]", "PJM"), ("length", "5000")),
+)
+GOLDEN_YAHOO = YahooQuery("SPY", date(2019, 6, 3), date(2021, 6, 1), Interval.WEEKLY)
+GOLDEN_TRENDS_GEO = TrendsQuery("flu symptoms", date(2019, 1, 1), date(2021, 1, 1), geo="US")
+GOLDEN_TRENDS = TrendsQuery("flu symptoms", date(2019, 1, 1), date(2021, 1, 1))
+
+
+@pytest.mark.parametrize("request_, key", [
+    (build_fred_request(GOLDEN_FRED, api_key="secret"), "1b0b2f8a6834e5374774c979a9d78e37"),
+    (build_fred_request(GOLDEN_FRED, api_key=None), "1b0b2f8a6834e5374774c979a9d78e37"),
+    (build_eia_request(GOLDEN_EIA, api_key=None, offset=0), "1a0f01d438ee8ba9ee21a19ce752350d"),
+    (build_eia_request(GOLDEN_EIA, api_key="secret", offset=1000),
+     "85f43c4f9de43b114d20cf071fd4986a"),
+    (build_yahoo_request(GOLDEN_YAHOO), "cdde4c447da15f9a7ef3041f31bd8165"),
+    (build_trends_request(GOLDEN_TRENDS_GEO), "1dcad88b2d9742e90a11dd5546c20ab4"),
+    (build_trends_request(GOLDEN_TRENDS), "2642b89217cc1c7b6ae35a3071e699e4"),
+], ids=["fred-key", "fred", "eia-0", "eia-1000", "yahoo-weekly", "trends-geo", "trends"])
+def test_fixture_keys_pinned(request_, key):
+    assert canonical_request_key(request_) == key
+
+
+def test_query_file_bytes_pinned(tmp_path):
+    queries = [
+        SourceQuery(Source.FRED, GOLDEN_FRED, "recession"),
+        SourceQuery(Source.EIA, GOLDEN_EIA, "hurricane"),
+        SourceQuery(Source.YAHOO, GOLDEN_YAHOO, "covid crash"),
+        SourceQuery(Source.TRENDS, GOLDEN_TRENDS_GEO, "pandemic"),
+        SourceQuery(Source.TRENDS, GOLDEN_TRENDS),
+    ]
+    path = save_queries(queries, tmp_path / "q.json")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "301c710b4c8fc1f71a12d57066126e7fa4c680e11958e757aa52cec3f329e107"
+
+
+GOLDEN_QUERIES = [
+    SourceQuery(Source.FRED, GOLDEN_FRED, "recession"),
+    SourceQuery(Source.EIA, GOLDEN_EIA, "hurricane"),
+    SourceQuery(Source.YAHOO, GOLDEN_YAHOO, "covid crash"),
+    SourceQuery(Source.TRENDS, GOLDEN_TRENDS_GEO, "pandemic"),
+    SourceQuery(Source.TRENDS, GOLDEN_TRENDS),
+]
+
+
+class TestConnectorTable:
+    def test_one_connector_per_source(self):
+        assert set(CONNECTORS) == {s for s in Source if s is not Source.SYNTHETIC}
+        payload_types = [c.payload_type for c in CONNECTORS.values()]
+        assert len(set(payload_types)) == len(payload_types)
+
+    @pytest.mark.parametrize("query", GOLDEN_QUERIES, ids=lambda q: q.source.value)
+    def test_raw_round_trip(self, query):
+        raw = query_to_raw(query)
+        again = query_from_raw(raw, query.source)
+        assert again == query
+        assert query_to_raw(again) == raw
+        assert set(raw) <= known_fields(query.source)
+
+    @pytest.mark.parametrize("raw, source", [
+        ({"series_id": "X", "start_date": "2020-01-01"}, Source.FRED),
+        ({"series_id": "X", "start_date": "2021-01-01", "end_date": "2020-01-01"}, Source.FRED),
+        ({"series_id": "un rate", "start_date": "2020-01-01", "end_date": "2021-01-01"},
+         Source.FRED),
+        ({"series_id": "", "start_date": "2020-01-01", "end_date": "2020-01-01"}, Source.FRED),
+        ({"api_route": "r/data", "params": ["a", "b"]}, Source.EIA),
+        ({"api_route": "/abs/data", "params": {"": "1"}}, Source.EIA),
+        ({"ticker": "SPY", "start_date": "2020-01-01", "end_date": "2021-01-01",
+          "interval": "hourly"}, Source.YAHOO),
+        ({"keyword": "flu", "timeframe": "2020-01-01"}, Source.TRENDS),
+        ({"keyword": "", "timeframe": "2020-01-01 2021-01-01"}, Source.TRENDS),
+    ])
+    def test_load_and_bind_reject_with_same_reason(self, raw, source, tmp_path):
+        from shiftminer.querygen import bind_queries
+
+        accepted, rejected = bind_queries([raw], source)
+        assert not accepted
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps([raw]))
+        with pytest.raises(QueryFieldError) as err:
+            load_queries(path, default_source=source)
+        assert str(err.value) == f"{path}[0]: {rejected[0][1]}"
+
+    def test_dedup_ignores_param_order_comment_and_empty_geo(self):
+        start, end = date(2020, 1, 1), date(2021, 1, 1)
+        a = SourceQuery(Source.EIA, EiaQuery("r/data", (("a", "1"), ("b", "2"))), "one")
+        b = SourceQuery(Source.EIA, EiaQuery("r/data", (("b", "2"), ("a", "1"))), "two")
+        c = SourceQuery(Source.TRENDS, TrendsQuery("flu", start, end, geo=None))
+        d = SourceQuery(Source.TRENDS, TrendsQuery("flu", start, end, geo=""))
+        e = SourceQuery(Source.TRENDS, TrendsQuery("flu", start, end, geo="US"))
+        assert dedup_queries([a, b, c, d, e]) == [a, c, e]
