@@ -99,9 +99,6 @@ class WarpPath:
         if any(b <= a for a, b in zip(p, p[1:])):
             raise ValueError("warp path must be strictly increasing")
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.mapping, dtype=float)
-
 
 def derive_seed(*parts: object) -> int:
     """Stable 64-bit seed from arbitrary parts (hash-based, not salted)."""
@@ -160,7 +157,7 @@ def _augmented(
         id=out_id or f"{parent.id}-{method.value}",
         source=parent.source,
         timestamps=parent.timestamps,
-        values=tuple(values.tolist()),
+        values=values,
         stage=Stage.AUGMENTED,
         provenance=Provenance(
             parent_id=parent.id, method=method, seed=seed, shift_verified=verified
@@ -182,7 +179,7 @@ def time_warp(
 ) -> TimeSeries:
     """Resample the values along a random smooth monotone warp path."""
     seed = operator.index(seed)
-    warped = time_warp_values(series.values_array(), config, seed)
+    warped = time_warp_values(series.values, config, seed)
     return _augmented(series, warped, AugmentMethod.TIME_WARP, seed, out_id)
 
 
@@ -219,7 +216,7 @@ def window_warp(
 ) -> TimeSeries:
     """Warp one random window by a random scale; draws start then scale."""
     seed = operator.index(seed)
-    warped = window_warp_values(series.values_array(), config, seed)
+    warped = window_warp_values(series.values, config, seed)
     return _augmented(series, warped, AugmentMethod.WINDOW_WARP, seed, out_id)
 
 
@@ -246,7 +243,7 @@ def window_slice(
 ) -> TimeSeries:
     """Interpolate a random contiguous slice back to full length."""
     seed = operator.index(seed)
-    sliced = window_slice_values(series.values_array(), config, seed)
+    sliced = window_slice_values(series.values, config, seed)
     return _augmented(series, sliced, AugmentMethod.WINDOW_SLICE, seed, out_id)
 
 
@@ -267,7 +264,7 @@ def _draws(
     and tests the whole batch with one ``classify`` call; the candidates
     that lost their shift are redrawn in the next round.
     """
-    values = parent.values_array()
+    values = parent.values
     draws: list[tuple[AugmentMethod, int, np.ndarray]] = [None] * config.factor
     verified: set[int] = set()
     pending = list(range(config.factor))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -368,7 +368,7 @@ def classify(series: TimeSeries, config: DetectorConfig) -> ShiftCategory:
     first greedy split of binary segmentation is kept (see
     :func:`classify_rows`, of which this is the one-series form).
     """
-    x = series.values_array()
+    x = series.values
     if x.size < max(2, config.min_segment_size):
         raise SeriesTooShortError(f"series {series.id!r} too short to classify")
     if classify_rows(x[np.newaxis], config)[0]:
@@ -378,7 +378,7 @@ def classify(series: TimeSeries, config: DetectorConfig) -> ShiftCategory:
 
 def detect(series: TimeSeries, config: DetectorConfig) -> ChangePointSet:
     """Segment a series on the same standardized scale ``classify`` uses."""
-    x = series.values_array()
+    x = series.values
     std = float(x.std())
     z = (x - x.mean()) / std if std > 0 else np.zeros_like(x)
     return binary_segmentation(z, config)
@@ -398,5 +398,5 @@ def prune(dataset: list[TimeSeries], config: DetectorConfig) -> list[TimeSeries]
             logger.warning("skipping %s: %s", series.id, exc)
             continue
         if category is ShiftCategory.SHIFT:
-            kept.append(dc_replace(series, stage=Stage.PRUNED))
+            kept.append(series.with_stage(Stage.PRUNED))
     return kept

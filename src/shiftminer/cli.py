@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 any other stage failure (for example in
 augment), 2 configuration error, 3 collection error, 4 pruning left
-nothing, 5 I/O error.
+nothing, 5 I/O error or unreadable stored file.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import pipeline, querygen, sources, storage
-from .series import Source, Stage
+from .series import SeriesError, Source, Stage
 
 EXIT_OK = 0
 EXIT_STAGE = 1
@@ -26,7 +26,8 @@ EXIT_EMPTY_PRUNE = 4
 EXIT_IO = 5
 EXIT_CODES_HELP = (
     "exit codes: 0 success, 1 any other stage failure (for example in augment), "
-    "2 configuration error, 3 collection error, 4 pruning left nothing, 5 I/O error"
+    "2 configuration error, 3 collection error, 4 pruning left nothing, "
+    "5 I/O error or unreadable stored file"
 )
 
 logger = logging.getLogger(__name__)
@@ -231,7 +232,8 @@ def main(argv: list[str] | None = None) -> int:
     except (querygen.BackendFailureError, querygen.NoQueriesFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLLECT
-    except (storage.IoFailureError, OSError) as exc:
+    except (storage.IoFailureError, OSError, storage.MalformedFileError, SeriesError) as exc:
+        # stage errors arrive wrapped, so a bare series error comes from a stored file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -209,25 +209,43 @@ class Stages:
         with self._stage("augment", Stage.AUGMENTED):
             augmented = augment_set(pruned, augment_config, self.config.detector)
             storage.save_stage(self.root, self.name, augmented)
-        unverified = sum(
-            1 for s in augmented if s.provenance is not None and not s.provenance.shift_verified
-        )
+        unverified = sum(not s.provenance.shift_verified for s in augmented)
         self.notes["unverified_augmented"] = str(unverified)
         return augmented
 
     def rerun(self, stage: Stage) -> tuple[list[TimeSeries], list[TimeSeries]]:
         """Rerun the prune or augment stage on the stored stage before it;
-        returns that stage's series and the new ones."""
-        previous, step = {
-            Stage.PRUNED: (Stage.ORIGINAL, self.prune),
-            Stage.AUGMENTED: (Stage.PRUNED, self.augment),
+        returns that stage's series and the new ones.
+
+        The later stages, the splits and the manifest are deleted first, so
+        nothing on disk describes the old run. When a manifest existed and
+        the stage succeeds, it is written back with the counts now on disk.
+        """
+        previous, step, later = {
+            Stage.PRUNED: (Stage.ORIGINAL, self.prune, [Stage.AUGMENTED]),
+            Stage.AUGMENTED: (Stage.PRUNED, self.augment, []),
         }[stage]
         inputs = storage.load_stage(self.root, self.name, previous)
         if not inputs:
             raise ConfigError(
                 f"dataset {self.name!r} has no {previous.value} stage under {self.root}"
             )
-        return inputs, step(inputs)
+        manifest_path = storage.manifest_path(self.root, self.name)
+        manifest = storage.load_manifest(self.root, self.name) if manifest_path.exists() else None
+        stale = [storage.stage_dir(self.root, self.name, s) for s in later]
+        for directory in [*stale, storage.dataset_dir(self.root, self.name) / "splits"]:
+            shutil.rmtree(directory, ignore_errors=True)
+        manifest_path.unlink(missing_ok=True)
+
+        outputs = step(inputs)
+        if manifest is not None:
+            pruned, augmented = (outputs, []) if stage is Stage.PRUNED else (inputs, outputs)
+            unverified = self.notes.get("unverified_augmented", "0")
+            notes = {**manifest.notes, "unverified_augmented": unverified}
+            storage.write_manifest(self.root, dc_replace(
+                manifest, count_pruned=len(pruned), count_augmented=len(augmented), notes=notes
+            ))
+        return inputs, outputs
 
 
 def run(
@@ -303,20 +321,10 @@ def split_train_test(
     if not 0 < ratio < 1:
         raise ValueError("ratio must be in (0, 1)")
 
-    parent_ids: list[str] = []
-    children: dict[str, list[TimeSeries]] = {}
-    parents: dict[str, TimeSeries] = {}
-    for series in series_list:
-        if series.provenance is None:
-            parents[series.id] = series
-            parent_ids.append(series.id)
-        else:
-            children.setdefault(series.provenance.parent_id, []).append(series)
-    orphans = set(children) - set(parents)
-    for pid in sorted(orphans):  # augmented-only input: treat the group as its own unit
-        parent_ids.append(pid)
-
-    parent_ids = sorted(set(parent_ids))
+    # a parent and its augmented children form one unit, named by the parent
+    # id; augmented series whose parent is absent still form their own unit
+    units = [s.id if s.provenance is None else s.provenance.parent_id for s in series_list]
+    parent_ids = sorted(set(units))
     rng = np.random.default_rng(seed)
     order = [parent_ids[i] for i in rng.permutation(len(parent_ids))]
     if train_parent_count is None:
@@ -329,9 +337,8 @@ def split_train_test(
 
     train: list[TimeSeries] = []
     test: list[TimeSeries] = []
-    for series in series_list:
-        pid = series.provenance.parent_id if series.provenance is not None else series.id
-        (train if pid in train_set else test).append(series)
+    for series, unit in zip(series_list, units):
+        (train if unit in train_set else test).append(series)
     return train, test
 
 
@@ -382,13 +389,10 @@ def split_dataset(
     }
     splits_dir = storage.dataset_dir(output_dir, name) / "splits"
     splits_dir.mkdir(parents=True, exist_ok=True)
-    for side in ("train", "test"):
-        with open(splits_dir / f"{side}.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary[side], fh, indent=2, sort_keys=True)
+    for stem, doc in (("train", train_ids), ("test", test_ids), ("summary", summary)):
+        with open(splits_dir / f"{stem}.json", "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    with open(splits_dir / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return summary
 
 

@@ -10,8 +10,7 @@ eagerly, so a constructed value is always safe to share across threads.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date
 
 import numpy as np
@@ -72,13 +71,17 @@ class Provenance:
             raise SeriesError("provenance seed must fit in 64 unsigned bits")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """One sampled series plus its pipeline metadata.
 
+    ``values`` is a read-only float64 copy of what the caller passed.
+    Series compare equal when every field does, ``values`` exactly; they
+    are not hashable.
+
     Invariants (checked at construction):
 
-    * ``len(timestamps) == len(values) >= 2``
+    * ``values`` is 1-D and ``len(timestamps) == len(values) >= 2``
     * timestamps strictly increasing
     * every value finite
     * ``stage == AUGMENTED`` exactly when ``provenance`` is present
@@ -87,39 +90,46 @@ class TimeSeries:
     id: str
     source: Source
     timestamps: tuple[date, ...]
-    values: tuple[float, ...]
+    values: np.ndarray
     stage: Stage
     provenance: Provenance | None = None
     comment: str = ""
 
     def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "timestamps", tuple(self.timestamps))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.id:
             raise SeriesError("series id must be non-empty")
-        if len(self.timestamps) != len(self.values):
+        if values.shape != (len(self.timestamps),):
             raise SeriesError(
-                f"timestamps ({len(self.timestamps)}) and values "
-                f"({len(self.values)}) must have equal length"
+                f"series {self.id!r}: values of shape {values.shape} do not match "
+                f"{len(self.timestamps)} timestamps"
             )
-        if len(self.values) < 2:
-            raise TooShortError(f"series {self.id!r} has {len(self.values)} samples, need >= 2")
+        if values.size < 2:
+            raise TooShortError(f"series {self.id!r} has {values.size} samples, need >= 2")
         if any(b <= a for a, b in zip(self.timestamps, self.timestamps[1:])):
             raise NonMonotonicTimestampsError(
                 f"series {self.id!r} timestamps must be strictly increasing"
             )
-        if not all(math.isfinite(v) for v in self.values):
+        if not np.isfinite(values).all():
             raise NonFiniteValueError(f"series {self.id!r} contains non-finite values")
         if (self.stage is Stage.AUGMENTED) != (self.provenance is not None):
             raise SeriesError(
                 f"series {self.id!r}: provenance must be present exactly for augmented series"
             )
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TimeSeries):
+            return NotImplemented
+        return np.array_equal(self.values, other.values) and all(
+            getattr(self, f.name) == getattr(other, f.name) for f in fields(self)
+            if f.name != "values"
+        )
+
     def __len__(self) -> int:
         return len(self.values)
-
-    def values_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
     def with_stage(self, stage: Stage) -> "TimeSeries":
         return replace(self, stage=stage)
@@ -137,11 +147,9 @@ def min_max_normalize(series: TimeSeries) -> TimeSeries:
     The 0.5 convention keeps degenerate inputs inside the output range
     without dividing by zero.
     """
-    lo = min(series.values)
-    hi = max(series.values)
+    values = series.values
+    lo = values.min()
+    hi = values.max()
     if hi == lo:
-        scaled = tuple(0.5 for _ in series.values)
-    else:
-        span = hi - lo
-        scaled = tuple((v - lo) / span for v in series.values)
-    return replace(series, values=scaled)
+        return replace(series, values=np.full(values.size, 0.5))
+    return replace(series, values=(values - lo) / (hi - lo))

@@ -544,13 +544,6 @@ def _series_or_parse_error(
         raise ParseError(f"{source.value} response for {native_id!r}: {exc}") from exc
 
 
-def _finite_float(raw: object) -> float:
-    value = float(raw)  # may raise ValueError/TypeError for junk
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite value {raw!r}")
-    return value
-
-
 def fred_response_to_series(payload: FredQuery, comment: str, body: str) -> list[TimeSeries]:
     """FRED observations JSON; '.' marks a missing observation and is dropped."""
     try:
@@ -560,7 +553,7 @@ def fred_response_to_series(payload: FredQuery, comment: str, body: str) -> list
             raw_value = row["value"]
             if raw_value in (".", "", None):
                 continue
-            observations.append((date.fromisoformat(row["date"]), _finite_float(raw_value)))
+            observations.append((date.fromisoformat(row["date"]), float(raw_value)))
     except Exception as exc:
         raise ParseError(f"bad FRED body: {exc}") from exc
     if not observations:
@@ -600,7 +593,7 @@ def eia_rows_to_series(payload: EiaQuery, comment: str, rows: list[dict]) -> lis
             if row.get("value") is None:
                 continue
             when = _parse_period(row["period"])
-            value = _finite_float(row["value"])
+            value = float(row["value"])
             key = tuple(
                 sorted(
                     (str(k), str(v))
@@ -634,7 +627,7 @@ def yahoo_response_to_series(payload: YahooQuery, comment: str, body: str) -> li
             if close is None:
                 continue
             day = datetime.fromtimestamp(int(ts), tz=timezone.utc).date()
-            observations.append((day, _finite_float(close)))
+            observations.append((day, float(close)))
     except Exception as exc:
         raise ParseError(f"bad Yahoo body: {exc}") from exc
     if not observations:
@@ -657,7 +650,7 @@ def trends_response_to_series(payload: TrendsQuery, comment: str, body: str) -> 
             if not values:
                 continue
             day = datetime.fromtimestamp(int(entry["time"]), tz=timezone.utc).date()
-            observations.append((day, _finite_float(values[0])))
+            observations.append((day, float(values[0])))
     except Exception as exc:
         raise ParseError(f"bad Trends body: {exc}") from exc
     if not observations:

@@ -22,13 +22,11 @@ from typing import Iterable
 
 from .series import (
     AugmentMethod,
-    NonMonotonicTimestampsError,
     Provenance,
     SeriesError,
     Source,
     Stage,
     TimeSeries,
-    TooShortError,
 )
 
 logger = logging.getLogger(__name__)
@@ -82,8 +80,8 @@ def load_series(path: str | Path) -> TimeSeries:
 
     Rows whose value is NaN or infinite are dropped; the number dropped is
     logged as a warning. Raises :class:`MalformedFileError` for a bad
-    header or row, :class:`TooShortError` for fewer than two valid rows,
-    and :class:`NonMonotonicTimestampsError` for unordered timestamps.
+    header, row or sidecar, and re-raises the :class:`SeriesError` of the
+    :class:`TimeSeries` checks (too short, unordered) naming the file.
     """
     path = Path(path)
     try:
@@ -116,21 +114,19 @@ def load_series(path: str | Path) -> TimeSeries:
 
     if dropped:
         logger.warning("%s: dropped %d non-finite row(s)", path, dropped)
-    if len(values) < 2:
-        raise TooShortError(f"{path}: {len(values)} valid rows, need >= 2")
-    if any(b <= a for a, b in zip(timestamps, timestamps[1:])):
-        raise NonMonotonicTimestampsError(f"{path}: timestamps must be strictly increasing")
-
     meta = _read_sidecar(path)
-    return TimeSeries(
-        id=meta.get("id", path.stem),
-        source=Source(meta.get("source", Source.SYNTHETIC.value)),
-        timestamps=tuple(timestamps),
-        values=tuple(values),
-        stage=Stage(meta.get("stage", Stage.ORIGINAL.value)),
-        provenance=_provenance_from_meta(meta.get("provenance")),
-        comment=meta.get("comment", ""),
-    )
+    try:
+        return TimeSeries(
+            id=meta.get("id", path.stem),
+            source=Source(meta.get("source", Source.SYNTHETIC.value)),
+            timestamps=timestamps,
+            values=values,
+            stage=Stage(meta.get("stage", Stage.ORIGINAL.value)),
+            provenance=_provenance_from_meta(meta.get("provenance")),
+            comment=meta.get("comment", ""),
+        )
+    except SeriesError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_series(series: TimeSeries, directory: str | Path) -> Path:
@@ -141,10 +137,9 @@ def save_series(series: TimeSeries, directory: str | Path) -> Path:
     """
     directory = Path(directory)
     csv_path = directory / f"{series.id}.csv"
+    values = series.values.tolist()
     rows = [CSV_HEADER]
-    rows.extend(
-        f"{ts.isoformat()},{value:.12g}" for ts, value in zip(series.timestamps, series.values)
-    )
+    rows.extend(f"{ts.isoformat()},{v:.12g}" for ts, v in zip(series.timestamps, values))
     meta = {
         "id": series.id,
         "source": series.source.value,

@@ -88,7 +88,7 @@ class TestTimeWarp:
     def test_constant_series_unchanged(self):
         ts = make_series([4.0] * 30, stage=Stage.PRUNED)
         out = time_warp(ts, AugmentConfig(master_seed=0), 5)
-        assert out.values == ts.values
+        assert np.array_equal(out.values, ts.values)
         assert out.provenance.method is AugmentMethod.TIME_WARP
         assert out.timestamps == ts.timestamps
 
@@ -115,7 +115,7 @@ class TestWindowWarp:
     def test_constant_series_unchanged(self):
         ts = make_series([2.5] * 40, stage=Stage.PRUNED)
         out = window_warp(ts, AugmentConfig(master_seed=0), 3)
-        assert out.values == ts.values
+        assert np.array_equal(out.values, ts.values)
 
     def test_matches_independent_reimplementation(self):
         rng = np.random.default_rng(8)
@@ -167,7 +167,7 @@ class TestWindowSlice:
     def test_constant_series_unchanged(self):
         ts = make_series([1.25] * 50, stage=Stage.PRUNED)
         out = window_slice(ts, AugmentConfig(master_seed=0), 11)
-        assert out.values == ts.values
+        assert np.array_equal(out.values, ts.values)
 
     def test_linear_ramp_exact(self):
         # a linear ramp sliced to [5, 95) re-grids to the exact ramp 5..94
@@ -305,6 +305,15 @@ class TestAugmentSet:
         assert len(out) == 3
         assert all(s.provenance.method is AugmentMethod.WINDOW_SLICE for s in out)
         assert all(not s.provenance.shift_verified for s in out)
+
+    @pytest.mark.parametrize("penalty", [None, 1e12])  # verified, and the fallback
+    def test_outputs_share_parent_timestamps(self, penalty):
+        pruned = self._pruned(2)
+        parents = {s.id: s for s in pruned}
+        config = AugmentConfig(factor=6, master_seed=2, max_retries=2)
+        out = augment_set(pruned, config, DetectorConfig(penalty_beta=penalty))
+        assert len(out) == 12
+        assert all(s.timestamps is parents[s.provenance.parent_id].timestamps for s in out)
 
     def test_unverified_share_low_on_step_corpus(self):
         pruned = self._pruned(6, n=80)

@@ -363,6 +363,62 @@ class TestCli:
         assert main(["augment", "--dataset", "mini", "--config", str(strict_path)]) == 0
         assert len(list((stage_root / "augmented").glob("*.csv"))) == 30 * kept
 
+    def test_rerun_drops_later_stages_and_updates_manifest(
+        self, mini_corpus, tmp_path, capsys, monkeypatch
+    ):
+        config_path = str(mini_corpus["config_path"])
+        root = mini_corpus["root"] / "data"
+        dataset = root / "mini"
+        assert main(["run", "--config", config_path]) == 0
+        assert main(["split", "--dataset", "mini", "--output-dir", str(root)]) == 0
+        strict = json.loads(Path(config_path).read_text())
+        strict["detector"] = {"penalty_beta": 100}
+        strict_path = tmp_path / "strict.json"
+        strict_path.write_text(json.dumps(strict))
+        capsys.readouterr()
+
+        assert main(["prune", "--dataset", "mini", "--config", str(strict_path)]) == 0
+        kept = int(re.search(r"kept (\d+) of 16 series", capsys.readouterr().out).group(1))
+        assert not (dataset / "augmented").exists()
+        assert not (dataset / "splits").exists()
+        assert main(["report", "--dataset", "mini", "--output-dir", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert f"pruned: {kept} | augmented: 0" in out
+        notes = json.loads((dataset / "manifest.json").read_text())["notes"]
+        assert notes["unverified_augmented"] == "0"
+
+        assert main(["augment", "--dataset", "mini", "--config", str(strict_path)]) == 0
+        assert len(list((dataset / "augmented").glob("*.csv"))) == 30 * kept
+        capsys.readouterr()
+        assert main(["report", "--dataset", "mini", "--output-dir", str(root)]) == 0
+        assert f"pruned: {kept} | augmented: {30 * kept}" in capsys.readouterr().out
+
+        def broken(pruned, config, detector):
+            raise RuntimeError("augment broke")
+
+        monkeypatch.setattr("shiftminer.pipeline.augment_set", broken)
+        assert main(["augment", "--dataset", "mini", "--config", str(strict_path)]) == 1
+        assert not (dataset / "manifest.json").exists()
+        assert not (dataset / "augmented").exists()
+
+    def test_exit_code_unreadable_series_file(self, mini_corpus, capsys):
+        assert main(["collect", "--config", str(mini_corpus["config_path"])]) == 0
+        bad = mini_corpus["root"] / "data" / "mini" / "original" / "bad.csv"
+        bad.write_text("this is not a series file\n")
+        capsys.readouterr()
+        assert main(["prune", "--dataset", "mini", "--config",
+                     str(mini_corpus["config_path"])]) == 5
+        assert str(bad) in capsys.readouterr().err
+
+    def test_exit_code_corrupt_manifest(self, mini_corpus, capsys):
+        assert main(["run", "--config", str(mini_corpus["config_path"])]) == 0
+        root = mini_corpus["root"] / "data"
+        manifest = root / "mini" / "manifest.json"
+        manifest.write_text("{not json")
+        capsys.readouterr()
+        assert main(["report", "--dataset", "mini", "--output-dir", str(root)]) == 5
+        assert str(manifest) in capsys.readouterr().err
+
     def test_failed_collect_leaves_no_original_stage(self, mini_corpus, monkeypatch, capsys):
         from shiftminer import storage
 

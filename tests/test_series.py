@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import re
 from datetime import date
 
 import numpy as np
@@ -66,6 +67,34 @@ class TestTimeSeriesInvariants:
         with pytest.raises(SeriesError):
             make_series([1.0, float("nan")])
 
+    def test_values_are_read_only_float64(self):
+        ts = make_series([1, 2, 3])
+        assert isinstance(ts.values, np.ndarray)
+        assert ts.values.dtype == np.float64
+        assert not ts.values.flags.writeable
+        with pytest.raises(ValueError):
+            ts.values[0] = 9.0
+
+    def test_values_copied_from_caller(self):
+        values = np.array([1.0, 2.0, 3.0])
+        stamps = (date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 3))
+        ts = TimeSeries("x", Source.SYNTHETIC, stamps, values, Stage.ORIGINAL)
+        values[0] = 99.0
+        assert np.array_equal(ts.values, [1.0, 2.0, 3.0])
+
+    def test_equality_is_exact(self):
+        a = make_series([1.0, 2.0])
+        assert a == make_series(np.array([1.0, 2.0]))
+        assert a != make_series([1.0, np.nextafter(2.0, 3.0)])
+        assert a != make_series([1.0, 2.0], sid="other")
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_two_dimensional_values_rejected(self):
+        with pytest.raises(SeriesError):
+            TimeSeries("x", Source.SYNTHETIC, (date(2020, 1, 1), date(2020, 1, 2)),
+                       np.ones((2, 2)), Stage.ORIGINAL)
+
     def test_augmented_requires_provenance(self):
         with pytest.raises(SeriesError):
             make_series([1.0, 2.0], stage=Stage.AUGMENTED)
@@ -79,15 +108,15 @@ class TestTimeSeriesInvariants:
 class TestNormalize:
     def test_affine_endpoints(self):
         out = min_max_normalize(make_series([0.0, 5.0, 10.0]))
-        assert out.values == (0.0, 0.5, 1.0)
+        assert np.array_equal(out.values, [0.0, 0.5, 1.0])
 
     def test_constant_maps_to_half(self):
         out = min_max_normalize(make_series([3.0, 3.0, 3.0]))
-        assert out.values == (0.5, 0.5, 0.5)
+        assert np.array_equal(out.values, [0.5, 0.5, 0.5])
 
     def test_two_points(self):
         out = min_max_normalize(make_series([2.0, 4.0]))
-        assert out.values == (0.0, 1.0)
+        assert np.array_equal(out.values, [0.0, 1.0])
 
     @given(st.lists(st.floats(-1e9, 1e9), min_size=2, max_size=60))
     def test_bounds_and_idempotence(self, values):
@@ -140,6 +169,18 @@ class TestStorage:
         path = tmp_path / "s.csv"
         path.write_text("timestamp,value\n2020-01-01,1.0\n2020-01-02,nan\n")
         with pytest.raises(TooShortError):
+            load_series(path)
+
+    def test_too_short_error_names_file(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("timestamp,value\n2020-01-01,1.0\n")
+        with pytest.raises(TooShortError, match=re.escape(str(path))):
+            load_series(path)
+
+    def test_order_error_names_file(self, tmp_path):
+        path = tmp_path / "unordered.csv"
+        path.write_text("timestamp,value\n2020-01-02,1.0\n2020-01-01,2.0\n")
+        with pytest.raises(NonMonotonicTimestampsError, match=re.escape(str(path))):
             load_series(path)
 
     def test_roundtrip_with_provenance(self, tmp_path):

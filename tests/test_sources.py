@@ -255,6 +255,32 @@ class TestConnectors:
         with pytest.raises(ParseError):
             eia_rows_to_series(payload, "", rows)
 
+    @pytest.mark.parametrize("source", ["fred", "eia", "yahoo", "trends"])
+    def test_one_non_finite_value_is_parse_error(self, source):
+        days = demo.month_starts(date(2010, 1, 1), 6)
+        start, end = days[0], days[-1]
+        parse = {
+            "fred": lambda: fred_response_to_series(
+                FredQuery("X", start, end), "",
+                demo.fred_body(days, [1.0, 2.0, float("inf"), 4.0, 5.0, 6.0]),
+            ),
+            "eia": lambda: eia_rows_to_series(
+                EiaQuery("r/data", ()), "",
+                [{"period": d.isoformat(), "respondent": "PJM",
+                  "value": "nan" if i == 2 else float(i)} for i, d in enumerate(days)],
+            ),
+            "yahoo": lambda: yahoo_response_to_series(
+                YahooQuery("X", start, end), "",
+                demo.yahoo_body(days, [1.0, 2.0, float("nan"), 4.0, 5.0, 6.0]),
+            ),
+            "trends": lambda: trends_response_to_series(
+                TrendsQuery("x", start, end), "",
+                demo.trends_body(days, [1, 2, float("nan"), 4, 5, 6]),
+            ),
+        }[source]
+        with pytest.raises(ParseError):
+            parse()
+
     def test_yahoo_fixture(self, demo_fixture_root):
         queries = load_queries(demo_fixture_root / "connector_queries.json")
         yq = next(q for q in queries if q.source is Source.YAHOO)
