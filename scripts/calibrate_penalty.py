@@ -19,10 +19,11 @@ from __future__ import annotations
 import argparse
 import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from shiftminer.changepoint import DetectorConfig, ShiftCategory, classify, detect
 from shiftminer.series import Source, Stage, TimeSeries

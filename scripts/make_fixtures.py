@@ -23,7 +23,7 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from shiftminer import demo
 from shiftminer.sources import load_queries

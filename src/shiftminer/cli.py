@@ -150,20 +150,20 @@ def _cmd_run(args) -> int:
 
 def _cmd_collect(args) -> int:
     config = _load_config(args)
-    originals = pipeline.Stages(config).collect()
+    originals = pipeline.Stages(config, _fixed_now()).collect()
     dataset_root = storage.dataset_dir(config.output_dir, config.dataset_name)
     print(f"collected {len(originals)} series into {dataset_root}")
     return EXIT_OK
 
 
 def _cmd_prune(args) -> int:
-    originals, pruned = pipeline.Stages(_load_config(args)).rerun(Stage.PRUNED)
+    originals, pruned = pipeline.Stages(_load_config(args), _fixed_now()).rerun(Stage.PRUNED)
     print(f"kept {len(pruned)} of {len(originals)} series")
     return EXIT_OK
 
 
 def _cmd_augment(args) -> int:
-    _, augmented = pipeline.Stages(_load_config(args)).rerun(Stage.AUGMENTED)
+    _, augmented = pipeline.Stages(_load_config(args), _fixed_now()).rerun(Stage.AUGMENTED)
     print(f"wrote {len(augmented)} augmented series")
     return EXIT_OK
 

@@ -1,10 +1,10 @@
 """Pipeline orchestration: queries -> collect -> prune -> augment -> report.
 
 Every stage persists its series under ``<output_dir>/<dataset>/<stage>/``
-and the run finishes by writing a manifest with stage counts and length
-statistics. A replay-mode run with a fixed seed is fully deterministic,
-including the bytes on disk, as long as the caller supplies the
-``created_at`` instant (the CLI honors ``SOURCE_DATE_EPOCH`` for this).
+and then rewrites the manifest of stage counts and length statistics. A
+replay-mode run with a fixed seed is fully deterministic, including the
+bytes on disk, as long as the caller supplies the ``created_at`` instant
+(the CLI honors ``SOURCE_DATE_EPOCH`` for this).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class EmptyInputError(ValueError):
 
 
 class StageError(Exception):
-    """A pipeline stage failed; partial outputs were removed."""
+    """A pipeline stage failed; :class:`Stages` says what it left on disk."""
 
     def __init__(self, stage: str, cause: Exception) -> None:
         super().__init__(f"stage {stage!r} failed: {cause}")
@@ -128,31 +128,60 @@ def completion_backend(transport_mode: str, fixtures_dir: Path) -> querygen.Comp
 
 
 class Stages:
-    """The pipeline's stages for one config; ``notes`` gathers the manifest
-    notes of the stages run so far.
+    """The pipeline's stages for one config, and the ``manifest`` they write.
 
-    Each stage replaces its directory ``<output_dir>/<dataset>/<stage>/``:
-    the old contents go first, so no stale series survive a rerun, and a
-    failure removes the partial output again and raises :class:`StageError`.
+    ``collect`` starts the manifest (``now`` fixes ``created_at``); ``prune``
+    and ``augment`` update only their own fields. A stage with a directory
+    first deletes it, every later stage, ``splits/`` and ``manifest.json``;
+    a failure removes its partial output and raises :class:`StageError`,
+    and success writes the manifest.
     """
 
-    def __init__(self, config: PipelineConfig) -> None:
+    def __init__(self, config: PipelineConfig, now: str | None = None) -> None:
         self.config = config
         self.root = config.output_dir
         self.name = config.dataset_name
-        self.notes: dict[str, str] = {}
+        self.now = now
+        self.manifest: DatasetManifest | None = None
 
     @contextlib.contextmanager
     def _stage(self, label: str, stage: Stage | None = None):
-        directory = None if stage is None else storage.stage_dir(self.root, self.name, stage)
         try:
-            if directory is not None and directory.exists():
-                shutil.rmtree(directory)
+            if stage is not None:
+                later = list(Stage)[list(Stage).index(stage):]
+                outdated = [storage.stage_dir(self.root, self.name, s) for s in later]
+                for path in [*outdated, storage.dataset_dir(self.root, self.name) / "splits"]:
+                    if path.exists():
+                        shutil.rmtree(path)
+                storage.manifest_path(self.root, self.name).unlink(missing_ok=True)
             yield
+            if stage is not None:
+                storage.write_manifest(self.root, self.manifest)
         except Exception as exc:
-            if directory is not None:
-                shutil.rmtree(directory, ignore_errors=True)
+            if stage is not None:
+                shutil.rmtree(storage.stage_dir(self.root, self.name, stage), ignore_errors=True)
             raise StageError(label, exc) from exc
+
+    def _start_manifest(self, originals: list[TimeSeries], notes: dict[str, str]) -> None:
+        lengths = [len(s) for s in originals]
+        self.manifest = DatasetManifest(
+            name=self.name,
+            domain=self.config.domain or _catalog_field(self.config, "domain"),
+            description=self.config.description or _catalog_field(self.config, "description"),
+            length_min=min(lengths),
+            length_max=max(lengths),
+            count_original=len(originals),
+            count_pruned=0,
+            count_augmented=0,
+            seed=self.config.master_seed,
+            created_at=self.now or storage.utc_now_iso(),
+            notes=dict(sorted(notes.items())),
+        )
+
+    def _record(self, unverified_augmented: int, **counts: int) -> None:
+        """Set a later stage's fields of the manifest."""
+        notes = {**self.manifest.notes, "unverified_augmented": str(unverified_augmented)}
+        self.manifest = dc_replace(self.manifest, notes=dict(sorted(notes.items())), **counts)
 
     def collect(
         self,
@@ -161,37 +190,35 @@ class Stages:
         transport: sources.Transport | None = None,
         backend: querygen.CompletionBackend | None = None,
     ) -> list[TimeSeries]:
-        """Start the dataset directory afresh, then run the query and
-        collection stages. An existing dataset directory is only
-        overwritten with ``force=True``."""
+        """Run the query and collection stages and start the manifest. A
+        dataset directory that holds anything is only overwritten with
+        ``force=True``; the collection stage then clears the old stages."""
         config = self.config
         dataset_root = storage.dataset_dir(self.root, self.name)
-        if dataset_root.exists() and any(dataset_root.iterdir()):
-            if not force:
-                raise ConfigError(
-                    f"dataset directory {dataset_root} already exists; "
-                    "only a forced run overwrites it"
-                )
-            shutil.rmtree(dataset_root)
+        if not force and dataset_root.exists() and any(dataset_root.iterdir()):
+            raise ConfigError(
+                f"dataset directory {dataset_root} already exists; "
+                "only a forced run overwrites it"
+            )
         transport = transport or sources.make_transport(config.transport_mode, config.fixtures_dir)
 
+        notes = {"queries": "generated" if config.query_file is None else "external"}
         with self._stage("queries"):
             if config.query_file is not None:
-                self.notes["queries"] = "external"
                 loaded = sources.load_queries(config.query_file, default_source=config.source)
                 queries = sources.dedup_queries(loaded)
             else:
-                self.notes["queries"] = "generated"
                 backend = backend or completion_backend(config.transport_mode, config.fixtures_dir)
                 queries = querygen.generate_queries(
                     config.source, backend, query_count=config.query_count
                 )
         with self._stage("collect", Stage.ORIGINAL):
             collected, failures = sources.fetch_all(queries, transport)
-            self.notes["fetch_failures"] = str(len(failures))
+            notes["fetch_failures"] = str(len(failures))
             if not collected:
                 raise sources.EmptyResultError("no series collected")
             storage.save_stage(self.root, self.name, collected)
+            self._start_manifest(collected, notes)
         return collected
 
     def prune(self, originals: list[TimeSeries]) -> list[TimeSeries]:
@@ -200,6 +227,7 @@ class Stages:
             if not pruned:
                 raise PruningEmptyError(f"dataset {self.name!r}: no series with a detected shift")
             storage.save_stage(self.root, self.name, pruned)
+            self._record(0, count_pruned=len(pruned), count_augmented=0)
         return pruned
 
     def augment(self, pruned: list[TimeSeries]) -> list[TimeSeries]:
@@ -209,43 +237,34 @@ class Stages:
         with self._stage("augment", Stage.AUGMENTED):
             augmented = augment_set(pruned, augment_config, self.config.detector)
             storage.save_stage(self.root, self.name, augmented)
-        unverified = sum(not s.provenance.shift_verified for s in augmented)
-        self.notes["unverified_augmented"] = str(unverified)
+            unverified = sum(not s.provenance.shift_verified for s in augmented)
+            self._record(unverified, count_augmented=len(augmented),
+                         seed=augment_config.master_seed)
         return augmented
 
+    def _stored(self, stage: Stage) -> list[TimeSeries]:
+        series = storage.load_stage(self.root, self.name, stage)
+        if not series:
+            raise ConfigError(f"dataset {self.name!r} has no {stage.value} stage under {self.root}")
+        return series
+
     def rerun(self, stage: Stage) -> tuple[list[TimeSeries], list[TimeSeries]]:
-        """Rerun the prune or augment stage on the stored stage before it;
-        returns that stage's series and the new ones.
-
-        The later stages, the splits and the manifest are deleted first, so
-        nothing on disk describes the old run. When a manifest existed and
-        the stage succeeds, it is written back with the counts now on disk.
-        """
-        previous, step, later = {
-            Stage.PRUNED: (Stage.ORIGINAL, self.prune, [Stage.AUGMENTED]),
-            Stage.AUGMENTED: (Stage.PRUNED, self.augment, []),
+        """Rerun prune or augment on the stored stage before it; returns its
+        series and the new ones. The stored manifest takes this dataset's name
+        (it may be a copy); without one, a manifest is started from disk."""
+        previous, step = {
+            Stage.PRUNED: (Stage.ORIGINAL, self.prune),
+            Stage.AUGMENTED: (Stage.PRUNED, self.augment),
         }[stage]
-        inputs = storage.load_stage(self.root, self.name, previous)
-        if not inputs:
-            raise ConfigError(
-                f"dataset {self.name!r} has no {previous.value} stage under {self.root}"
-            )
-        manifest_path = storage.manifest_path(self.root, self.name)
-        manifest = storage.load_manifest(self.root, self.name) if manifest_path.exists() else None
-        stale = [storage.stage_dir(self.root, self.name, s) for s in later]
-        for directory in [*stale, storage.dataset_dir(self.root, self.name) / "splits"]:
-            shutil.rmtree(directory, ignore_errors=True)
-        manifest_path.unlink(missing_ok=True)
-
-        outputs = step(inputs)
-        if manifest is not None:
-            pruned, augmented = (outputs, []) if stage is Stage.PRUNED else (inputs, outputs)
-            unverified = self.notes.get("unverified_augmented", "0")
-            notes = {**manifest.notes, "unverified_augmented": unverified}
-            storage.write_manifest(self.root, dc_replace(
-                manifest, count_pruned=len(pruned), count_augmented=len(augmented), notes=notes
-            ))
-        return inputs, outputs
+        inputs = self._stored(previous)
+        if storage.manifest_path(self.root, self.name).exists():
+            self.manifest = dc_replace(storage.load_manifest(self.root, self.name), name=self.name)
+        elif previous is Stage.ORIGINAL:
+            self._start_manifest(inputs, {})
+        else:
+            self._start_manifest(self._stored(Stage.ORIGINAL), {})
+            self._record(0, count_pruned=len(inputs))
+        return inputs, step(inputs)
 
 
 def run(
@@ -256,42 +275,21 @@ def run(
     transport: sources.Transport | None = None,
     backend: querygen.CompletionBackend | None = None,
 ) -> DatasetManifest:
-    """Execute the full pipeline and return the written manifest.
+    """Run every stage of :class:`Stages` and return the manifest written.
 
     ``now`` fixes ``created_at`` for reproducible manifests; otherwise
     the current UTC time is used. An existing dataset directory is only
-    overwritten with ``force=True``.
+    overwritten with ``force=True``, and not before the queries succeed.
     """
-    stages = Stages(config)
-    originals = stages.collect(force=force, transport=transport, backend=backend)
-    pruned = stages.prune(originals)
-    augmented = stages.augment(pruned)
-
-    lengths = [len(s) for s in originals]
-    manifest = DatasetManifest(
-        name=config.dataset_name,
-        domain=config.domain or _catalog_field(config, "domain"),
-        description=config.description or _catalog_field(config, "description"),
-        length_min=min(lengths),
-        length_max=max(lengths),
-        count_original=len(originals),
-        count_pruned=len(pruned),
-        count_augmented=len(augmented),
-        seed=config.master_seed,
-        created_at=now or storage.utc_now_iso(),
-        notes=dict(sorted(stages.notes.items())),
-    )
-    storage.write_manifest(config.output_dir, manifest)
-    return manifest
+    stages = Stages(config, now)
+    stages.augment(stages.prune(stages.collect(force=force, transport=transport, backend=backend)))
+    return stages.manifest
 
 
 def _catalog_field(config: PipelineConfig, key: str) -> str:
     """Default report fields from the discovery catalog when it exists."""
-    catalog_path = config.output_dir / "catalog.json"
-    if not catalog_path.exists():
-        return ""
     try:
-        for entry in querygen.load_catalog(catalog_path):
+        for entry in querygen.load_catalog(config.output_dir / "catalog.json"):
             name = str(entry.get("name", "")).lower()
             if config.source.value in name or config.dataset_name.lower() in name:
                 return str(entry.get(key, ""))

@@ -79,9 +79,9 @@ def load_series(path: str | Path) -> TimeSeries:
     """Read one series file (plus sidecar metadata when present).
 
     Rows whose value is NaN or infinite are dropped; the number dropped is
-    logged as a warning. Raises :class:`MalformedFileError` for a bad
-    header, row or sidecar, and re-raises the :class:`SeriesError` of the
-    :class:`TimeSeries` checks (too short, unordered) naming the file.
+    logged as a warning. Raises :class:`MalformedFileError` naming the file
+    for a bad header, row or sidecar, and re-raises the :class:`SeriesError`
+    of the :class:`TimeSeries` checks (too short, unordered) naming the file.
     """
     path = Path(path)
     try:
@@ -114,7 +114,8 @@ def load_series(path: str | Path) -> TimeSeries:
 
     if dropped:
         logger.warning("%s: dropped %d non-finite row(s)", path, dropped)
-    meta = _read_sidecar(path)
+    meta_path = path.with_suffix("").with_suffix(".meta.json")
+    meta = _read_sidecar(meta_path)
     try:
         return TimeSeries(
             id=meta.get("id", path.stem),
@@ -127,6 +128,8 @@ def load_series(path: str | Path) -> TimeSeries:
         )
     except SeriesError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+    except ValueError as exc:  # an unknown source, stage or provenance in the sidecar
+        raise MalformedFileError(f"{meta_path}: bad sidecar: {exc}") from exc
 
 
 def save_series(series: TimeSeries, directory: str | Path) -> Path:
@@ -159,8 +162,7 @@ def save_series(series: TimeSeries, directory: str | Path) -> Path:
     return csv_path
 
 
-def _read_sidecar(csv_path: Path) -> dict:
-    meta_path = csv_path.with_suffix("").with_suffix(".meta.json")
+def _read_sidecar(meta_path: Path) -> dict:
     if not meta_path.exists():
         return {}
     try:

@@ -464,3 +464,139 @@ def test_config_accepts_changepoint_alias(tmp_path):
     config = load_config(path)
     assert config.detector.penalty_beta == 2.5
     assert config.detector.min_segment_size == 3
+
+
+class TestStageLifecycle:
+    """Every stage writes the manifest, whether `run` or a subcommand runs it."""
+
+    def _manifest(self, root: Path) -> dict:
+        return json.loads((root / "mini" / "manifest.json").read_text())
+
+    def test_stage_subcommands_then_report(self, mini_corpus, capsys, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1717200000")
+        config_path = str(mini_corpus["config_path"])
+        root = mini_corpus["root"] / "data"
+        assert main(["collect", "--config", config_path]) == 0
+        assert main(["prune", "--dataset", "mini", "--config", config_path]) == 0
+        kept = int(re.search(r"kept (\d+) of 16 series", capsys.readouterr().out).group(1))
+        assert main(["augment", "--dataset", "mini", "--config", config_path]) == 0
+        capsys.readouterr()
+        assert main(["report", "--dataset", "mini", "--output-dir", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert f"original: 16 | pruned: {kept} | augmented: {30 * kept}" in out
+        manifest = self._manifest(root)
+        assert manifest["created_at"] == "2024-06-01T00:00:00+00:00"
+        assert manifest["seed"] == 11
+        assert manifest["notes"]["queries"] == "external"
+
+    def test_staged_manifest_matches_run(self, mini_corpus, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1717200000")
+        config_path = str(mini_corpus["config_path"])
+        root = mini_corpus["root"] / "data"
+        assert main(["run", "--config", config_path]) == 0
+        ran = (root / "mini" / "manifest.json").read_bytes()
+        assert main(["collect", "--config", config_path, "--output-dir", str(tmp_path / "d2")]) == 0
+        for command in ("prune", "augment"):
+            assert main([command, "--dataset", "mini", "--config", config_path,
+                         "--output-dir", str(tmp_path / "d2")]) == 0
+        assert (tmp_path / "d2" / "mini" / "manifest.json").read_bytes() == ran
+
+    def test_augment_rerun_records_its_seed(self, mini_corpus, capsys):
+        config_path = str(mini_corpus["config_path"])
+        root = mini_corpus["root"] / "data"
+        assert main(["run", "--config", config_path]) == 0
+        assert self._manifest(root)["seed"] == 11
+        assert main(["augment", "--dataset", "mini", "--config", config_path,
+                     "--seed", "3"]) == 0
+        assert self._manifest(root)["seed"] == 3
+        seeds = {s.provenance.seed for s in load_stage(root, "mini", Stage.AUGMENTED)}
+        config = load_config(config_path)
+        redo = augment_set(load_stage(root, "mini", Stage.PRUNED),
+                           AugmentConfig(factor=30, master_seed=3), config.detector)
+        assert seeds == {s.provenance.seed for s in redo}
+
+    def test_run_records_the_augment_seed(self, mini_corpus, tmp_path):
+        raw = json.loads(Path(mini_corpus["config_path"]).read_text())
+        raw["master_seed"] = 7
+        raw["augment"]["master_seed"] = 5
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(raw))
+        manifest = run(load_config(path), now=NOW)
+        assert manifest.seed == 5
+        assert self._manifest(mini_corpus["root"] / "data")["seed"] == 5
+
+    def test_failed_queries_under_force_keep_the_dataset(self, mini_corpus, tmp_path):
+        import dataclasses
+
+        config = load_config(mini_corpus["config_path"])
+        run(config, now=NOW)
+        dataset = mini_corpus["root"] / "data" / "mini"
+        split_dataset(config.output_dir, "mini", ratio=0.8, seed=3)
+        before = tree_bytes(dataset)
+        missing = dataclasses.replace(config, query_file=tmp_path / "missing.json")
+        with pytest.raises(StageError) as err:
+            run(missing, now=NOW, force=True)
+        assert err.value.stage == "queries"
+        assert tree_bytes(dataset) == before
+
+    def test_force_keeps_files_that_are_not_stages(self, mini_corpus):
+        config = load_config(mini_corpus["config_path"])
+        run(config, now=NOW)
+        dataset = mini_corpus["root"] / "data" / "mini"
+        split_dataset(config.output_dir, "mini", ratio=0.8, seed=3)
+        (dataset / "original" / "stray.txt").write_text("old")
+        (dataset / "NOTES.txt").write_text("kept")
+        run(config, now=NOW, force=True)
+        assert not (dataset / "original" / "stray.txt").exists()
+        assert not (dataset / "splits").exists()
+        assert (dataset / "NOTES.txt").read_text() == "kept"
+
+    def test_prune_without_manifest_starts_one(self, mini_corpus, capsys):
+        config_path = str(mini_corpus["config_path"])
+        root = mini_corpus["root"] / "data"
+        assert main(["run", "--config", config_path]) == 0
+        (root / "mini" / "manifest.json").unlink()
+        assert main(["prune", "--dataset", "mini", "--config", config_path]) == 0
+        manifest = self._manifest(root)
+        assert manifest["count_original"] == len(load_stage(root, "mini", Stage.ORIGINAL)) == 16
+        assert manifest["count_pruned"] == len(load_stage(root, "mini", Stage.PRUNED)) > 0
+        assert manifest["count_augmented"] == 0
+        lengths = [len(s) for s in load_stage(root, "mini", Stage.ORIGINAL)]
+        assert (manifest["length_min"], manifest["length_max"]) == (min(lengths), max(lengths))
+
+    def test_augment_without_manifest_starts_one(self, mini_corpus, capsys):
+        config_path = str(mini_corpus["config_path"])
+        root = mini_corpus["root"] / "data"
+        assert main(["run", "--config", config_path]) == 0
+        (root / "mini" / "manifest.json").unlink()
+        assert main(["augment", "--dataset", "mini", "--config", config_path]) == 0
+        manifest = self._manifest(root)
+        pruned = len(load_stage(root, "mini", Stage.PRUNED))
+        assert (manifest["count_original"], manifest["count_pruned"]) == (16, pruned)
+        assert manifest["count_augmented"] == 30 * pruned
+
+    def test_rerun_in_a_copied_dataset_writes_its_own_manifest(self, mini_corpus, capsys):
+        import shutil
+
+        config_path = str(mini_corpus["config_path"])
+        root = mini_corpus["root"] / "data"
+        assert main(["run", "--config", config_path]) == 0
+        shutil.copytree(root / "mini", root / "copy")
+        before = tree_bytes(root / "mini")
+        assert main(["prune", "--dataset", "copy", "--config", config_path]) == 0
+        assert tree_bytes(root / "mini") == before
+        manifest = json.loads((root / "copy" / "manifest.json").read_text())
+        assert manifest["name"] == "copy"
+        assert manifest["count_pruned"] == len(load_stage(root, "copy", Stage.PRUNED))
+
+    def test_unknown_sidecar_source_exits_5(self, mini_corpus, capsys):
+        assert main(["collect", "--config", str(mini_corpus["config_path"])]) == 0
+        original = mini_corpus["root"] / "data" / "mini" / "original"
+        sidecar = sorted(original.glob("*.meta.json"))[0]
+        meta = json.loads(sidecar.read_text())
+        meta["source"] = "bogus"
+        sidecar.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["prune", "--dataset", "mini", "--config",
+                     str(mini_corpus["config_path"])]) == 5
+        assert str(sidecar) in capsys.readouterr().err
