@@ -2,8 +2,11 @@
 
 Three transforms, all length-preserving and value-range-preserving:
 
-* time warp: resample along a smooth random monotone distortion of the
-  index axis, built from spline-smoothed positive speeds.
+* time warp (Um et al., ICMI 2017): resample along a smooth random
+  monotone distortion of the index axis. Positive speeds drawn at a few
+  equally spaced knots are joined by a natural cubic spline, computed in
+  closed form with numpy (one small tridiagonal solve, then one cubic per
+  knot interval), and their running sum is the path.
 * window warp: stretch or compress one random window (a tenth of the
   length, by 0.5x or 2x) and resample back to the original length.
 * window slice: take a random contiguous 90% slice and stretch it back.
@@ -30,7 +33,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .changepoint import DetectorConfig, SeriesTooShortError
 # Shift verification of a batch of candidates. ``augment_set`` reaches it
@@ -129,8 +131,19 @@ def _warp_positions(n: int, config: AugmentConfig, gen: np.random.Generator) -> 
     speeds[1:-1] = np.maximum(
         SPEED_FLOOR, gen.normal(config.knot_mu, config.knot_sigma, config.knot_count)
     )
-    spline = CubicSpline(anchors, speeds, bc_type="natural")
-    per_index = np.maximum(SPEED_FLOOR, spline(np.arange(n, dtype=float)))
+    # Natural cubic spline through the knots: second derivatives M of 0 at the
+    # ends, and M[i-1] + 4 M[i] + M[i+1] = 6 (y[i-1] - 2 y[i] + y[i+1]) / h**2.
+    inner, h = config.knot_count, anchors[1]
+    tridiagonal = 4.0 * np.eye(inner) + np.eye(inner, k=1) + np.eye(inner, k=-1)
+    curv = np.zeros(inner + 2)
+    curv[1:-1] = np.linalg.solve(tridiagonal, 6.0 / (h * h) * np.diff(speeds, 2))
+    # each index is a cubic in its offset t from its interval's left knot
+    x = np.arange(n, dtype=float)
+    seg = np.minimum((x / h).astype(np.intp), inner)
+    t, lo, hi = x - anchors[seg], curv[seg], curv[seg + 1]
+    linear = (speeds[seg + 1] - speeds[seg]) / h - h * (2.0 * lo + hi) / 6.0
+    spline = (((hi - lo) / (6.0 * h) * t + lo / 2.0) * t + linear) * t + speeds[seg]
+    per_index = np.maximum(SPEED_FLOOR, spline)
     cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (per_index[:-1] + per_index[1:]))))
     path = cumulative * ((n - 1.0) / cumulative[-1])
     path[0] = 0.0

@@ -14,6 +14,7 @@ access.
 from __future__ import annotations
 
 import json
+import os
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -283,17 +284,19 @@ def build_demo_config(
     master_seed: int = 7,
     verify_shift: bool = True,
 ) -> Path:
+    """Write ``<fixtures_root>/<dataset_name>-config.json``, its input paths
+    relative to that file, and return its path."""
     config = {
         "dataset_name": dataset_name,
         "source": "fred",
-        "query_file": str(query_file),
+        "query_file": os.path.relpath(query_file, fixtures_root),
         "transport_mode": "replay",
         "detector": {},
         "augment": {"factor": 30, "verify_shift": verify_shift},
         "split_ratio": 0.8,
         "master_seed": master_seed,
         "output_dir": str(output_dir),
-        "fixtures_dir": str(fixtures_root),
+        "fixtures_dir": ".",
         "domain": "Economics & Finance",
         "description": "Synthetic macro-style replay corpus",
     }

@@ -87,7 +87,9 @@ class PipelineConfig:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Read a config file whose keys mirror :class:`PipelineConfig`."""
+    """Read a config file whose keys mirror :class:`PipelineConfig`. A relative
+    ``query_file`` or ``fixtures_dir`` is relative to the config file, and a
+    relative ``output_dir`` to the working directory, as ``--output-dir`` is."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -100,16 +102,17 @@ def load_config(path: str | Path) -> PipelineConfig:
         kwargs: dict = dict(raw)
         kwargs["source"] = Source(raw["source"])
         if raw.get("query_file"):
-            kwargs["query_file"] = Path(raw["query_file"])
+            kwargs["query_file"] = Path(path).parent / raw["query_file"]
         if "changepoint" in raw:  # accepted alias for the detector block
             kwargs["detector"] = DetectorConfig(**kwargs.pop("changepoint"))
         if "detector" in raw:
             kwargs["detector"] = DetectorConfig(**raw["detector"])
         if "augment" in raw:
             kwargs["augment"] = AugmentConfig(**raw["augment"])
-        for key in ("output_dir", "fixtures_dir"):
-            if key in raw:
-                kwargs[key] = Path(raw[key])
+        if "fixtures_dir" in raw:
+            kwargs["fixtures_dir"] = Path(path).parent / raw["fixtures_dir"]
+        if "output_dir" in raw:
+            kwargs["output_dir"] = Path(raw["output_dir"])
         return PipelineConfig(**kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc

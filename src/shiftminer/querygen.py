@@ -26,7 +26,9 @@ from .series import Source
 from .sources import (
     QueryFieldError,
     SourceQuery,
+    TransportError,
     dedup_queries,
+    http_request,
     infer_source,
     known_fields,
     query_from_raw,
@@ -192,22 +194,21 @@ class HttpBackend:
             raise BackendFailureError("LLM_ENDPOINT and LLM_MODEL must be set for live mode")
 
     def complete(self, prompt: str) -> str:
-        import requests
-
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        body = json.dumps({"model": self.model, "messages": [{"role": "user", "content": prompt}]})
         try:
-            resp = requests.post(
-                self.endpoint,
-                headers=headers,
-                json={"model": self.model, "messages": [{"role": "user", "content": prompt}]},
-                timeout=120,
-            )
-            resp.raise_for_status()
-            return resp.json()["choices"][0]["message"]["content"]
-        except Exception as exc:
-            raise BackendFailureError(f"completion request failed: {exc}") from exc
+            reply = http_request("POST", self.endpoint, data=body.encode("utf-8"),
+                                 headers=headers, timeout=120)
+            if reply.status != 200:
+                raise ValueError(f"HTTP {reply.status}")
+            content = json.loads(reply.body)["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError("the reply's content is not a string")
+        except (TransportError, ValueError, LookupError, TypeError) as exc:
+            raise BackendFailureError(f"completion request failed: {exc!r}") from exc
+        return content
 
 
 # --- extraction -------------------------------------------------------------

@@ -24,6 +24,7 @@ import os
 import re
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass, fields
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -73,7 +74,7 @@ class TransportError(Exception):
 
 
 class FixtureMissingError(Exception):
-    """Replay transport has no recording for this request."""
+    """Replay transport has no readable recording for this request."""
 
 
 class QueryFieldError(ValueError):
@@ -363,30 +364,50 @@ class RequestPacer:
             self._last[source] = self._clock.now()
 
 
+def http_request(
+    method: str,
+    url: str,
+    params: Sequence[tuple[str, str]] = (),
+    *,
+    data: bytes | None = None,
+    headers: dict[str, str] | None = None,
+    timeout: float = 30.0,
+) -> Response:
+    """One HTTP exchange. Every status, 429 and 5xx too, comes back as a
+    :class:`Response` whose body is decoded with the declared charset (UTF-8
+    when none is); a failed connection or a timeout raises :class:`TransportError`."""
+    # imported here: replay runs, the usual case, never pay for the HTTP stack
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    query = f"?{urllib.parse.urlencode(params)}" if params else ""
+    headers = {"User-Agent": "shiftminer/0.1", **(headers or {})}
+    request = urllib.request.Request(url + query, data=data, headers=headers, method=method)
+    try:
+        try:
+            reply = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:  # a status to report, not a failure
+            reply = exc
+        with reply:
+            raw = reply.read()
+    except (OSError, http.client.HTTPException) as exc:
+        # the query string stays out of the message: it may carry an API key
+        raise TransportError(f"{method} {url}: {exc}") from exc
+    try:
+        body = raw.decode(reply.headers.get_content_charset("utf-8"), errors="replace")
+    except LookupError:  # a charset name Python does not know
+        body = raw.decode("utf-8", errors="replace")
+    return Response(status=reply.status, body=body)
+
+
 class LiveTransport:
     """Real HTTP client; network errors surface as retryable failures."""
 
     mode = "live"
 
-    def __init__(self, timeout: float = 30.0) -> None:
-        import requests
-
-        self._session = requests.Session()
-        self._requests = requests
-        self._timeout = timeout
-
     def send(self, request: Request) -> Response:
-        try:
-            resp = self._session.request(
-                request.method,
-                request.url,
-                params=dict(request.params),
-                timeout=self._timeout,
-                headers={"User-Agent": "shiftminer/0.1"},
-            )
-        except self._requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
-        return Response(status=resp.status_code, body=resp.text)
+        return http_request(request.method, request.url, request.params)
 
 
 class ReplayTransport:
@@ -404,8 +425,14 @@ class ReplayTransport:
         path = self.fixture_path(request)
         if not path.exists():
             raise FixtureMissingError(f"no fixture {path} for {request.url}")
-        record = json.loads(path.read_text(encoding="utf-8"))
-        return Response(status=int(record["status"]), body=record["body"])
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+            response = Response(status=int(record["status"]), body=record["body"])
+            if not isinstance(response.body, str):
+                raise TypeError("body is not a string")
+        except (ValueError, LookupError, TypeError) as exc:
+            raise FixtureMissingError(f"unreadable fixture {path}: {exc!r}") from exc
+        return response
 
 
 def write_fixture(root: str | Path, request: Request, response: Response) -> Path:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import threading
+import time
+from dataclasses import dataclass
 from datetime import date, timedelta
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +77,55 @@ class ScriptedTransport:
         if isinstance(item, Exception):
             raise item
         return item
+
+
+@dataclass(frozen=True)
+class Reply:
+    """One scripted answer of the local HTTP server."""
+
+    status: int
+    body: bytes = b""
+    content_type: str = "application/json"
+    delay: float = 0.0
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    def do_GET(self) -> None:
+        length = int(self.headers.get("Content-Length") or 0)
+        self.server.received.append((self.command, self.path, self.headers, self.rfile.read(length)))
+        reply = self.server.replies.pop(0)
+        time.sleep(reply.delay)
+        try:
+            self.send_response(reply.status)
+            self.send_header("Content-Type", reply.content_type)
+            self.send_header("Content-Length", str(len(reply.body)))
+            self.end_headers()
+            self.wfile.write(reply.body)
+        except OSError:  # the client stopped waiting
+            pass
+
+    do_POST = do_GET
+
+    def log_message(self, format, *args) -> None:
+        pass
+
+
+@pytest.fixture
+def http_server():
+    """HTTP server on 127.0.0.1 that answers with ``server.replies`` in order.
+
+    ``server.url`` is its base URL; ``server.received`` collects each
+    request as (method, path with query, headers, body bytes).
+    """
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.replies, server.received = [], []
+    server.url = f"http://127.0.0.1:{server.server_port}"
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftminer.augment import (
+    SPEED_FLOOR,
     AugmentConfig,
     apply_window_slice,
     apply_window_warp,
@@ -67,13 +69,31 @@ class TestWarpPath:
         assert max(abs(p - i) for i, p in enumerate(path.mapping)) <= 1e-9
 
     def test_endpoints_and_monotonicity(self):
-        config = AugmentConfig(master_seed=0)
-        for seed in range(25):
-            path = gen_warp_path(100, config, seed)
-            assert path.mapping[0] == 0.0
-            assert path.mapping[-1] == 99.0
-            diffs = np.diff(path.mapping)
-            assert np.all(diffs > 0)
+        for knot_count in (1, 3, 8):
+            config = AugmentConfig(knot_count=knot_count, master_seed=0)
+            for n, seed in itertools.product((4, 100, 4000), range(25)):
+                path = gen_warp_path(n, config, seed)
+                assert path.mapping[0] == 0.0
+                assert path.mapping[-1] == n - 1.0
+                diffs = np.diff(path.mapping)
+                assert np.all(diffs > 0)
+
+    @pytest.mark.parametrize("knot_count", range(1, 9))
+    def test_matches_scipy_natural_spline(self, knot_count):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        for sigma, n in itertools.product((0.2, 1.0), (4, 5, 17, 73, 400, 4000)):
+            config = AugmentConfig(knot_count=knot_count, knot_sigma=sigma, master_seed=0)
+            seed = derive_seed(knot_count, sigma, n)
+            speeds = np.ones(knot_count + 2)
+            draws = np.random.default_rng(seed).normal(config.knot_mu, sigma, knot_count)
+            speeds[1:-1] = np.maximum(SPEED_FLOOR, draws)
+            anchors = np.linspace(0.0, n - 1.0, knot_count + 2)
+            spline = interpolate.CubicSpline(anchors, speeds, bc_type="natural")
+            per_index = np.maximum(SPEED_FLOOR, spline(np.arange(n, dtype=float)))
+            steps = np.cumsum(0.5 * (per_index[:-1] + per_index[1:]))
+            expected = np.concatenate(([0.0], steps)) * ((n - 1.0) / steps[-1])
+            path = gen_warp_path(n, config, seed).mapping
+            np.testing.assert_allclose(path, expected, rtol=1e-12, err_msg=f"sigma={sigma} n={n}")
 
     def test_deterministic(self):
         config = AugmentConfig(master_seed=0)

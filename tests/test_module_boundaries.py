@@ -1,4 +1,5 @@
-"""Modules of the package use each other only through public names.
+"""Modules of the package use each other only through public names, and
+nothing outside the package but the standard library and numpy.
 
 A name with a leading underscore is private to the module that defines
 it; another module that imports it or reads it as an attribute couples
@@ -8,6 +9,7 @@ itself to an implementation detail.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "shiftminer"
@@ -67,4 +69,49 @@ def test_checker_sees_both_forms(tmp_path):
     assert private_uses(path) == [
         "probe.py:2 imports _KNOWN_FIELDS",
         "probe.py:3 reads pipeline._Runner",
+    ]
+
+
+RUNTIME_DEPENDENCIES = {"numpy"}
+
+
+def foreign_imports(path: Path) -> list[str]:
+    """Every import in ``path``, function bodies included, of a module that
+    is neither the standard library, a runtime dependency nor the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not _internal(node):
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names | RUNTIME_DEPENDENCIES | {"shiftminer"}:
+                found.append(f"{path.name}:{node.lineno} imports {name}")
+    return found
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(modules) > 5
+    violations = [use for path in modules for use in foreign_imports(path)]
+    assert violations == []
+
+
+def test_dependency_checker_sees_every_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import json, numpy as np\n"
+        "from scipy.interpolate import CubicSpline\n"
+        "from . import series\n"
+        "from shiftminer.series import TimeSeries\n"
+        "def send():\n"
+        "    import requests\n"
+    )
+    assert foreign_imports(path) == [
+        "probe.py:2 imports scipy.interpolate",
+        "probe.py:6 imports requests",
     ]

@@ -304,9 +304,18 @@ class TestCli:
         config = json.loads(Path(mini_corpus["config_path"]).read_text())
         config["fixtures_dir"] = str(tmp_path / "void")
         config["output_dir"] = str(tmp_path / "d2")
-        path = tmp_path / "cfg.json"
+        path = mini_corpus["config_path"].with_name("cfg.json")
         path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path)]) == 3
+
+    @pytest.mark.parametrize(
+        "record", ["{not json", '{"status": 200}', '{"status": 200, "body": 5}']
+    )
+    def test_exit_code_unreadable_fixture(self, mini_corpus, capsys, record):
+        fixture = sorted((mini_corpus["root"] / "fixtures" / "fred").glob("*.json"))[0]
+        fixture.write_text(record)
+        assert main(["run", "--config", str(mini_corpus["config_path"])]) == 3
+        assert f"unreadable fixture {fixture}" in capsys.readouterr().err
 
     def test_exit_code_empty_prune(self, tmp_path, capsys):
         fixtures = tmp_path / "fx"
@@ -327,7 +336,7 @@ class TestCli:
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a dir")
         config["output_dir"] = str(blocker / "data")
-        path = tmp_path / "cfg.json"
+        path = mini_corpus["config_path"].with_name("cfg.json")
         path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path)]) == 5
 
@@ -515,11 +524,11 @@ class TestStageLifecycle:
                            AugmentConfig(factor=30, master_seed=3), config.detector)
         assert seeds == {s.provenance.seed for s in redo}
 
-    def test_run_records_the_augment_seed(self, mini_corpus, tmp_path):
+    def test_run_records_the_augment_seed(self, mini_corpus):
         raw = json.loads(Path(mini_corpus["config_path"]).read_text())
         raw["master_seed"] = 7
         raw["augment"]["master_seed"] = 5
-        path = tmp_path / "seeded.json"
+        path = mini_corpus["config_path"].with_name("seeded.json")
         path.write_text(json.dumps(raw))
         manifest = run(load_config(path), now=NOW)
         assert manifest.seed == 5

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from shiftminer.querygen import (
     BackendFailureError,
     DISCOVERY_TEMPLATE,
+    HttpBackend,
     MissingBindingError,
     NoQueriesFoundError,
     PromptTemplate,
@@ -27,6 +28,8 @@ from shiftminer.querygen import (
 )
 from shiftminer.series import Source
 from shiftminer.sources import EiaQuery, FredQuery
+
+from conftest import Reply
 
 # Two query objects in the shape a completion mixes them: a macro series
 # pick and an energy API route, each with a one-line justification.
@@ -279,3 +282,44 @@ def test_backend_prompt_limit_enforced(tmp_path):
 
     with pytest.raises(BackendFailureError):
         generate_queries(Source.FRED, TinyBackend(), query_count=5, max_rounds=1)
+
+
+class TestHttpBackend:
+    @pytest.fixture
+    def backend(self, http_server, monkeypatch):
+        monkeypatch.setenv("LLM_ENDPOINT", f"{http_server.url}/v1/chat/completions")
+        monkeypatch.setenv("LLM_MODEL", "m1")
+        monkeypatch.setenv("LLM_API_KEY", "s3cret")
+        return HttpBackend()
+
+    def test_chat_completion(self, backend, http_server):
+        reply = {"choices": [{"message": {"role": "assistant", "content": TWO_QUERY_TEXT}}]}
+        http_server.replies.append(Reply(200, json.dumps(reply).encode()))
+        assert backend.complete("list queries") == TWO_QUERY_TEXT
+        method, path, headers, body = http_server.received[0]
+        assert (method, path) == ("POST", "/v1/chat/completions")
+        assert headers["Authorization"] == "Bearer s3cret"
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body) == {
+            "model": "m1", "messages": [{"role": "user", "content": "list queries"}],
+        }
+
+    def test_no_authorization_without_key(self, http_server, monkeypatch):
+        monkeypatch.setenv("LLM_ENDPOINT", http_server.url)
+        monkeypatch.setenv("LLM_MODEL", "m1")
+        monkeypatch.delenv("LLM_API_KEY", raising=False)
+        reply = {"choices": [{"message": {"content": "ok"}}]}
+        http_server.replies.append(Reply(200, json.dumps(reply).encode()))
+        assert HttpBackend().complete("p") == "ok"
+        assert "Authorization" not in http_server.received[0][2]
+
+    @pytest.mark.parametrize("reply", [
+        Reply(500, b'{"error": "overloaded"}'),
+        Reply(200, b'{"choices": [{"message": '),
+        Reply(200, b'{"choices": []}'),
+        Reply(200, b'{"choices": [{"message": {"content": null}}]}'),
+    ], ids=["server-error", "truncated", "no-choice", "null-content"])
+    def test_failures(self, backend, http_server, reply):
+        http_server.replies.append(reply)
+        with pytest.raises(BackendFailureError):
+            backend.complete("list queries")

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
+import socket
 from datetime import date
+from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from shiftminer.sources import (
     FixtureMissingError,
     FredQuery,
     Interval,
+    LiveTransport,
     ParseError,
     QueryFieldError,
     RateLimitedError,
@@ -25,6 +29,7 @@ from shiftminer.sources import (
     Response,
     RetryPolicy,
     SourceQuery,
+    TransportError,
     TrendsQuery,
     UpstreamError,
     YahooQuery,
@@ -39,6 +44,7 @@ from shiftminer.sources import (
     fetch,
     fetch_all,
     fred_response_to_series,
+    http_request,
     known_fields,
     load_queries,
     query_from_raw,
@@ -50,7 +56,7 @@ from shiftminer.sources import (
     yahoo_response_to_series,
 )
 
-from conftest import ScriptedTransport, VirtualClock
+from conftest import Reply, ScriptedTransport, VirtualClock
 
 UNRATE = SourceQuery(
     source=Source.FRED,
@@ -194,6 +200,85 @@ class TestRetryAndPacing:
         transport.mode = "live"
         with pytest.raises(AuthMissingError):
             fetch(UNRATE, transport, RetryPolicy(), clock=clock, pacer=RequestPacer(clock, 0.0))
+
+
+class LocalLive(LiveTransport):
+    """The live transport with each request sent to a local server, same path."""
+
+    def __init__(self, base_url: str) -> None:
+        self.base_url = base_url
+
+    def send(self, request):
+        url = self.base_url + urlsplit(request.url).path
+        return super().send(dataclasses.replace(request, url=url))
+
+
+class TestLiveTransport:
+    def _fetch(self, server, clock=None, policy=None):
+        clock = clock or VirtualClock()
+        return fetch(UNRATE, LocalLive(server.url), policy or RetryPolicy(),
+                     clock=clock, pacer=RequestPacer(clock, 0.0))
+
+    def test_ok(self, http_server, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k3y")
+        http_server.replies.append(Reply(200, fred_ok_body().encode()))
+        series = self._fetch(http_server)
+        assert len(series) == 1 and len(series[0]) == 24
+        method, path, headers, _ = http_server.received[0]
+        assert method == "GET"
+        assert urlsplit(path).path == "/fred/series/observations"
+        assert parse_qs(urlsplit(path).query) == {
+            "series_id": ["UNRATE"], "observation_start": ["2007-01-01"],
+            "observation_end": ["2013-01-01"], "file_type": ["json"], "api_key": ["k3y"],
+        }
+        assert headers["User-Agent"] == "shiftminer/0.1"
+
+    def test_not_found_is_upstream_error(self, http_server, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k")
+        http_server.replies.append(Reply(404, b'{"error": "no such series"}'))
+        with pytest.raises(UpstreamError) as err:
+            self._fetch(http_server)
+        assert err.value.status == 404
+        assert len(http_server.received) == 1
+
+    def test_throttled_then_ok_retries(self, http_server, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k")
+        http_server.replies += [Reply(429), Reply(200, fred_ok_body().encode())]
+        clock = VirtualClock()
+        assert len(self._fetch(http_server, clock, RetryPolicy(base_delay=2.0))) == 1
+        assert clock.sleeps == [2.0]
+        assert len(http_server.received) == 2
+
+    def test_unavailable_until_retries_run_out(self, http_server, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k")
+        http_server.replies += [Reply(503, b"down")] * 3
+        with pytest.raises(UpstreamError) as err:
+            self._fetch(http_server, policy=RetryPolicy(max_attempts=3))
+        assert err.value.status == 503
+        assert len(http_server.received) == 3
+
+    def test_timeout_and_refused_connection_are_transport_errors(self, http_server):
+        http_server.replies.append(Reply(200, b"late", delay=1.0))
+        with pytest.raises(TransportError, match="timed out"):
+            http_request("GET", http_server.url, timeout=0.1)
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            closed_port = sock.getsockname()[1]
+        request = build_fred_request(UNRATE.payload, api_key="k3y")
+        with pytest.raises(TransportError) as err:
+            LocalLive(f"http://127.0.0.1:{closed_port}").send(request)
+        assert "k3y" not in str(err.value)
+
+    def test_body_decoded_with_declared_charset(self, http_server):
+        http_server.replies += [
+            Reply(200, "Zürich café".encode("latin-1"), "text/plain; charset=latin-1"),
+            Reply(200, "Zürich café".encode("utf-8"), "text/plain"),
+            Reply(200, "Zürich café".encode("utf-8"), "text/plain; charset=no-such-codec"),
+        ]
+        request = build_fred_request(UNRATE.payload, api_key=None)
+        transport = LocalLive(http_server.url)
+        for _ in range(3):
+            assert transport.send(request) == Response(200, "Zürich café")
 
 
 class TestConnectors:
