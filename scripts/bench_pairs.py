@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a parent checkout against a change checkout.
+
+For every workload and seed, runs ``perfbench/run.py --trace 0`` once in
+each checkout, alternating which of the two runs first, and writes one
+JSON file: per workload and end-to-end metric, each side's runs, median
+and inclusive quartiles, the change's wins out of the pairs (in the
+direction ``BENCHMARK.json`` declares better) and the ratio of the
+medians; the jobs attempted and failed; and each run's tree digest.
+With ``--traced``, one ``--trace 1`` run per side on the first seed adds
+the per-layer metrics. Only the standard library is used.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --seeds 701-710 --seconds 30 --out BENCH_7.json --note "what the change does"
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.metadata
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+DIGEST = re.compile(r"tree digest (\S+)")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``701-710`` or ``5,9,12``."""
+    if "-" in text:
+        first, last = (int(part) for part in text.split("-", 1))
+        return list(range(first, last + 1))
+    return [int(part) for part in text.split(",")]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` process in ``checkout``: its job counts,
+    metric values and tree digest."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        sys.exit(f"{' '.join(command)} in {checkout} exited with {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    digest = DIGEST.search(proc.stdout)
+    return {
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
+        "digest": digest.group(1) if digest else None,
+    }
+
+
+def summarize(runs: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+            "runs": [round(value, 4) for value in runs]}
+
+
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """Both sides' summaries, the change's wins and the ratio of the medians."""
+    wins = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
+    return {
+        "parent": summarize(parent),
+        "change": summarize(change),
+        "change_wins": f"{wins}/{len(parent)}",
+        "change_over_parent": round(statistics.median(change) / statistics.median(parent), 4),
+    }
+
+
+def machine() -> dict:
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = None
+    return {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy,
+            "platform": platform.platform()}
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--seeds", type=parse_seeds, required=True, help="701-710 or 5,9,12")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--workload", action="append",
+                        help="repeatable; default: every workload in BENCHMARK.json")
+    parser.add_argument("--traced", action="store_true",
+                        help="add one --trace 1 run per side on the first seed")
+    parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
+    parser.add_argument("--note", default="", help="what the change does")
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
+    if len(args.seeds) < 2:
+        sys.exit("quartiles need at least two seeds")
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    workloads = args.workload or [workload["name"] for workload in declared["workloads"]]
+    report = {
+        "change": args.note,
+        "command": f"python3 perfbench/run.py --workload <name> --seed <seed> "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "machine": machine(),
+        "method": "one parent and one change run per seed, alternating which runs first; each "
+                  "value is that run's median in the unit perfbench reports; quartiles are "
+                  "inclusive; wins count pairs where the change is better",
+        "end_to_end": {},
+    }
+    for workload in workloads:
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for i, seed in enumerate(args.seeds):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                runs[side].append(run_once(checkouts[side], workload, seed, args.seconds))
+                print(f"{workload} seed {seed} {side}: "
+                      f"{json.dumps(runs[side][-1]['metrics'])}", file=sys.stderr, flush=True)
+        entry: dict = {
+            "seeds": args.seeds,
+            "jobs": {side: {"attempted": sum(r["attempted"] for r in side_runs),
+                            "failed": sum(r["failed"] for r in side_runs)}
+                     for side, side_runs in runs.items()},
+        }
+        for metric, direction in better.items():
+            entry[metric] = compare(*([r["metrics"][metric] for r in runs[side]]
+                                      for side in ("parent", "change")), direction)
+        entry["digests"] = {side: [r["digest"] for r in side_runs]
+                            for side, side_runs in runs.items()}
+        report["end_to_end"][workload] = entry
+        if args.traced:
+            seed = args.seeds[0]
+            report.setdefault("traced", {})[f"{workload} seed {seed}"] = {
+                side: run_once(checkouts[side], workload, seed, args.seconds, trace=1)["metrics"]
+                for side in ("parent", "change")
+            }
+        args.out.write_text(json.dumps(report, indent=1) + "\n")  # kept after every workload
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

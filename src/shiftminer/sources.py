@@ -869,11 +869,12 @@ _default_pacer_lock = threading.Lock()
 _default_pacers: dict[float, RequestPacer] = {}
 
 
-def _default_pacer(policy: RetryPolicy, clock: Clock) -> RequestPacer:
+def _default_pacer(policy: RetryPolicy) -> RequestPacer:
+    """The process-wide system-clock pacer of callers that pass no clock."""
     with _default_pacer_lock:
         pacer = _default_pacers.get(policy.min_request_interval)
         if pacer is None:
-            pacer = RequestPacer(clock, policy.min_request_interval)
+            pacer = RequestPacer(SystemClock(), policy.min_request_interval)
             _default_pacers[policy.min_request_interval] = pacer
         return pacer
 
@@ -881,13 +882,13 @@ def _default_pacer(policy: RetryPolicy, clock: Clock) -> RequestPacer:
 def _resolve_timing(
     transport: Transport, policy: RetryPolicy, clock: Clock | None, pacer: RequestPacer | None
 ) -> tuple[Clock, RequestPacer]:
+    if pacer is None and transport.mode != "replay":  # a caller's own clock gets its own pacer
+        pacer = (_default_pacer(policy) if clock is None
+                 else RequestPacer(clock, policy.min_request_interval))
     if clock is None:
         clock = NullClock() if transport.mode == "replay" else SystemClock()
-    if pacer is None:
-        if transport.mode == "replay":
-            pacer = RequestPacer(clock, 0.0)
-        else:
-            pacer = _default_pacer(policy, clock)
+    if pacer is None:  # replay: nothing to pace
+        pacer = RequestPacer(clock, 0.0)
     return clock, pacer
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftminer import demo
+from shiftminer import demo, storage
 from shiftminer.augment import AugmentConfig, augment_set
 from shiftminer.changepoint import DetectorConfig
 from shiftminer.cli import main
@@ -43,6 +43,23 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+def fail_on_third_file(monkeypatch, stage: Stage) -> list[Path]:
+    """Make the stage writer raise ``OSError`` on its third file in ``stage``'s
+    directory; returns the files it wrote there before that."""
+    write_file = storage._write_file
+    written: list[Path] = []
+
+    def fail_on_third(path, text):
+        if path.parent.name == stage.value:
+            if len(written) == 2:
+                raise OSError("disk full")
+            written.append(path)
+        write_file(path, text)
+
+    monkeypatch.setattr(storage, "_write_file", fail_on_third)
+    return written
 
 
 class TestConfig:
@@ -429,21 +446,20 @@ class TestCli:
         assert str(manifest) in capsys.readouterr().err
 
     def test_failed_collect_leaves_no_original_stage(self, mini_corpus, monkeypatch, capsys):
-        from shiftminer import storage
-
-        save_series = storage.save_series
-        written = []
-
-        def fail_after_two(series, directory):
-            if len(written) == 2:
-                raise OSError("disk full")
-            written.append(save_series(series, directory))
-            return written[-1]
-
-        monkeypatch.setattr(storage, "save_series", fail_after_two)
+        written = fail_on_third_file(monkeypatch, Stage.ORIGINAL)
         assert main(["collect", "--config", str(mini_corpus["config_path"])]) == 5
         assert len(written) == 2
         assert not (mini_corpus["root"] / "data" / "mini" / "original").exists()
+
+    def test_failed_augment_leaves_no_augmented_stage(self, mini_corpus, monkeypatch):
+        written = fail_on_third_file(monkeypatch, Stage.AUGMENTED)
+        with pytest.raises(StageError):
+            run(load_config(mini_corpus["config_path"]), now=NOW)
+        dataset = mini_corpus["root"] / "data" / "mini"
+        assert len(written) == 2
+        assert (dataset / "pruned").is_dir()
+        assert not (dataset / "augmented").exists()
+        assert not (dataset / "manifest.json").exists()
 
     def test_stage_subcommands_without_config(self, mini_corpus, capsys):
         main(["collect", "--config", str(mini_corpus["config_path"])])

@@ -5,12 +5,13 @@ import hashlib
 import json
 import logging
 import socket
+import time
 from datetime import date
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 import pytest
-from shiftminer import demo
+from shiftminer import demo, sources
 from shiftminer.series import Source, Stage
 from shiftminer.sources import (
     CONNECTORS,
@@ -186,6 +187,18 @@ class TestRetryAndPacing:
         assert clock.now() == t0
         pacer.wait("fred")
         assert clock.now() >= t0 + 10.0
+
+    def test_own_clock_does_not_become_the_shared_pacers(self, monkeypatch):
+        monkeypatch.setattr(sources, "_default_pacers", {})
+        monkeypatch.setenv("FRED_API_KEY", "k3y")
+        policy = RetryPolicy(min_request_interval=0.2)
+        transport = ScriptedTransport([Response(200, fred_ok_body())] * 3)
+        transport.mode = "live"
+        fetch(UNRATE, transport, policy, clock=VirtualClock())
+        start = time.monotonic()
+        fetch(UNRATE, transport, policy)
+        fetch(UNRATE, transport, policy)
+        assert time.monotonic() - start >= 0.2
 
     def test_unparseable_body(self):
         clock = VirtualClock()

@@ -1,0 +1,135 @@
+"""``save_stage`` writes the bytes of ``save_series`` in fewer formatting passes."""
+
+from __future__ import annotations
+
+import json
+import tempfile
+from datetime import date
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftminer.series import AugmentMethod, Provenance, Source, Stage, TimeSeries
+from shiftminer.storage import IoFailureError, save_series, save_stage, stage_dir
+
+EDGE_VALUES = (-0.0, 5e-324, 1e308, 1e-5, 123456789012.5)
+NON_ASCII = "Ölpreis – 原油 ☃"
+
+finite = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def stamps(first_ordinal: int, n: int, cls: type[date] = date) -> tuple[date, ...]:
+    return tuple(cls.fromordinal(first_ordinal + i) for i in range(n))
+
+
+def family(parent_values, children_values, comment, other_values):
+    """A pruned parent, augmented children that share its timestamps tuple,
+    and an original series with its own tuple between the children."""
+    parent = TimeSeries("fred-P", Source.FRED, stamps(737425, len(parent_values)),
+                        parent_values, Stage.PRUNED, comment=comment)
+    children = [
+        TimeSeries(f"fred-P-aug{i:02d}", Source.FRED, parent.timestamps, values, Stage.AUGMENTED,
+                   Provenance(parent.id, list(AugmentMethod)[i % 3], 2**64 - 1 - i, i % 2 == 0),
+                   comment)
+        for i, values in enumerate(children_values)
+    ]
+    other = TimeSeries("eia-O", Source.EIA, stamps(730120, len(other_values)), other_values,
+                       Stage.ORIGINAL, None, NON_ASCII)
+    half = len(children) // 2
+    return [parent, *children[:half], other, *children[half:]]
+
+
+def reference_save(series: TimeSeries, directory: Path) -> None:
+    """The per-series writer that the batched one replaced, as the oracle of its bytes."""
+    directory.mkdir(parents=True, exist_ok=True)
+    rows = ["timestamp,value"]
+    rows.extend(f"{ts.isoformat()},{v:.12g}" for ts, v in zip(series.timestamps,
+                                                                series.values.tolist()))
+    (directory / f"{series.id}.csv").write_bytes(("\n".join(rows) + "\n").encode("utf-8"))
+    prov = series.provenance
+    meta = {
+        "id": series.id, "source": series.source.value, "stage": series.stage.value,
+        "comment": series.comment,
+        "provenance": None if prov is None else {
+            "parent_id": prov.parent_id, "method": prov.method.value, "seed": prov.seed,
+            "shift_verified": prov.shift_verified,
+        },
+    }
+    with open(directory / f"{series.id}.meta.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(meta, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@st.composite
+def families(draw):
+    n = draw(st.integers(2, 12))
+    column = st.lists(finite, min_size=n, max_size=n)
+    return family(
+        draw(column),
+        draw(st.lists(column, min_size=1, max_size=4)),
+        draw(st.one_of(st.just(NON_ASCII), st.text(max_size=12))),
+        draw(st.lists(finite, min_size=2, max_size=12)),
+    )
+
+
+@given(families())
+@settings(max_examples=60, deadline=None)
+def test_save_stage_bytes_equal_save_series_loop(series_list):
+    with tempfile.TemporaryDirectory() as tmp:
+        batched, looped, oracle = (Path(tmp) / part for part in ("batched", "looped", "oracle"))
+        paths = save_stage(batched, "d", series_list)
+        for series in series_list:
+            save_series(series, stage_dir(looped, "d", series.stage))
+            reference_save(series, stage_dir(oracle, "d", series.stage))
+        assert paths == [stage_dir(batched, "d", s.stage) / f"{s.id}.csv" for s in series_list]
+        tree = tree_bytes(batched)
+        assert len(tree) == 2 * len(series_list)
+        assert tree == tree_bytes(looped) == tree_bytes(oracle)
+
+
+class CountingDate(date):
+    calls = 0
+
+    def isoformat(self) -> str:
+        CountingDate.calls += 1
+        return super().isoformat()
+
+
+def test_children_reuse_the_parents_formatted_timestamps(tmp_path, monkeypatch):
+    n = 40
+    parent = TimeSeries("fred-P", Source.FRED, stamps(737425, n, CountingDate),
+                        [float(i) for i in range(n)], Stage.PRUNED)
+    children = [
+        TimeSeries(f"fred-P-aug{i:02d}", Source.FRED, parent.timestamps,
+                   [0.5 * i + j for j in range(n)], Stage.AUGMENTED,
+                   Provenance(parent.id, AugmentMethod.WINDOW_SLICE, i, True))
+        for i in range(30)
+    ]
+    (tmp_path / "d").mkdir()  # so that each stage directory is made by one mkdir call
+    mkdir, made = Path.mkdir, []
+    monkeypatch.setattr(Path, "mkdir",
+                        lambda path, *a, **k: made.append(path) or mkdir(path, *a, **k))
+    CountingDate.calls = 0
+    save_stage(tmp_path, "d", [parent, *children])
+    assert CountingDate.calls == n
+    assert made == [stage_dir(tmp_path, "d", stage) for stage in (Stage.PRUNED, Stage.AUGMENTED)]
+
+    # another tuple between the children evicts the parent's: one entry, not a stage-wide cache
+    other = TimeSeries("eia-O", Source.EIA, stamps(730120, 3, CountingDate), [1.0, 2.0, 3.0],
+                       Stage.ORIGINAL)
+    CountingDate.calls = 0
+    save_stage(tmp_path / "again", "d", [parent, *children[:15], other, *children[15:]])
+    assert CountingDate.calls == 2 * n + 3
+
+
+def test_unwritable_stage_names_its_directory(tmp_path):
+    (tmp_path / "d").write_text("a file where the dataset directory belongs")
+    series = TimeSeries("s", Source.SYNTHETIC, stamps(737425, 2), [1.0, 2.0], Stage.ORIGINAL)
+    with pytest.raises(IoFailureError, match="cannot write series under .*original"):
+        save_stage(tmp_path, "d", [series])
