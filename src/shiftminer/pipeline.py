@@ -22,7 +22,7 @@ from . import querygen, sources, storage
 from .augment import AugmentConfig, augment_set
 from .changepoint import DetectorConfig, prune
 from .series import Source, Stage, TimeSeries
-from .storage import DatasetManifest
+from .storage import DatasetManifest, SeriesMeta
 
 __all__ = [
     "PipelineConfig",
@@ -48,7 +48,7 @@ class PruningEmptyError(Exception):
     """Pruning left no series with a detected shift."""
 
 
-class EmptyInputError(ValueError):
+class EmptyInputError(ConfigError):
     """An operation that needs data received none."""
 
 
@@ -304,23 +304,27 @@ def _catalog_field(config: PipelineConfig, key: str) -> str:
 # --- train/test splitting -----------------------------------------------------
 
 
+def _check_ratio(ratio: float) -> None:
+    if not 0 < ratio < 1:
+        raise ConfigError("ratio must be in (0, 1)")
+
+
 def split_train_test(
-    series_list: list[TimeSeries],
+    series_list: list[TimeSeries | SeriesMeta],
     ratio: float,
     seed: int,
     train_parent_count: int | None = None,
-) -> tuple[list[TimeSeries], list[TimeSeries]]:
+) -> tuple[list[TimeSeries | SeriesMeta], list[TimeSeries | SeriesMeta]]:
     """Deterministic leakage-free split at the level of pruned parents.
 
     Augmented series follow their parent to whichever side it lands on.
     The train side gets ``round(ratio * n_parents)`` parents unless
     ``train_parent_count`` overrides the arithmetic (useful to reproduce
-    externally fixed splits).
+    externally fixed splits). It reads only ``id`` and ``provenance``.
     """
     if not series_list:
         raise EmptyInputError("cannot split an empty series list")
-    if not 0 < ratio < 1:
-        raise ValueError("ratio must be in (0, 1)")
+    _check_ratio(ratio)
 
     # a parent and its augmented children form one unit, named by the parent
     # id; augmented series whose parent is absent still form their own unit
@@ -332,14 +336,12 @@ def split_train_test(
         n_train = int(ratio * len(order) + 0.5)
     else:
         if not 0 <= train_parent_count <= len(order):
-            raise ValueError("train_parent_count out of range")
+            raise ConfigError("train_parent_count out of range")
         n_train = train_parent_count
     train_set = set(order[:n_train])
 
-    train: list[TimeSeries] = []
-    test: list[TimeSeries] = []
-    for series, unit in zip(series_list, units):
-        (train if unit in train_set else test).append(series)
+    train = [s for s, unit in zip(series_list, units) if unit in train_set]
+    test = [s for s, unit in zip(series_list, units) if unit not in train_set]
     return train, test
 
 
@@ -356,15 +358,16 @@ def split_dataset(
     The default mirrors the intended training workflow: the train side is
     the augmented expansions of its parents, while the test side keeps
     only un-augmented parents. ``include_test_augmented`` keeps augmented
-    series on the test side too.
+    series on the test side too. It reads the sidecars, not the CSV bodies.
     """
-    pruned = storage.load_stage(output_dir, name, Stage.PRUNED)
-    augmented = storage.load_stage(output_dir, name, Stage.AUGMENTED)
+    _check_ratio(ratio)
+    pruned = storage.load_stage_meta(output_dir, name, Stage.PRUNED)
     if not pruned:
         raise EmptyInputError(f"dataset {name!r} has no pruned series to split")
+    augmented = storage.load_stage_meta(output_dir, name, Stage.AUGMENTED)
     train, test = split_train_test(pruned + augmented, ratio, seed, train_parent_count)
 
-    def bucket(items: list[TimeSeries]) -> dict:
+    def bucket(items: list[SeriesMeta]) -> dict:
         return {
             "parents": sorted(s.id for s in items if s.provenance is None),
             "augmented": sorted(s.id for s in items if s.provenance is not None),
@@ -391,9 +394,8 @@ def split_dataset(
     splits_dir = storage.dataset_dir(output_dir, name) / "splits"
     splits_dir.mkdir(parents=True, exist_ok=True)
     for stem, doc in (("train", train_ids), ("test", test_ids), ("summary", summary)):
-        with open(splits_dir / f"{stem}.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        (splits_dir / f"{stem}.json").write_text(text, encoding="utf-8", newline="\n")
     return summary
 
 

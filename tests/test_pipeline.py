@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -625,3 +626,114 @@ class TestStageLifecycle:
         assert main(["prune", "--dataset", "mini", "--config",
                      str(mini_corpus["config_path"])]) == 5
         assert str(sidecar) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def mini_run(tmp_path_factory):
+    """One replay run of the mini corpus; tests copy its dataset."""
+    root = tmp_path_factory.mktemp("mini_run")
+    query_file = demo.build_fred_corpus(root / "fixtures", count=16, seed=2)
+    config_path = demo.build_demo_config(root / "fixtures", root / "data", query_file,
+                                         dataset_name="mini", master_seed=11)
+    run(load_config(config_path), now=NOW)
+    return root / "data"
+
+
+@pytest.fixture()
+def mini_data(mini_run, tmp_path):
+    """An output directory holding a copy of the mini run's dataset."""
+    shutil.copytree(mini_run / "mini", tmp_path / "data" / "mini")
+    return tmp_path / "data"
+
+
+def oracle_split_files(root: Path, out_dir: Path, ratio: float, seed: int,
+                       train_parent_count: int | None = None,
+                       include_test_augmented: bool = False) -> dict[str, bytes]:
+    """The split files as written when `split_dataset` loaded and validated
+    every pruned and augmented series: the same bucketing and JSON writing."""
+    series = load_stage(root, "mini", Stage.PRUNED) + load_stage(root, "mini", Stage.AUGMENTED)
+    train, test = split_train_test(series, ratio, seed, train_parent_count)
+
+    def bucket(items):
+        return {
+            "parents": sorted(s.id for s in items if s.provenance is None),
+            "augmented": sorted(s.id for s in items if s.provenance is not None),
+        }
+
+    train_ids, test_ids = bucket(train), bucket(test)
+    if not include_test_augmented:
+        test_ids["augmented"] = []
+    counts = {f"{side}_{kind}": len(ids[kind])
+              for side, ids in (("train", train_ids), ("test", test_ids))
+              for kind in ("parents", "augmented")}
+    summary = {"dataset": "mini", "ratio": ratio, "seed": seed, "train": train_ids,
+               "test": test_ids, "counts": counts}
+    out_dir.mkdir()
+    for stem, doc in (("train", train_ids), ("test", test_ids), ("summary", summary)):
+        with open(out_dir / f"{stem}.json", "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return tree_bytes(out_dir)
+
+
+class TestSplitFromSidecars:
+    """`split` reads the sidecars only and writes the bytes it wrote when it
+    loaded every series."""
+
+    @pytest.mark.parametrize("options", [
+        {},
+        {"include_test_augmented": True},
+        {"train_parent_count": 3},
+    ])
+    def test_bytes_equal_the_series_loading_split(self, mini_data, tmp_path, options):
+        expected = oracle_split_files(mini_data, tmp_path / "oracle", 0.8, 3, **options)
+        split_dataset(mini_data, "mini", 0.8, 3, **options)
+        assert tree_bytes(mini_data / "mini" / "splits") == expected
+        assert set(expected) == {"train.json", "test.json", "summary.json"}
+
+    def test_reads_no_csv_body(self, mini_data, tmp_path, monkeypatch):
+        expected = oracle_split_files(mini_data, tmp_path / "oracle", 0.8, 3)
+
+        def no_body(path):
+            raise AssertionError(f"split read the body of {path}")
+
+        monkeypatch.setattr(storage, "_read_body", no_body)
+        split_dataset(mini_data, "mini", 0.8, 3)
+        assert tree_bytes(mini_data / "mini" / "splits") == expected
+
+    def test_garbage_csv_body_still_splits_but_fails_augment(self, mini_data, tmp_path, capsys):
+        expected = oracle_split_files(mini_data, tmp_path / "oracle", 0.8, 3)
+        victim = sorted((mini_data / "mini" / "pruned").glob("*.csv"))[0]
+        victim.write_text("garbage\n")
+        split_dataset(mini_data, "mini", 0.8, 3)
+        assert tree_bytes(mini_data / "mini" / "splits") == expected
+        capsys.readouterr()
+        assert main(["augment", "--dataset", "mini", "--output-dir", str(mini_data)]) == 5
+        assert str(victim) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", ["[]", '"x"', '{"provenance": "x"}', '{"provenance": []}'])
+    def test_sidecar_of_the_wrong_shape_exits_5(self, mini_data, capsys, doc):
+        sidecar = sorted((mini_data / "mini" / "augmented").glob("*.meta.json"))[0]
+        sidecar.write_text(doc)
+        assert main(["split", "--dataset", "mini", "--output-dir", str(mini_data)]) == 5
+        assert str(sidecar) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", ["[]", '"x"', '{"provenance": "x"}', '{"provenance": []}'])
+    def test_stored_original_sidecar_of_the_wrong_shape_fails_prune(self, mini_data, capsys,
+                                                                     doc):
+        sidecar = sorted((mini_data / "mini" / "original").glob("*.meta.json"))[0]
+        sidecar.write_text(doc)
+        assert main(["prune", "--dataset", "mini", "--output-dir", str(mini_data)]) == 5
+        assert str(sidecar) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--dataset", "nope"], "dataset 'nope' has no pruned series to split"),
+        (["--dataset", "mini", "--ratio", "1.5"], "ratio must be in (0, 1)"),
+        (["--dataset", "nope", "--ratio", "1.5"], "ratio must be in (0, 1)"),
+        (["--dataset", "mini", "--train-parents", "9999"], "train_parent_count out of range"),
+    ])
+    def test_split_input_errors_exit_2(self, mini_data, capsys, args, message):
+        assert main(["split", *args, "--output-dir", str(mini_data)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (mini_data / "mini" / "splits").exists()

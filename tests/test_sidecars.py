@@ -1,0 +1,117 @@
+"""Sidecars read apart from series bodies: ``read_sidecar`` and
+``load_stage_meta`` against ``load_series`` and ``load_stage``."""
+
+from __future__ import annotations
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from shiftminer.series import AugmentMethod, Provenance, Source, Stage, TimeSeries
+from shiftminer.storage import (
+    MalformedFileError,
+    SeriesMeta,
+    load_series,
+    load_stage,
+    load_stage_meta,
+    read_sidecar,
+    save_series,
+    save_stage,
+    stage_dir,
+)
+
+from conftest import make_series
+
+WRONG_SHAPES = ["[]", '"x"', '{"provenance": "x"}', '{"provenance": []}']
+
+
+def meta_of(series: TimeSeries) -> SeriesMeta:
+    return SeriesMeta(series.id, series.source, series.stage, series.provenance, series.comment)
+
+
+def family(root: Path) -> list[TimeSeries]:
+    """Two pruned parents and their augmented children, saved under ``root``."""
+    out = []
+    for p in range(2):
+        parent = make_series([1.0, 2.0, 3.0], sid=f"fred-P{p}", source=Source.FRED,
+                             stage=Stage.PRUNED, comment=f"parent {p}")
+        out.append(parent)
+        for i in range(3):
+            prov = Provenance(parent.id, list(AugmentMethod)[i], 10 * p + i, i != 1)
+            out.append(make_series([1.0, 2.0, 4.0 + i], sid=f"{parent.id}-aug{i}",
+                                   source=Source.FRED, stage=Stage.AUGMENTED, provenance=prov))
+    save_stage(root, "ds", out)
+    return out
+
+
+def test_stage_meta_matches_loaded_series(tmp_path):
+    family(tmp_path)
+    for stage in (Stage.PRUNED, Stage.AUGMENTED):
+        assert load_stage_meta(tmp_path, "ds", stage) == [
+            meta_of(s) for s in load_stage(tmp_path, "ds", stage)
+        ]
+    assert load_stage_meta(tmp_path, "ds", Stage.ORIGINAL) == []
+
+
+def test_series_without_sidecar_gets_the_same_metadata(tmp_path):
+    family(tmp_path)
+    pruned = stage_dir(tmp_path, "ds", Stage.PRUNED)
+    (pruned / "fred-P1.meta.json").unlink()
+    loaded = load_series(pruned / "fred-P1.csv")
+    meta = load_stage_meta(tmp_path, "ds", Stage.PRUNED)[1]
+    assert meta == meta_of(loaded) == SeriesMeta("fred-P1", Source.SYNTHETIC, Stage.ORIGINAL,
+                                                 None, "")
+    # its children still name it as their parent, so they form one unit with it
+    children = load_stage_meta(tmp_path, "ds", Stage.AUGMENTED)[3:]
+    assert {c.provenance.parent_id for c in children} == {meta.id}
+
+
+def test_dotted_id_finds_its_sidecar(tmp_path):
+    prov = Provenance("yahoo-BRK.B-parent", AugmentMethod.TIME_WARP, 1, True)
+    series = make_series([1.0, 2.0], sid="yahoo-BRK.B-2020-01-01-2020-01-02",
+                         source=Source.YAHOO, stage=Stage.AUGMENTED, provenance=prov)
+    path = save_series(series, tmp_path)
+    assert load_series(path) == series
+    assert read_sidecar(path) == meta_of(series)
+
+
+@pytest.mark.parametrize("doc", WRONG_SHAPES)
+def test_sidecar_of_the_wrong_shape_is_malformed(tmp_path, doc):
+    path = save_series(make_series([1.0, 2.0], sid="s"), tmp_path)
+    sidecar = tmp_path / "s.meta.json"
+    sidecar.write_text(doc)
+    with pytest.raises(MalformedFileError, match=re.escape(str(sidecar))):
+        load_series(path)
+    with pytest.raises(MalformedFileError, match=re.escape(str(sidecar))):
+        read_sidecar(path)
+
+
+def test_provenance_with_a_null_seed_is_malformed(tmp_path):
+    path = save_series(make_series([1.0, 2.0], sid="s"), tmp_path)
+    bad = {"stage": "augmented", "provenance": {"parent_id": "p", "method": "time_warp",
+                                               "seed": None, "shift_verified": True}}
+    (tmp_path / "s.meta.json").write_text(json.dumps(bad))
+    with pytest.raises(MalformedFileError, match="bad provenance record"):
+        read_sidecar(path)
+
+
+def test_body_fault_is_reported_before_sidecar_fault(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("time,val\n2020-01-01,1.0\n")
+    (tmp_path / "s.meta.json").write_text("[]")
+    with pytest.raises(MalformedFileError, match="expected header"):
+        load_series(path)
+
+
+@pytest.mark.parametrize("fields", [{"provenance": None}, {"id": ""}])
+def test_stage_meta_keeps_the_series_label_checks(tmp_path, fields):
+    family(tmp_path)
+    sidecar = stage_dir(tmp_path, "ds", Stage.AUGMENTED) / "fred-P0-aug0.meta.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **fields}))
+    csv_path = sidecar.with_name("fred-P0-aug0.csv")
+    with pytest.raises(MalformedFileError, match=re.escape(str(csv_path))):
+        load_stage_meta(tmp_path, "ds", Stage.AUGMENTED)
+    with pytest.raises(ValueError, match=re.escape(str(csv_path))):
+        load_series(csv_path)
