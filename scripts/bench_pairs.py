@@ -6,7 +6,9 @@ each checkout, alternating which of the two runs first, and writes one
 JSON file: per workload and end-to-end metric, each side's runs, median
 and inclusive quartiles, the change's wins out of the pairs (in the
 direction ``BENCHMARK.json`` declares better) and the ratio of the
-medians; the jobs attempted and failed; and each run's tree digest.
+medians; the jobs attempted and failed; each run's tree digest, and
+``digests_equal``, true when both sides wrote the same digest on every
+seed (each seed where they differ is also warned about on stderr).
 With ``--traced``, one ``--trace 1`` run per side on the first seed adds
 the per-layer metrics. Only the standard library is used.
 
@@ -73,6 +75,18 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def digests_equal(workload: str, seeds: list[int], digests: dict[str, list]) -> bool:
+    """Whether parent and change wrote one tree digest on every seed; warns on
+    stderr for each seed where they differ or a run printed none."""
+    equal = True
+    for seed, parent, change in zip(seeds, digests["parent"], digests["change"]):
+        if parent is None or parent != change:
+            print(f"warning: {workload} seed {seed}: tree digest {parent} (parent) "
+                  f"!= {change} (change)", file=sys.stderr)
+            equal = False
+    return equal
+
+
 def machine() -> dict:
     try:
         numpy = importlib.metadata.version("numpy")
@@ -133,6 +147,7 @@ def main(argv: list[str] | None = None) -> int:
                                       for side in ("parent", "change")), direction)
         entry["digests"] = {side: [r["digest"] for r in side_runs]
                             for side, side_runs in runs.items()}
+        entry["digests_equal"] = digests_equal(workload, args.seeds, entry["digests"])
         report["end_to_end"][workload] = entry
         if args.traced:
             seed = args.seeds[0]

@@ -10,6 +10,7 @@ eagerly, so a constructed value is always safe to share across threads.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, fields, replace
 from datetime import date
 
@@ -109,7 +110,7 @@ class TimeSeries:
             )
         if values.size < 2:
             raise TooShortError(f"series {self.id!r} has {values.size} samples, need >= 2")
-        if any(b <= a for a, b in zip(self.timestamps, self.timestamps[1:])):
+        if any(map(operator.ge, self.timestamps, self.timestamps[1:])):
             raise NonMonotonicTimestampsError(
                 f"series {self.id!r} timestamps must be strictly increasing"
             )

@@ -20,6 +20,7 @@ import enum
 import hashlib
 import json
 import logging
+import operator
 import os
 import re
 import threading
@@ -423,13 +424,13 @@ class ReplayTransport:
 
     def send(self, request: Request) -> Response:
         path = self.fixture_path(request)
-        if not path.exists():
-            raise FixtureMissingError(f"no fixture {path} for {request.url}")
-        try:
+        try:  # one open: no existence check that the read could race
             record = json.loads(path.read_text(encoding="utf-8"))
             response = Response(status=int(record["status"]), body=record["body"])
             if not isinstance(response.body, str):
                 raise TypeError("body is not a string")
+        except (FileNotFoundError, NotADirectoryError):
+            raise FixtureMissingError(f"no fixture {path} for {request.url}") from None
         except (ValueError, LookupError, TypeError) as exc:
             raise FixtureMissingError(f"unreadable fixture {path}: {exc!r}") from exc
         return response
@@ -542,23 +543,46 @@ def build_trends_request(payload: TrendsQuery) -> Request:
 
 
 # --- response parsing -------------------------------------------------------
+#
+# Each parser builds one column of dates and one of floats with C-level maps
+# and comprehensions: no (date, value) pair, regex or ``datetime`` per row,
+# and no sort unless the dates arrive out of order.
+
+_YEAR_RE = re.compile(r"\d{4}")
+_MONTH_RE = re.compile(r"\d{4}-\d{2}")
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
 def _parse_period(raw: str) -> date:
+    """An EIA period: ``YYYY``, ``YYYY-MM``, or a string whose first ten
+    characters are an ISO date (a day, or an hour after it)."""
     raw = str(raw)
-    if re.fullmatch(r"\d{4}", raw):
-        return date(int(raw), 1, 1)
-    if re.fullmatch(r"\d{4}-\d{2}", raw):
-        year, month = raw.split("-")
-        return date(int(year), int(month), 1)
+    if len(raw) < 10:  # neither short form can match a longer string
+        if _YEAR_RE.fullmatch(raw):
+            return date(int(raw), 1, 1)
+        if _MONTH_RE.fullmatch(raw):
+            year, month = raw.split("-")
+            return date(int(year), int(month), 1)
     return date.fromisoformat(raw[:10])
 
 
+def _utc_days(stamps: Iterable) -> list[date]:
+    """The UTC day of each epoch-seconds stamp (taken through ``int``); outside
+    years 1-9999 ``date.fromordinal`` raises."""
+    return [date.fromordinal(_EPOCH_ORDINAL + int(stamp) // 86400) for stamp in stamps]
+
+
 def _series_or_parse_error(
-    source: Source, native_id: str, comment: str, observations: list[tuple[date, float]]
+    source: Source, native_id: str, comment: str, timestamps: list[date], values: list[float]
 ) -> TimeSeries:
+    """One original series from two columns. Both are reordered by a stable
+    argsort of the dates only when the dates do not already increase strictly;
+    a repeated date is left for the ``TimeSeries`` check to reject."""
     try:
-        timestamps, values = zip(*observations)
+        if any(map(operator.ge, timestamps, timestamps[1:])):
+            order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
+            timestamps = [timestamps[i] for i in order]
+            values = [values[i] for i in order]
         return TimeSeries(
             id=make_series_id(source, native_id, timestamps[0], timestamps[-1]),
             source=source,
@@ -574,19 +598,15 @@ def _series_or_parse_error(
 def fred_response_to_series(payload: FredQuery, comment: str, body: str) -> list[TimeSeries]:
     """FRED observations JSON; '.' marks a missing observation and is dropped."""
     try:
-        doc = json.loads(body)
-        observations = []
-        for row in doc["observations"]:
-            raw_value = row["value"]
-            if raw_value in (".", "", None):
-                continue
-            observations.append((date.fromisoformat(row["date"]), float(raw_value)))
+        rows = [row for row in json.loads(body)["observations"]
+                if row["value"] not in (".", "", None)]
+        timestamps = list(map(date.fromisoformat, [row["date"] for row in rows]))
+        values = list(map(float, [row["value"] for row in rows]))
     except Exception as exc:
         raise ParseError(f"bad FRED body: {exc}") from exc
-    if not observations:
+    if not rows:
         raise EmptyResultError(f"FRED {payload.series_id}: no observations")
-    observations.sort(key=lambda pair: pair[0])
-    return [_series_or_parse_error(Source.FRED, payload.series_id, comment, observations)]
+    return [_series_or_parse_error(Source.FRED, payload.series_id, comment, timestamps, values)]
 
 
 def eia_rows(body: str) -> tuple[int, list[dict]]:
@@ -604,44 +624,53 @@ def eia_rows(body: str) -> tuple[int, list[dict]]:
 
 
 def eia_rows_to_series(payload: EiaQuery, comment: str, rows: list[dict]) -> list[TimeSeries]:
-    """Group rows by their identity columns; one series per group.
+    """Group rows by their identity columns (all but period, value and
+    ``*units``); one series per group, in the order of the sorted
+    ``(column, value)`` pairs.
 
+    The identity columns of each distinct column list are worked out once.
     Rows arrive in whatever sort the query asked for, so observations are
     reordered by period; a duplicated period within one group is an error
     rather than silently collapsed.
     """
     route = payload.api_route.strip("/").split("/")
     stem = route[-2] if route[-1] == "data" and len(route) > 1 else route[-1]
-    groups: dict[tuple[tuple[str, str], ...], list[tuple[date, float]]] = {}
+    identity: dict[tuple, tuple[str, ...]] = {}  # a row's columns -> its sorted identity columns
+    # (identity columns, their values) -> (dates, values)
+    groups: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[list[date], list[float]]] = {}
     try:
         for row in rows:
             if not isinstance(row, dict) or "period" not in row:
                 raise ValueError(f"row without period: {row!r}")
-            if row.get("value") is None:
+            value = row.get("value")
+            if value is None:
                 continue
             when = _parse_period(row["period"])
-            value = float(row["value"])
-            key = tuple(
-                sorted(
-                    (str(k), str(v))
-                    for k, v in row.items()
-                    if k not in ("period", "value") and not k.endswith("units")
-                )
-            )
-            groups.setdefault(key, []).append((when, value))
+            value = float(value)
+            columns = tuple(row)
+            names = identity.get(columns)
+            if names is None:
+                names = identity[columns] = tuple(sorted(
+                    k for k in columns if k not in ("period", "value") and not k.endswith("units")
+                ))
+            key = (names, tuple([str(row[k]) for k in names]))
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = ([], [])
+            group[0].append(when)
+            group[1].append(value)
     except Exception as exc:
         raise ParseError(f"bad EIA rows: {exc}") from exc
 
-    out = []
-    for key in sorted(groups):
-        observations = sorted(groups[key], key=lambda pair: pair[0])
-        native = "-".join([stem] + [v for _, v in key]) if key else stem
-        out.append(_series_or_parse_error(Source.EIA, native, comment, observations))
-    return out
+    return [
+        _series_or_parse_error(Source.EIA, "-".join((stem, *key[1])), comment, *groups[key])
+        for key in sorted(groups, key=lambda key: tuple(zip(*key)))
+    ]
 
 
 def yahoo_response_to_series(payload: YahooQuery, comment: str, body: str) -> list[TimeSeries]:
-    """Yahoo chart JSON; the daily (or weekly) close is the value."""
+    """Yahoo chart JSON; the daily (or weekly) close is the value, and a null
+    close drops its row."""
     try:
         doc = json.loads(body)
         result = doc["chart"]["result"][0]
@@ -649,42 +678,33 @@ def yahoo_response_to_series(payload: YahooQuery, comment: str, body: str) -> li
         closes = result["indicators"]["quote"][0]["close"]
         if len(stamps) != len(closes):
             raise ValueError("timestamp/close length mismatch")
-        observations = []
-        for ts, close in zip(stamps, closes):
-            if close is None:
-                continue
-            day = datetime.fromtimestamp(int(ts), tz=timezone.utc).date()
-            observations.append((day, float(close)))
+        stamps = [ts for ts, close in zip(stamps, closes) if close is not None]
+        timestamps = _utc_days(stamps)
+        values = list(map(float, [close for close in closes if close is not None]))
     except Exception as exc:
         raise ParseError(f"bad Yahoo body: {exc}") from exc
-    if not observations:
+    if not stamps:
         raise EmptyResultError(f"Yahoo {payload.ticker}: no observations")
-    observations.sort(key=lambda pair: pair[0])
-    return [_series_or_parse_error(Source.YAHOO, payload.ticker, comment, observations)]
+    return [_series_or_parse_error(Source.YAHOO, payload.ticker, comment, timestamps, values)]
 
 
 def trends_response_to_series(payload: TrendsQuery, comment: str, body: str) -> list[TimeSeries]:
-    """Interest-over-time JSON (with the anti-hijacking prefix stripped)."""
+    """Interest-over-time JSON (with the anti-hijacking prefix stripped); an
+    entry whose value list is empty is dropped."""
     try:
         text = body
         if text.startswith(")]}'"):
             text = text.split("\n", 1)[1] if "\n" in text else text[5:]
         doc = json.loads(text)
-        timeline = doc["default"]["timelineData"]
-        observations = []
-        for entry in timeline:
-            values = entry["value"]
-            if not values:
-                continue
-            day = datetime.fromtimestamp(int(entry["time"]), tz=timezone.utc).date()
-            observations.append((day, float(values[0])))
+        entries = [entry for entry in doc["default"]["timelineData"] if entry["value"]]
+        timestamps = _utc_days([entry["time"] for entry in entries])
+        values = list(map(float, [entry["value"][0] for entry in entries]))
     except Exception as exc:
         raise ParseError(f"bad Trends body: {exc}") from exc
-    if not observations:
+    if not entries:
         raise EmptyResultError(f"Trends {payload.keyword}: no observations")
-    observations.sort(key=lambda pair: pair[0])
     native = payload.keyword.replace(" ", "_") + (f"-{payload.geo}" if payload.geo else "")
-    return [_series_or_parse_error(Source.TRENDS, native, comment, observations)]
+    return [_series_or_parse_error(Source.TRENDS, native, comment, timestamps, values)]
 
 
 # --- connector table --------------------------------------------------------

@@ -148,7 +148,8 @@ def _read_body(path: Path) -> tuple[list[date], list[float]]:
 
 def read_sidecar(path: Path) -> SeriesMeta:
     """The sidecar of series file ``path``, or the defaults below without one; a
-    sidecar that is not a JSON object of known fields is a MalformedFileError."""
+    sidecar that is not a JSON object of known fields, or whose id or comment
+    is not a string, is a MalformedFileError."""
     meta_path = path.with_name(f"{path.stem}.meta.json")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -159,10 +160,13 @@ def read_sidecar(path: Path) -> SeriesMeta:
     try:
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
-        return SeriesMeta(meta.get("id", path.stem), Source(meta.get("source", Source.SYNTHETIC)),
+        sid, comment = meta.get("id", path.stem), meta.get("comment", "")
+        if not isinstance(sid, str) or not isinstance(comment, str):
+            raise ValueError("id and comment must be strings")
+        return SeriesMeta(sid, Source(meta.get("source", Source.SYNTHETIC)),
                           Stage(meta.get("stage", Stage.ORIGINAL)),
-                          _provenance_from_meta(meta.get("provenance")), meta.get("comment", ""))
-    except ValueError as exc:  # not an object, or an unknown source, stage or provenance
+                          _provenance_from_meta(meta.get("provenance")), comment)
+    except ValueError as exc:  # any of the faults above, or an unknown source, stage or provenance
         raise MalformedFileError(f"{meta_path}: bad sidecar: {exc}") from exc
 
 

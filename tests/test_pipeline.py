@@ -718,6 +718,14 @@ class TestSplitFromSidecars:
         assert main(["split", "--dataset", "mini", "--output-dir", str(mini_data)]) == 5
         assert str(sidecar) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [{"id": 5}, {"comment": 5}])
+    def test_sidecar_with_an_id_or_comment_not_a_string_exits_5(self, mini_data, capsys, fields):
+        sidecar = sorted((mini_data / "mini" / "augmented").glob("*.meta.json"))[0]
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **fields}))
+        assert main(["split", "--dataset", "mini", "--output-dir", str(mini_data)]) == 5
+        assert f"{sidecar}: bad sidecar: id and comment must be strings" in capsys.readouterr().err
+        assert not (mini_data / "mini" / "splits").exists()
+
     @pytest.mark.parametrize("doc", ["[]", '"x"', '{"provenance": "x"}', '{"provenance": []}'])
     def test_stored_original_sidecar_of_the_wrong_shape_fails_prune(self, mini_data, capsys,
                                                                      doc):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,10 +36,15 @@ def test_make_fixtures_runs_from_any_directory(tmp_path, monkeypatch, capsys):
     assert not (made / "data").exists()
 
 
-def test_bench_pairs_summaries():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_summaries():
+    bench_pairs = load_bench_pairs()
     assert bench_pairs.parse_seeds("701-703") == [701, 702, 703]
     assert bench_pairs.parse_seeds("5,9") == [5, 9]
     parent, change = [5.0, 6.0, 7.0, 8.0], [4.0, 6.5, 5.0, 7.0]
@@ -48,3 +54,38 @@ def test_bench_pairs_summaries():
     assert lower["change_wins"] == "3/4"
     assert lower["change_over_parent"] == round(5.75 / 6.5, 4)
     assert bench_pairs.compare(parent, change, "higher")["change_wins"] == "1/4"
+
+
+def test_bench_pairs_digests_equal(capsys):
+    bench_pairs = load_bench_pairs()
+    same = {"parent": ["aa", "bb"], "change": ["aa", "bb"]}
+    assert bench_pairs.digests_equal("demo-30x", [1, 2], same) is True
+    assert capsys.readouterr().err == ""
+    differ = {"parent": ["aa", "bb", None], "change": ["aa", "cc", None]}
+    assert bench_pairs.digests_equal("demo-30x", [1, 2, 3], differ) is False
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: demo-30x seed 2: tree digest bb (parent) != cc (change)",
+        "warning: demo-30x seed 3: tree digest None (parent) != None (change)",
+    ]
+
+
+def test_bench_pairs_writes_digests_equal(tmp_path, monkeypatch):
+    bench_pairs = load_bench_pairs()
+    digests = {"parent": iter(["d1", "d2"]), "change": iter(["d1", "XX"])}
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        side = "parent" if checkout.name == "parent" else "change"
+        return {"attempted": 1, "failed": 0, "digest": next(digests[side]),
+                "metrics": {"run_s": 1.0, "split_s": 1.0, "peak_rss_mb": 1.0, "setup_s": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        shutil.copy(SCRIPTS.parent / "BENCHMARK.json", tmp_path / side)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--seeds", "1-2", "--workload",
+                             "wide-collect", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["end_to_end"]["wide-collect"]
+    assert entry["digests"] == {"parent": ["d1", "d2"], "change": ["d1", "XX"]}
+    assert entry["digests_equal"] is False

@@ -63,6 +63,15 @@ class TestTimeSeriesInvariants:
                 stage=Stage.ORIGINAL,
             )
 
+    @pytest.mark.parametrize("days", [(1, 2, 2), (1, 3, 2), (2, 1, 3), (1, 2, 3, 3), (3, 2, 1)])
+    def test_equal_or_decreasing_neighbours_anywhere(self, days):
+        stamps = tuple(date(2020, 1, d) for d in days)
+        with pytest.raises(NonMonotonicTimestampsError, match="strictly increasing"):
+            TimeSeries("x", Source.SYNTHETIC, stamps, [1.0] * len(days), Stage.ORIGINAL)
+        increasing = tuple(sorted(set(stamps)))
+        assert TimeSeries("x", Source.SYNTHETIC, increasing, [1.0] * len(increasing),
+                          Stage.ORIGINAL).timestamps == increasing
+
     def test_non_finite(self):
         with pytest.raises(SeriesError):
             make_series([1.0, float("nan")])

@@ -24,7 +24,8 @@ from shiftminer.storage import (
 
 from conftest import make_series
 
-WRONG_SHAPES = ["[]", '"x"', '{"provenance": "x"}', '{"provenance": []}']
+WRONG_SHAPES = ["[]", '"x"', '{"provenance": "x"}', '{"provenance": []}',
+                '{"id": 5}', '{"id": null}', '{"comment": 5}', '{"comment": ["x"]}']
 
 
 def meta_of(series: TimeSeries) -> SeriesMeta:
@@ -115,3 +116,13 @@ def test_stage_meta_keeps_the_series_label_checks(tmp_path, fields):
         load_stage_meta(tmp_path, "ds", Stage.AUGMENTED)
     with pytest.raises(ValueError, match=re.escape(str(csv_path))):
         load_series(csv_path)
+
+
+@pytest.mark.parametrize("fields", [{"id": 5}, {"comment": None}])
+def test_stage_meta_rejects_an_id_or_comment_that_is_not_a_string(tmp_path, fields):
+    family(tmp_path)
+    sidecar = stage_dir(tmp_path, "ds", Stage.AUGMENTED) / "fred-P0-aug1.meta.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **fields}))
+    with pytest.raises(MalformedFileError, match=re.escape(f"{sidecar}: bad sidecar: id and "
+                                                           "comment must be strings")):
+        load_stage_meta(tmp_path, "ds", Stage.AUGMENTED)

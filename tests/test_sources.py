@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import re
 import socket
 import time
 from datetime import date
@@ -58,6 +59,8 @@ from shiftminer.sources import (
 )
 
 from conftest import Reply, ScriptedTransport, VirtualClock
+
+FRED_URL = "https://api.stlouisfed.org/fred/series/observations"
 
 UNRATE = SourceQuery(
     source=Source.FRED,
@@ -409,6 +412,29 @@ class TestConnectors:
         clock = VirtualClock()
         with pytest.raises(FixtureMissingError):
             fetch(UNRATE, transport, RetryPolicy(), clock=clock, pacer=RequestPacer(clock, 0.0))
+
+    def test_missing_fixture_message(self, tmp_path, monkeypatch):
+        request = build_fred_request(UNRATE.payload, api_key=None)
+        path = tmp_path / "fred" / f"{canonical_request_key(request)}.json"
+        expected = f"no fixture {path} for {FRED_URL}"
+        checked, exists = [], type(path).exists
+        monkeypatch.setattr(type(path), "exists",
+                            lambda self, *args: checked.append(self) or exists(self, *args))
+        with pytest.raises(FixtureMissingError) as err:
+            ReplayTransport(tmp_path).send(request)
+        assert str(err.value) == expected
+        assert checked == []  # the one open is the existence check
+        (tmp_path / "fred").write_text("a file where the source directory belongs")
+        with pytest.raises(FixtureMissingError) as err:
+            ReplayTransport(tmp_path).send(request)
+        assert str(err.value) == expected
+
+    def test_fixture_not_utf8_is_unreadable(self, tmp_path):
+        request = build_fred_request(UNRATE.payload, api_key=None)
+        path = write_fixture(tmp_path, request, Response(200, fred_ok_body()))
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(FixtureMissingError, match=f"unreadable fixture {re.escape(str(path))}"):
+            ReplayTransport(tmp_path).send(request)
 
     def test_record_then_replay_roundtrip(self, tmp_path):
         request = build_fred_request(UNRATE.payload, api_key="secret")
