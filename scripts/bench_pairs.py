@@ -10,7 +10,9 @@ medians; the jobs attempted and failed; each run's tree digest, and
 ``digests_equal``, true when both sides wrote the same digest on every
 seed (each seed where they differ is also warned about on stderr).
 With ``--traced``, one ``--trace 1`` run per side on the first seed adds
-the per-layer metrics. Only the standard library is used.
+the per-layer metrics. It ends by printing one summary line per workload
+and end-to-end metric: parent -> change median, the change's wins, the
+parent's IQR and ``digests_equal``. Only the standard library is used.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --seeds 701-710 --seconds 30 --out BENCH_7.json --note "what the change does"
@@ -87,6 +89,22 @@ def digests_equal(workload: str, seeds: list[int], digests: dict[str, list]) -> 
     return equal
 
 
+def summary_lines(end_to_end: dict, metrics: list[str]) -> list[str]:
+    """One line per workload and metric: parent -> change median with the
+    relative change, the change's wins, the parent's IQR and ``digests_equal``."""
+    lines = []
+    for workload, entry in end_to_end.items():
+        for metric in metrics:
+            result = entry[metric]
+            parent, change = result["parent"], result["change"]
+            lines.append(
+                f"{workload} {metric}: {parent['median']:g} -> {change['median']:g} "
+                f"({result['change_over_parent'] - 1:+.1%}), change wins {result['change_wins']}, "
+                f"parent IQR {parent['q1']:g}-{parent['q3']:g}, "
+                f"digests_equal {str(entry['digests_equal']).lower()}")
+    return lines
+
+
 def machine() -> dict:
     try:
         numpy = importlib.metadata.version("numpy")
@@ -156,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
                 for side in ("parent", "change")
             }
         args.out.write_text(json.dumps(report, indent=1) + "\n")  # kept after every workload
+    print("\n".join(summary_lines(report["end_to_end"], list(better))))
     return 0
 
 

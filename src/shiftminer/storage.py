@@ -10,11 +10,14 @@ Series files are UTF-8 CSV with header ``timestamp,value``, ISO dates,
 values at 12 significant digits, and ``\\n`` line endings, so a saved
 tree is byte-stable across runs with the same inputs.
 
-:func:`save_stage` formats a timestamp column only when a series' tuple is
-not the previous series' one. Augmented children follow their parent and
-share its tuple, so this one-entry cache hits as often as a stage-wide one
-would, while it holds one formatted column instead of every column at once
-(a dict keyed by tuple raised wide-collect's peak RSS from 62 to 85 MB).
+:func:`save_stage` writes each CSV body with one ``%``: a row template of
+the header and ``<iso date>,%.12g`` per row is filled with the series'
+values. A series whose tuple is the previous series' one reuses the
+template; augmented children follow their parent and share its tuple. A
+new tuple builds a new template, from ISO strings memoized per date for the
+one call: each distinct date of the stage is formatted once, and the memo
+holds one ten-character string per distinct date (not one formatted column
+per tuple) and is freed when the call returns.
 
 Reading has two halves, a CSV body reader and :func:`read_sidecar` (joined body
 first by :func:`load_series`); :func:`load_stage_meta` reads sidecars alone.
@@ -181,14 +184,19 @@ def save_series(series: TimeSeries, directory: str | Path) -> Path:
 
 def _save_all(items: Iterable[tuple[TimeSeries, Path]]) -> list[Path]:
     """Write each series into its directory, creating each directory once.
-    A timestamp column is formatted again only when a series' tuple is not
-    the previous series' one (see the module docstring)."""
-    paths, made, timestamps = [], set(), None
+
+    Each CSV body is one ``%`` of a row template over the series' values.
+    The template is built again only when a series' tuple is not the
+    previous series' one, from ISO strings memoized per date for this call
+    (see the module docstring)."""
+    paths, made, isos, timestamps = [], set(), {}, None
     for series, directory in items:
         if series.timestamps is not timestamps:
             timestamps = series.timestamps
-            dates = [ts.isoformat() for ts in timestamps]
-        rows = "".join(map("%s,%.12g\n".__mod__, zip(dates, series.values.tolist())))
+            isos.update({ts: ts.isoformat() for ts in set(timestamps).difference(isos)})
+            # ISO dates hold digits and "-" only, so the template has no stray "%"
+            template = (f"{CSV_HEADER}\n" + ",%.12g\n".join(map(isos.__getitem__, timestamps))
+                        + ",%.12g\n")
         meta = {"id": series.id, "source": series.source.value, "stage": series.stage.value,
                 "comment": series.comment, "provenance": _provenance_to_meta(series.provenance)}
         paths.append(directory / f"{series.id}.csv")
@@ -196,7 +204,7 @@ def _save_all(items: Iterable[tuple[TimeSeries, Path]]) -> list[Path]:
             if directory not in made:
                 directory.mkdir(parents=True, exist_ok=True)
                 made.add(directory)
-            _write_file(paths[-1], f"{CSV_HEADER}\n{rows}")
+            _write_file(paths[-1], template % tuple(series.values.tolist()))
             _write_file(directory / f"{series.id}.meta.json",
                         json.dumps(meta, sort_keys=True, indent=2) + "\n")
         except OSError as exc:
@@ -236,8 +244,9 @@ def stage_dir(root: str | Path, name: str, stage: Stage) -> Path:
 
 def save_stage(root: str | Path, name: str, series_list: Iterable[TimeSeries]) -> list[Path]:
     """Write each series under its stage's directory, in the bytes of
-    :func:`save_series`, formatting a run of series that share one
-    timestamps tuple once (see the module docstring)."""
+    :func:`save_series`, building one row template per run of series that
+    share a timestamps tuple and formatting each distinct date once (see the
+    module docstring)."""
     directories = {stage: stage_dir(root, name, stage) for stage in Stage}
     return _save_all((series, directories[series.stage]) for series in series_list)
 

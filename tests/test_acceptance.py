@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import zlib
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -169,7 +170,7 @@ def test_criterion_4_manifest_expansion_arithmetic(capsys):
     stamps = tuple(date(2018, 1, 1) + timedelta(days=i) for i in range(48))
     results = []
     for name, pruned_count, expected_augmented in EXPECTED_ROWS:
-        rng = np.random.default_rng(hash(name) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         pruned = []
         for i in range(pruned_count):
             values = rng.normal(0.0, 0.5, 48)

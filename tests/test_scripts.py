@@ -69,7 +69,29 @@ def test_bench_pairs_digests_equal(capsys):
     ]
 
 
-def test_bench_pairs_writes_digests_equal(tmp_path, monkeypatch):
+def test_bench_pairs_summary_lines():
+    bench_pairs = load_bench_pairs()
+    end_to_end = {
+        "wide-collect": {"run_s": bench_pairs.compare([2.0, 2.2, 2.4, 2.6], [1.8, 1.9, 2.0, 2.7],
+                                                      "lower"),
+                         "peak_rss_mb": bench_pairs.compare([62.0, 62.0], [62.5, 61.5], "lower"),
+                         "digests_equal": True},
+        "demo-30x": {"run_s": bench_pairs.compare([4.0, 4.0], [4.4, 4.4], "lower"),
+                     "peak_rss_mb": bench_pairs.compare([55.0, 55.0], [55.0, 55.0], "lower"),
+                     "digests_equal": False},
+    }
+    assert bench_pairs.summary_lines(end_to_end, ["run_s", "peak_rss_mb"]) == [
+        "wide-collect run_s: 2.3 -> 1.95 (-15.2%), change wins 3/4, parent IQR 2.15-2.45, "
+        "digests_equal true",
+        "wide-collect peak_rss_mb: 62 -> 62 (+0.0%), change wins 1/2, parent IQR 62-62, "
+        "digests_equal true",
+        "demo-30x run_s: 4 -> 4.4 (+10.0%), change wins 0/2, parent IQR 4-4, digests_equal false",
+        "demo-30x peak_rss_mb: 55 -> 55 (+0.0%), change wins 0/2, parent IQR 55-55, "
+        "digests_equal false",
+    ]
+
+
+def test_bench_pairs_writes_digests_equal(tmp_path, monkeypatch, capsys):
     bench_pairs = load_bench_pairs()
     digests = {"parent": iter(["d1", "d2"]), "change": iter(["d1", "XX"])}
 
@@ -89,3 +111,8 @@ def test_bench_pairs_writes_digests_equal(tmp_path, monkeypatch):
     entry = json.loads(out.read_text())["end_to_end"]["wide-collect"]
     assert entry["digests"] == {"parent": ["d1", "d2"], "change": ["d1", "XX"]}
     assert entry["digests_equal"] is False
+    assert capsys.readouterr().out.splitlines() == [
+        f"wide-collect {metric}: 1 -> 1 (+0.0%), change wins 0/2, parent IQR 1-1, "
+        "digests_equal false"
+        for metric in ("run_s", "split_s", "peak_rss_mb", "setup_s")
+    ]

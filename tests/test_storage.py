@@ -24,9 +24,11 @@ def stamps(first_ordinal: int, n: int, cls: type[date] = date) -> tuple[date, ..
     return tuple(cls.fromordinal(first_ordinal + i) for i in range(n))
 
 
-def family(parent_values, children_values, comment, other_values):
+def family(parent_values, children_values, comment, other_values, other_first=730120):
     """A pruned parent, augmented children that share its timestamps tuple,
-    and an original series with its own tuple between the children."""
+    and between the children an original series with its own tuple, which
+    starts at ``other_first`` and may overlap the parent's dates, and a
+    pruned twin whose tuple equals the parent's but is another object."""
     parent = TimeSeries("fred-P", Source.FRED, stamps(737425, len(parent_values)),
                         parent_values, Stage.PRUNED, comment=comment)
     children = [
@@ -35,10 +37,13 @@ def family(parent_values, children_values, comment, other_values):
                    comment)
         for i, values in enumerate(children_values)
     ]
-    other = TimeSeries("eia-O", Source.EIA, stamps(730120, len(other_values)), other_values,
+    other = TimeSeries("eia-O", Source.EIA, stamps(other_first, len(other_values)), other_values,
                        Stage.ORIGINAL, None, NON_ASCII)
+    twin = TimeSeries("fred-T", Source.FRED, list(parent.timestamps), parent_values[::-1],
+                      Stage.PRUNED, comment=comment)
+    assert twin.timestamps == parent.timestamps and twin.timestamps is not parent.timestamps
     half = len(children) // 2
-    return [parent, *children[:half], other, *children[half:]]
+    return [parent, *children[:half], other, twin, *children[half:]]
 
 
 def reference_save(series: TimeSeries, directory: Path) -> None:
@@ -70,11 +75,16 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 def families(draw):
     n = draw(st.integers(2, 12))
     column = st.lists(finite, min_size=n, max_size=n)
+    other_values = draw(st.lists(finite, min_size=2, max_size=12))
+    # from 0001-01-01, ending at 9999-12-31, overlapping the parent's dates, or apart from them
+    other_first = draw(st.sampled_from((1, date.max.toordinal() - len(other_values) + 1,
+                                        737425 - len(other_values) + n // 2, 730120)))
     return family(
         draw(column),
         draw(st.lists(column, min_size=1, max_size=4)),
         draw(st.one_of(st.just(NON_ASCII), st.text(max_size=12))),
-        draw(st.lists(finite, min_size=2, max_size=12)),
+        other_values,
+        other_first,
     )
 
 
@@ -120,12 +130,29 @@ def test_children_reuse_the_parents_formatted_timestamps(tmp_path, monkeypatch):
     assert CountingDate.calls == n
     assert made == [stage_dir(tmp_path, "d", stage) for stage in (Stage.PRUNED, Stage.AUGMENTED)]
 
-    # another tuple between the children evicts the parent's: one entry, not a stage-wide cache
+    # another tuple between the children rebuilds the parent's template from
+    # the call's date memo: the parent's dates are not formatted again
     other = TimeSeries("eia-O", Source.EIA, stamps(730120, 3, CountingDate), [1.0, 2.0, 3.0],
                        Stage.ORIGINAL)
     CountingDate.calls = 0
     save_stage(tmp_path / "again", "d", [parent, *children[:15], other, *children[15:]])
-    assert CountingDate.calls == 2 * n + 3
+    assert CountingDate.calls == n + 3
+
+    # two tuples that share dates: their union is formatted, once per date
+    overlap = TimeSeries("eia-V", Source.EIA, stamps(737425 + n - 10, 25, CountingDate),
+                         [float(i) for i in range(25)], Stage.ORIGINAL)
+    (tmp_path / "union" / "d").mkdir(parents=True)
+    made.clear()
+    CountingDate.calls = 0
+    save_stage(tmp_path / "union", "d", [parent, overlap, *children])
+    assert CountingDate.calls == len(set(parent.timestamps) | set(overlap.timestamps)) == n + 15
+    assert made == [stage_dir(tmp_path / "union", "d", stage)
+                    for stage in (Stage.PRUNED, Stage.ORIGINAL, Stage.AUGMENTED)]
+
+    # the memo lives for one call: the next call formats its dates again
+    CountingDate.calls = 0
+    save_stage(tmp_path / "union", "d", [parent])
+    assert CountingDate.calls == n
 
 
 def test_unwritable_stage_names_its_directory(tmp_path):
