@@ -140,13 +140,8 @@ class _PrefixCost:
         self.s1 = np.concatenate(([0.0], np.cumsum(values)))
         self.s2 = np.concatenate(([0.0], np.cumsum(values * values)))
 
-    def cost(self, start: int, end: int) -> float:
-        total = self.s2[end] - self.s2[start]
-        lin = self.s1[end] - self.s1[start]
-        return max(0.0, total - lin * lin / (end - start))
-
-    def cost_many(self, starts, ends) -> np.ndarray:
-        """Vectorized over one or both endpoints."""
+    def cost(self, starts, ends) -> np.ndarray:
+        """The cost of ``[start, end)``, vectorized over one or both endpoints."""
         total = self.s2[ends] - self.s2[starts]
         lin = self.s1[ends] - self.s1[starts]
         return np.maximum(0.0, total - lin * lin / (np.asarray(ends) - starts))
@@ -222,7 +217,7 @@ def _best_split(
     if lo > hi:
         return None
     candidates = np.arange(lo, hi + 1)
-    gains = cost.cost(start, end) - cost.cost_many(start, candidates) - cost.cost_many(candidates, end)
+    gains = cost.cost(start, end) - cost.cost(start, candidates) - cost.cost(candidates, end)
     idx = int(np.argmax(gains))
     return float(gains[idx]), int(candidates[idx])
 
@@ -265,9 +260,8 @@ def binary_segmentation(values: Sequence[float], config: DetectorConfig) -> Chan
             break
         boundaries = sorted(boundaries + [split])
 
-    objective = sum(cost.cost(s, e) for s, e in zip([0] + boundaries[:-1], boundaries))
-    objective += beta * (len(boundaries) - 1)
-    return ChangePointSet(boundaries=tuple(boundaries), objective=objective)
+    objective = sum(cost.cost([0] + boundaries[:-1], boundaries)) + beta * (len(boundaries) - 1)
+    return ChangePointSet(boundaries=tuple(boundaries), objective=float(objective))
 
 
 def exact_segmentation(
@@ -292,30 +286,28 @@ def exact_segmentation(
     cost = _PrefixCost(x)
     beta = _resolve_penalty(x, config)
     if k == 0:
-        return ChangePointSet(boundaries=(n,), objective=cost.cost(0, n))
+        return ChangePointSet(boundaries=(n,), objective=float(cost.cost(0, n)))
 
     inf = float("inf")
     # suffix[j][s]: best cost of covering x[s:n] with j segments
     suffix = np.full((k + 2, n + 1), inf)
-    for s in range(n - m, -1, -1):
-        suffix[1][s] = cost.cost(s, n)
+    suffix[1][: n - m + 1] = cost.cost(np.arange(n - m + 1), n)
     for j in range(2, k + 2):
         for s in range(n - j * m, -1, -1):
             ts = np.arange(s + m, n - (j - 1) * m + 1)
-            suffix[j][s] = float(np.min(cost.cost_many(s, ts) + suffix[j - 1][ts]))
+            suffix[j][s] = float(np.min(cost.cost(s, ts) + suffix[j - 1][ts]))
 
     boundaries: list[int] = []
     s = 0
     for j in range(k + 1, 1, -1):
         ts = np.arange(s + m, n - (j - 1) * m + 1)
-        totals = cost.cost_many(s, ts) + suffix[j - 1][ts]
+        totals = cost.cost(s, ts) + suffix[j - 1][ts]
         s = int(ts[int(np.argmin(totals))])
         boundaries.append(s)
     boundaries.append(n)
 
-    objective = sum(cost.cost(a, b) for a, b in zip([0] + boundaries[:-1], boundaries))
-    objective += beta * k
-    return ChangePointSet(boundaries=tuple(boundaries), objective=objective)
+    objective = sum(cost.cost([0] + boundaries[:-1], boundaries)) + beta * k
+    return ChangePointSet(boundaries=tuple(boundaries), objective=float(objective))
 
 
 def classify_rows(values: np.ndarray, config: DetectorConfig) -> np.ndarray:

@@ -41,6 +41,7 @@ from .querygen import (
     render_text,
     write_completion_fixture,
 )
+from .storage import write_document
 
 # Monthly unemployment-style values, 2007-01 through 2013-01 (73 points).
 UNRATE_VALUES = [
@@ -300,8 +301,4 @@ def build_demo_config(
         "domain": "Economics & Finance",
         "description": "Synthetic macro-style replay corpus",
     }
-    path = Path(fixtures_root) / f"{dataset_name}-config.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_document(Path(fixtures_root) / f"{dataset_name}-config.json", config)

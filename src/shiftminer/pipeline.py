@@ -290,14 +290,16 @@ def run(
 
 
 def _catalog_field(config: PipelineConfig, key: str) -> str:
-    """Default report fields from the discovery catalog when it exists."""
+    """Default report fields from the discovery catalog; "" without a
+    readable one (see :func:`querygen.load_catalog`) or a matching entry."""
     try:
-        for entry in querygen.load_catalog(config.output_dir / "catalog.json"):
-            name = str(entry.get("name", "")).lower()
-            if config.source.value in name or config.dataset_name.lower() in name:
-                return str(entry.get(key, ""))
-    except (OSError, json.JSONDecodeError, ValueError):
+        catalog = querygen.load_catalog(config.output_dir / "catalog.json")
+    except (OSError, ValueError):
         return ""
+    for entry in catalog:
+        name = str(entry.get("name", "")).lower()
+        if config.source.value in name or config.dataset_name.lower() in name:
+            return str(entry.get(key, ""))
     return ""
 
 
@@ -392,10 +394,8 @@ def split_dataset(
         },
     }
     splits_dir = storage.dataset_dir(output_dir, name) / "splits"
-    splits_dir.mkdir(parents=True, exist_ok=True)
     for stem, doc in (("train", train_ids), ("test", test_ids), ("summary", summary)):
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        (splits_dir / f"{stem}.json").write_text(text, encoding="utf-8", newline="\n")
+        storage.write_document(splits_dir / f"{stem}.json", doc)
     return summary
 
 

@@ -20,7 +20,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from .series import Source
 from .sources import (
@@ -33,6 +33,7 @@ from .sources import (
     known_fields,
     query_from_raw,
 )
+from .storage import write_document
 
 logger = logging.getLogger(__name__)
 
@@ -157,10 +158,7 @@ class ReplayBackend:
 
 
 def write_completion_fixture(root: str | Path, prompt: str, completion: str) -> Path:
-    path = Path(root) / f"{prompt_fingerprint(prompt)}.txt"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(completion, encoding="utf-8")
-    return path
+    return write_document(Path(root) / f"{prompt_fingerprint(prompt)}.txt", completion)
 
 
 class RecordBackend:
@@ -289,48 +287,54 @@ def bind_queries(
     return accepted, rejected
 
 
-def generate_queries(
-    source: Source,
-    backend: CompletionBackend,
-    query_count: int = 50,
-    max_rounds: int = 2,
-    template: PromptTemplate | None = None,
-) -> list[SourceQuery]:
-    """Prompt, extract, bind, and dedup until ``query_count`` queries hold.
+def _rounds(
+    backend: CompletionBackend, template: PromptTemplate, bindings: dict[str, str], max_rounds: int
+) -> Iterator[str]:
+    """Yield the completion of each round, at most ``max_rounds`` of them.
 
-    The conversation transcript grows one follow-up per round so every
-    round's prompt (and therefore its fixture key) is distinct.
+    The first prompt is the rendered body; each later round appends a blank
+    line and the next follow-up (the last one repeats) to the transcript, so
+    every round's prompt, and therefore its fixture key, is distinct. A first
+    prompt over the backend's ``max_prompt_chars`` raises
+    :class:`BackendFailureError`, a later one ends the rounds, and any
+    backend error is raised as a :class:`BackendFailureError`.
     """
-    template = template or QUERY_TEMPLATE
-    bindings = {
-        "source_name": SOURCE_DISPLAY_NAMES.get(source, source.value),
-        "query_count": str(query_count),
-    }
-    transcript = render_text(template.body, bindings)
-    followups = [render_text(fu, bindings) for fu in template.followups] or [
-        "Provide additional queries in the same format."
-    ]
-
     limit = getattr(backend, "max_prompt_chars", None)
-    if limit is not None and len(transcript) > limit:
-        raise BackendFailureError(
-            f"prompt of {len(transcript)} chars exceeds backend {backend.name} limit {limit}"
-        )
-
-    accepted: list[SourceQuery] = []
+    followups = [render_text(fu, bindings) for fu in template.followups]
+    transcript = render_text(template.body, bindings)
     for round_no in range(1, max_rounds + 1):
         if round_no > 1:
-            grown = transcript + "\n\n" + followups[min(round_no - 2, len(followups) - 1)]
-            if limit is not None and len(grown) > limit:
-                logger.info("stopping at round %d: prompt would exceed backend limit", round_no)
-                break
-            transcript = grown
+            transcript += "\n\n" + followups[min(round_no - 2, len(followups) - 1)]
+        if limit is not None and len(transcript) > limit:
+            if round_no == 1:
+                raise BackendFailureError(f"prompt of {len(transcript)} chars exceeds "
+                                          f"backend {backend.name} limit {limit}")
+            logger.info("stopping at round %d: prompt would exceed backend limit", round_no)
+            return
         try:
             completion = backend.complete(transcript)
         except BackendFailureError:
             raise
         except Exception as exc:
             raise BackendFailureError(f"backend {backend.name} failed: {exc}") from exc
+        yield completion
+
+
+def generate_queries(
+    source: Source,
+    backend: CompletionBackend,
+    query_count: int = 50,
+    max_rounds: int = 2,
+) -> list[SourceQuery]:
+    """Prompt, extract, bind, and dedup until ``query_count`` queries hold,
+    over at most ``max_rounds`` rounds of :data:`QUERY_TEMPLATE`."""
+    bindings = {
+        "source_name": SOURCE_DISPLAY_NAMES.get(source, source.value),
+        "query_count": str(query_count),
+    }
+    accepted: list[SourceQuery] = []
+    rounds = _rounds(backend, QUERY_TEMPLATE, bindings, max_rounds)
+    for round_no, completion in enumerate(rounds, start=1):
         try:
             raw_objects = extract_query_objects(completion)
         except NoQueriesFoundError:
@@ -390,35 +394,23 @@ def parse_source_table(text: str) -> list[dict]:
 
 
 def discover_sources(backend: CompletionBackend, max_rounds: int = 1) -> list[dict]:
-    """Run the discovery prompt and parse the returned table (informational)."""
-    transcript = render_text(DISCOVERY_TEMPLATE.body, {})
-    entries: list[dict] = []
-    for round_no in range(1, max_rounds + 1):
-        if round_no > 1:
-            transcript += "\n\n" + DISCOVERY_TEMPLATE.followups[0]
-        try:
-            completion = backend.complete(transcript)
-        except Exception as exc:
-            raise BackendFailureError(f"backend {backend.name} failed: {exc}") from exc
-        entries.extend(parse_source_table(completion))
-    seen: set[str] = set()
-    unique = []
-    for entry in entries:
-        if entry["name"] in seen:
-            continue
-        seen.add(entry["name"])
-        unique.append(entry)
-    return unique
+    """Run the discovery prompt and parse the returned tables (informational);
+    an entry whose name an earlier one has is dropped."""
+    unique: dict[str, dict] = {}
+    for completion in _rounds(backend, DISCOVERY_TEMPLATE, {}, max_rounds):
+        for entry in parse_source_table(completion):
+            unique.setdefault(entry["name"], entry)
+    return list(unique.values())
 
 
 def write_catalog(entries: Sequence[dict], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(list(entries), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_document(path, list(entries))
 
 
 def load_catalog(path: str | Path) -> list[dict]:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The catalog :func:`write_catalog` wrote; a file that is not a JSON
+    list of objects raises ``ValueError``."""
+    catalog = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(catalog, list) or not all(isinstance(e, dict) for e in catalog):
+        raise ValueError(f"{path}: a catalog must be a JSON list of objects")
+    return catalog

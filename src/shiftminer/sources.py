@@ -23,7 +23,6 @@ import logging
 import operator
 import os
 import re
-import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, fields
@@ -32,6 +31,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .series import Source, Stage, TimeSeries, make_series_id
+from .storage import write_document
 
 logger = logging.getLogger(__name__)
 
@@ -248,12 +248,7 @@ def query_to_raw(query: SourceQuery) -> dict:
 
 
 def save_queries(queries: Sequence[SourceQuery], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump([query_to_raw(q) for q in queries], fh, indent=2)
-        fh.write("\n")
-    return path
+    return write_document(path, [query_to_raw(q) for q in queries], sort_keys=False)
 
 
 def load_queries(path: str | Path, default_source: Source | None = None) -> list[SourceQuery]:
@@ -339,30 +334,19 @@ class NullClock:
 
 
 class RequestPacer:
-    """Serializes requests per source at one per ``min_request_interval``."""
+    """The clock of one collection and the time of its last request per source."""
 
-    def __init__(self, clock: Clock, min_interval: float) -> None:
-        self._clock = clock
-        self._min_interval = min_interval
-        self._lock = threading.Lock()
-        self._locks: dict[str, threading.Lock] = {}
+    def __init__(self, clock: Clock) -> None:
+        self.clock = clock
         self._last: dict[str, float] = {}
 
-    def _source_lock(self, source: str) -> threading.Lock:
-        with self._lock:
-            if source not in self._locks:
-                self._locks[source] = threading.Lock()
-            return self._locks[source]
-
-    def wait(self, source: str) -> None:
-        with self._source_lock(source):
-            last = self._last.get(source)
-            if last is not None:
-                due = last + self._min_interval
-                remaining = due - self._clock.now()
-                if remaining > 0:
-                    self._clock.sleep(remaining)
-            self._last[source] = self._clock.now()
+    def wait(self, source: str, interval: float) -> None:
+        """Sleep until ``interval`` seconds have passed since the last request
+        to ``source``, then record this one."""
+        last = self._last.get(source)
+        if last is not None and (remaining := last + interval - self.clock.now()) > 0:
+            self.clock.sleep(remaining)
+        self._last[source] = self.clock.now()
 
 
 def http_request(
@@ -438,8 +422,6 @@ class ReplayTransport:
 
 def write_fixture(root: str | Path, request: Request, response: Response) -> Path:
     """Record one request/response pair; credentials are redacted."""
-    path = Path(root) / request.source / f"{canonical_request_key(request)}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
     record = {
         "request": {
             "method": request.method,
@@ -449,10 +431,8 @@ def write_fixture(root: str | Path, request: Request, response: Response) -> Pat
         "status": response.status,
         "body": response.body,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
+    return write_document(Path(root) / request.source / f"{canonical_request_key(request)}.json",
+                          record)
 
 
 class RecordTransport:
@@ -885,43 +865,17 @@ CONNECTORS: dict[Source, Connector] = {
 
 # --- fetch ------------------------------------------------------------------
 
-_default_pacer_lock = threading.Lock()
-_default_pacers: dict[float, RequestPacer] = {}
-
-
-def _default_pacer(policy: RetryPolicy) -> RequestPacer:
-    """The process-wide system-clock pacer of callers that pass no clock."""
-    with _default_pacer_lock:
-        pacer = _default_pacers.get(policy.min_request_interval)
-        if pacer is None:
-            pacer = RequestPacer(SystemClock(), policy.min_request_interval)
-            _default_pacers[policy.min_request_interval] = pacer
-        return pacer
-
-
-def _resolve_timing(
-    transport: Transport, policy: RetryPolicy, clock: Clock | None, pacer: RequestPacer | None
-) -> tuple[Clock, RequestPacer]:
-    if pacer is None and transport.mode != "replay":  # a caller's own clock gets its own pacer
-        pacer = (_default_pacer(policy) if clock is None
-                 else RequestPacer(clock, policy.min_request_interval))
-    if clock is None:
-        clock = NullClock() if transport.mode == "replay" else SystemClock()
-    if pacer is None:  # replay: nothing to pace
-        pacer = RequestPacer(clock, 0.0)
-    return clock, pacer
+def _pacer_for(transport: Transport) -> RequestPacer:
+    """A new pacer on the system clock; replay waits on a :class:`NullClock`."""
+    return RequestPacer(NullClock() if transport.mode == "replay" else SystemClock())
 
 
 def _execute(
-    request: Request,
-    transport: Transport,
-    policy: RetryPolicy,
-    pacer: RequestPacer,
-    clock: Clock,
+    request: Request, transport: Transport, policy: RetryPolicy, pacer: RequestPacer
 ) -> Response:
     last_status: int | None = None
     for attempt in range(1, policy.max_attempts + 1):
-        pacer.wait(request.source)
+        pacer.wait(request.source, policy.min_request_interval)
         response: Response | None = None
         try:
             response = transport.send(request)
@@ -937,7 +891,7 @@ def _execute(
                 raise UpstreamError(response.status, request.url)
             last_status = response.status
         if attempt < policy.max_attempts:
-            clock.sleep(policy.base_delay * policy.backoff_multiplier ** (attempt - 1))
+            pacer.clock.sleep(policy.base_delay * policy.backoff_multiplier ** (attempt - 1))
     if last_status == 429:
         raise RateLimitedError(f"{request.url}: still throttled after {policy.max_attempts} attempts")
     raise UpstreamError(last_status or 0, f"{request.url}: retries exhausted")
@@ -948,17 +902,17 @@ def fetch(
     transport: Transport,
     policy: RetryPolicy | None = None,
     *,
-    clock: Clock | None = None,
     pacer: RequestPacer | None = None,
 ) -> list[TimeSeries]:
     """Execute one query with pacing, retry, and pagination; normalize the
-    response(s) into original-stage series."""
+    response(s) into original-stage series. Without a ``pacer`` the query
+    gets its own (see :func:`fetch_all`)."""
     policy = policy or RetryPolicy()
-    clock, pacer = _resolve_timing(transport, policy, clock, pacer)
+    pacer = pacer or _pacer_for(transport)
     key = _api_key_for(query.source, transport.mode)
 
     def send(request: Request) -> Response:
-        return _execute(request, transport, policy, pacer, clock)
+        return _execute(request, transport, policy, pacer)
 
     return CONNECTORS[query.source].collect(query.payload, query.comment, key, send)
 
@@ -968,24 +922,23 @@ def fetch_all(
     transport: Transport,
     policy: RetryPolicy | None = None,
     *,
-    clock: Clock | None = None,
     pacer: RequestPacer | None = None,
 ) -> tuple[list[TimeSeries], list[tuple[SourceQuery, str]]]:
     """Fetch many queries; per-query upstream failures are tallied, not fatal.
 
-    Missing credentials and missing fixtures abort the whole collection:
-    both mean the run is misconfigured rather than the upstream flaking.
+    One ``pacer`` (a new one by default) spaces the requests of all the
+    queries to each source ``policy.min_request_interval`` apart. Missing
+    credentials and missing fixtures abort the whole collection: both mean
+    the run is misconfigured rather than the upstream flaking.
     """
     policy = policy or RetryPolicy()
-    clock, pacer = _resolve_timing(transport, policy, clock, pacer)
+    pacer = pacer or _pacer_for(transport)
     collected: list[TimeSeries] = []
     failures: list[tuple[SourceQuery, str]] = []
     seen_ids: set[str] = set()
     for query in queries:
         try:
-            batch = fetch(query, transport, policy, clock=clock, pacer=pacer)
-        except (AuthMissingError, FixtureMissingError):
-            raise
+            batch = fetch(query, transport, policy, pacer=pacer)
         except (RateLimitedError, UpstreamError, ParseError, EmptyResultError) as exc:
             logger.warning("query failed (%s): %s", type(exc).__name__, exc)
             failures.append((query, f"{type(exc).__name__}: {exc}"))

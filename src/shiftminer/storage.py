@@ -19,6 +19,9 @@ one call: each distinct date of the stage is formatted once, and the memo
 holds one ten-character string per distinct date (not one formatted column
 per tuple) and is freed when the call returns.
 
+Every file the package writes goes through this module: series through
+:func:`save_stage` and :func:`save_series`, every other file through :func:`write_document`.
+
 Reading has two halves, a CSV body reader and :func:`read_sidecar` (joined body
 first by :func:`load_series`); :func:`load_stage_meta` reads sidecars alone.
 """
@@ -26,7 +29,6 @@ first by :func:`load_series`); :func:`load_stage_meta` reads sidecars alone.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import asdict, dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -40,8 +42,6 @@ from .series import (
     Stage,
     TimeSeries,
 )
-
-logger = logging.getLogger(__name__)
 
 CSV_HEADER = "timestamp,value"
 
@@ -101,10 +101,10 @@ class SeriesMeta:
 def load_series(path: str | Path) -> TimeSeries:
     """Read one series file (plus sidecar metadata when present).
 
-    Rows whose value is NaN or infinite are dropped; the number dropped is
-    logged as a warning. Raises :class:`MalformedFileError` naming the file
-    for a bad header, row or sidecar, and re-raises the :class:`SeriesError`
-    of the :class:`TimeSeries` checks (too short, unordered) naming the file.
+    Raises :class:`MalformedFileError` naming the file for a bad header, row
+    or sidecar, and re-raises the :class:`SeriesError` of the
+    :class:`TimeSeries` checks (too short, unordered, a NaN or infinite
+    value) naming the file.
     """
     path = Path(path)
     timestamps, values = _read_body(path)
@@ -128,7 +128,6 @@ def _read_body(path: Path) -> tuple[list[date], list[float]]:
 
     timestamps: list[date] = []
     values: list[float] = []
-    dropped = 0
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 2:
@@ -138,14 +137,8 @@ def _read_body(path: Path) -> tuple[list[date], list[float]]:
             value = float(parts[1])
         except ValueError as exc:
             raise MalformedFileError(f"{path}:{lineno}: {exc}") from exc
-        if value != value or value in (float("inf"), float("-inf")):
-            dropped += 1
-            continue
         timestamps.append(ts)
         values.append(value)
-
-    if dropped:
-        logger.warning("%s: dropped %d non-finite row(s)", path, dropped)
     return timestamps, values
 
 
@@ -205,11 +198,27 @@ def _save_all(items: Iterable[tuple[TimeSeries, Path]]) -> list[Path]:
                 directory.mkdir(parents=True, exist_ok=True)
                 made.add(directory)
             _write_file(paths[-1], template % tuple(series.values.tolist()))
-            _write_file(directory / f"{series.id}.meta.json",
-                        json.dumps(meta, sort_keys=True, indent=2) + "\n")
+            _write_file(directory / f"{series.id}.meta.json", _json_text(meta))
         except OSError as exc:
             raise IoFailureError(f"cannot write series under {directory}") from exc
     return paths
+
+
+def write_document(path: str | Path, doc: object, *, sort_keys: bool = True) -> Path:
+    """Write ``doc`` to ``path`` as UTF-8, creating the parent directory: a
+    ``str`` as it is, anything else as JSON indented by 2 with a final newline.
+    Raises :class:`IoFailureError` when the file cannot be written."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _write_file(path, doc if isinstance(doc, str) else _json_text(doc, sort_keys))
+    except OSError as exc:
+        raise IoFailureError(f"cannot write {path}") from exc
+    return path
+
+
+def _json_text(doc: object, sort_keys: bool = True) -> str:
+    return json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
 
 
 def _write_file(path: Path, text: str) -> None:
@@ -277,16 +286,7 @@ def manifest_path(root: str | Path, name: str) -> Path:
 
 
 def write_manifest(root: str | Path, manifest: DatasetManifest) -> Path:
-    path = manifest_path(root, manifest.name)
-    payload = asdict(manifest)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailureError(f"cannot write manifest {path}") from exc
-    return path
+    return write_document(manifest_path(root, manifest.name), asdict(manifest))
 
 
 def load_manifest(root: str | Path, name: str) -> DatasetManifest:

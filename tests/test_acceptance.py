@@ -291,7 +291,7 @@ def test_criterion_7_connector_robustness(capsys, demo_fixture_root):
     transport = ScriptedTransport([Response(429, "")] * 4, clock)
     policy = RetryPolicy(max_attempts=4, min_request_interval=0.0)
     with pytest.raises(Exception):
-        fetch(unrate_query, transport, policy, clock=clock, pacer=RequestPacer(clock, 0.0))
+        fetch(unrate_query, transport, policy, pacer=RequestPacer(clock))
     assert clock.sleeps == [1.0, 2.0, 4.0]
 
     # pacing never violated across many requests on one source
@@ -300,9 +300,9 @@ def test_criterion_7_connector_robustness(capsys, demo_fixture_root):
     ok = Response(200, demo.fred_body(dates, [4.0 + 0.1 * i for i in range(24)]))
     transport = ScriptedTransport([ok] * 8, clock)
     policy = RetryPolicy(min_request_interval=0.5)
-    pacer = RequestPacer(clock, 0.5)
+    pacer = RequestPacer(clock)
     for _ in range(8):
-        fetch(unrate_query, transport, policy, clock=clock, pacer=pacer)
+        fetch(unrate_query, transport, policy, pacer=pacer)
     times = [when for _, when in transport.calls]
     assert all(b - a >= 0.5 - 1e-9 for a, b in zip(times, times[1:]))
 

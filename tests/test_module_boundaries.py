@@ -1,5 +1,6 @@
 """Modules of the package use each other only through public names, and
-nothing outside the package but the standard library and numpy.
+nothing outside the package but the standard library and numpy; only
+``storage`` writes files.
 
 A name with a leading underscore is private to the module that defines
 it; another module that imports it or reads it as an attribute couples
@@ -114,4 +115,68 @@ def test_dependency_checker_sees_every_form(tmp_path):
     assert foreign_imports(path) == [
         "probe.py:2 imports scipy.interpolate",
         "probe.py:6 imports requests",
+    ]
+
+
+WRITING_METHODS = ("write_text", "write_bytes", "mkdir")
+
+
+def file_writes(path: Path) -> list[str]:
+    """Every call in ``path`` that writes a file or makes a directory: ``open``
+    in a writing mode, ``.write_text``, ``.write_bytes``, ``json.dump`` and
+    ``.mkdir``, in line order."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            # open(file, mode) or path.open(mode)
+            at = 1 if isinstance(func, ast.Name) else 0
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] or node.args[at:at + 1]
+            writes = any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                         and set(m.value) & set("wax+") for m in modes)
+        elif name == "dump":
+            writes = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json"
+        else:
+            writes = isinstance(func, ast.Attribute) and name in WRITING_METHODS
+        if writes:
+            found.append((node.lineno, f"{path.name}:{node.lineno} calls {name}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_only_storage_writes_files():
+    modules = [path for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "storage.py"]
+    assert len(modules) > 5
+    assert [call for path in modules for call in file_writes(path)] == []
+
+
+def test_write_checker_sees_every_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import json\n"
+        "def save(path, doc):\n"
+        "    with open(path, 'w', encoding='utf-8') as fh:\n"
+        "        json.dump(doc, fh)\n"
+        "    path.write_text('x')\n"
+        "    path.parent.mkdir(parents=True)\n"
+        "    path.open(mode='ab').write(b'')\n"
+        "    path.write_bytes(b'')\n"
+        "    open(path, 'r+')\n"
+        "def load(path):\n"
+        "    open(path).read()\n"
+        "    open(path, 'rb').read()\n"
+        "    path.open().read()\n"
+        "    return json.dumps(json.loads(path.read_text()))\n"
+    )
+    assert file_writes(path) == [
+        "probe.py:3 calls open",
+        "probe.py:4 calls dump",
+        "probe.py:5 calls write_text",
+        "probe.py:6 calls mkdir",
+        "probe.py:7 calls open",
+        "probe.py:8 calls write_bytes",
+        "probe.py:9 calls open",
     ]

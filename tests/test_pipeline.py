@@ -182,6 +182,41 @@ class TestRun:
         assert manifest.count_original == 12
 
 
+class TestCatalogDefaults:
+    """A config without ``domain`` and ``description`` takes them from
+    ``<output_dir>/catalog.json``; a catalog that is not a list of objects
+    counts as unreadable, which leaves them empty."""
+
+    @staticmethod
+    def _config_without_domain(mini_corpus) -> Path:
+        config = json.loads(mini_corpus["config_path"].read_text())
+        del config["domain"], config["description"]
+        path = mini_corpus["config_path"].with_name("no-domain.json")
+        path.write_text(json.dumps(config))
+        return path
+
+    @pytest.mark.parametrize("catalog", [{"name": "fred"}, ["fred"]])
+    def test_malformed_catalog_leaves_the_fields_empty(self, mini_corpus, capsys, catalog):
+        config_path = str(self._config_without_domain(mini_corpus))
+        root = mini_corpus["root"] / "data"
+        assert main(["run", "--config", config_path]) == 0
+        (root / "catalog.json").write_text(json.dumps(catalog))
+        assert main(["run", "--config", config_path, "--force"]) == 0
+        manifest = storage.load_manifest(root, "mini")
+        assert (manifest.domain, manifest.description) == ("", "")
+        assert len(load_stage(root, "mini", Stage.AUGMENTED)) == manifest.count_augmented > 0
+
+    def test_matching_entry_fills_domain_and_description(self, mini_corpus):
+        root = mini_corpus["root"] / "data"
+        root.mkdir()
+        (root / "catalog.json").write_text(json.dumps([
+            {"name": "Yahoo Finance", "domain": "Finance", "description": "Market quotes"},
+            {"name": "FRED", "domain": "Economics", "description": "Macroeconomic series"},
+        ]))
+        manifest = run(load_config(self._config_without_domain(mini_corpus)), now=NOW)
+        assert (manifest.domain, manifest.description) == ("Economics", "Macroeconomic series")
+
+
 class TestSplit:
     def _flock(self, n_parents=100, children_per=3):
         out = []
@@ -436,6 +471,18 @@ class TestCli:
         assert main(["prune", "--dataset", "mini", "--config",
                      str(mini_corpus["config_path"])]) == 5
         assert str(bad) in capsys.readouterr().err
+
+    def test_exit_code_non_finite_stored_value(self, mini_corpus, capsys):
+        assert main(["collect", "--config", str(mini_corpus["config_path"])]) == 0
+        stored = sorted((mini_corpus["root"] / "data" / "mini" / "original").glob("*.csv"))[0]
+        lines = stored.read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + ",nan"
+        stored.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["prune", "--dataset", "mini", "--config",
+                     str(mini_corpus["config_path"])]) == 5
+        err = capsys.readouterr().err
+        assert str(stored) in err and "finite" in err
 
     def test_exit_code_corrupt_manifest(self, mini_corpus, capsys):
         assert main(["run", "--config", str(mini_corpus["config_path"])]) == 0

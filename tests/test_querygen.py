@@ -262,6 +262,23 @@ Search & Google Trends & Search interest over time & No &  &  \\
         entries = discover_sources(ReplayBackend(tmp_path))
         assert len(entries) == 3
 
+    def test_discover_two_rounds_keeps_the_first_of_a_name(self, tmp_path):
+        first = render_text(DISCOVERY_TEMPLATE.body, {})
+        write_completion_fixture(tmp_path, first, self.LATEX)
+        again = ("| Economics | FRED | Another description | No | | |\n"
+                 "| Finance | Yahoo Finance | Market quotes | Yes | | |\n")
+        write_completion_fixture(tmp_path, first + "\n\n" + DISCOVERY_TEMPLATE.followups[0], again)
+        entries = discover_sources(ReplayBackend(tmp_path), max_rounds=2)
+        assert [e["name"] for e in entries] == [
+            "FRED", "EIA Open Data", "Google Trends", "Yahoo Finance",
+        ]
+        assert entries[0]["description"] == "Macroeconomic series"
+        assert entries[0]["has_api"] is True
+
+    def test_discover_prompt_over_the_limit(self):
+        with pytest.raises(BackendFailureError, match="exceeds backend tiny limit 10"):
+            discover_sources(TinyBackend())
+
 
 def test_replay_backend_deterministic(tmp_path):
     prompt = render_text(QUERY_TEMPLATE.body, {"source_name": "FRED", "query_count": "3"})
@@ -272,14 +289,15 @@ def test_replay_backend_deterministic(tmp_path):
     assert first == second
 
 
+class TinyBackend:
+    name = "tiny"
+    max_prompt_chars = 10
+
+    def complete(self, prompt):
+        raise AssertionError("should not be called")
+
+
 def test_backend_prompt_limit_enforced(tmp_path):
-    class TinyBackend:
-        name = "tiny"
-        max_prompt_chars = 10
-
-        def complete(self, prompt):
-            raise AssertionError("should not be called")
-
     with pytest.raises(BackendFailureError):
         generate_queries(Source.FRED, TinyBackend(), query_count=5, max_rounds=1)
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import logging
 import re
 from datetime import date
 
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from shiftminer.series import (
     AugmentMethod,
+    NonFiniteValueError,
     NonMonotonicTimestampsError,
     Provenance,
     SeriesError,
@@ -144,17 +144,15 @@ class TestStorage:
         assert len(ts) == 2
         assert ts.timestamps[0] == date(2020, 1, 1)
 
-    def test_nan_row_dropped_with_warning(self, tmp_path, caplog):
+    def test_nan_row_is_a_non_finite_value_naming_the_file(self, tmp_path):
         rows = ["timestamp,value"]
         for i in range(10):
             value = "nan" if i == 4 else str(float(i))
             rows.append(f"2020-01-{i + 1:02d},{value}")
         path = tmp_path / "s.csv"
         path.write_text("\n".join(rows) + "\n")
-        with caplog.at_level(logging.WARNING, logger="shiftminer.storage"):
-            ts = load_series(path)
-        assert len(ts) == 9
-        assert any("dropped 1 non-finite" in r.message for r in caplog.records)
+        with pytest.raises(NonFiniteValueError, match=re.escape(str(path))):
+            load_series(path)
 
     def test_duplicate_timestamp(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -174,10 +172,10 @@ class TestStorage:
         with pytest.raises(MalformedFileError):
             load_series(path)
 
-    def test_too_short_after_drop(self, tmp_path):
+    def test_infinite_row_is_not_dropped(self, tmp_path):
         path = tmp_path / "s.csv"
-        path.write_text("timestamp,value\n2020-01-01,1.0\n2020-01-02,nan\n")
-        with pytest.raises(TooShortError):
+        path.write_text("timestamp,value\n2020-01-01,1.0\n2020-01-02,-inf\n")
+        with pytest.raises(NonFiniteValueError, match=re.escape(str(path))):
             load_series(path)
 
     def test_too_short_error_names_file(self, tmp_path):

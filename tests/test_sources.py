@@ -6,14 +6,13 @@ import json
 import logging
 import re
 import socket
-import time
 import zlib
 from datetime import date
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 import pytest
-from shiftminer import demo, sources
+from shiftminer import demo
 from shiftminer.series import Source, Stage
 from shiftminer.sources import (
     CONNECTORS,
@@ -137,9 +136,9 @@ class TestRetryAndPacing:
         )
         policy = RetryPolicy(max_attempts=5, base_delay=1.0, backoff_multiplier=2.0,
                              min_request_interval=0.5)
-        pacer = RequestPacer(clock, policy.min_request_interval)
+        pacer = RequestPacer(clock)
         with caplog.at_level(logging.INFO, logger="shiftminer.sources"):
-            series = fetch(UNRATE, transport, policy, clock=clock, pacer=pacer)
+            series = fetch(UNRATE, transport, policy, pacer=pacer)
         assert len(series) == 1
         assert len(transport.calls) == 3
         assert clock.sleeps == [1.0, 2.0]
@@ -150,9 +149,9 @@ class TestRetryAndPacing:
         clock = VirtualClock()
         transport = ScriptedTransport([Response(429, "")] * 4, clock)
         policy = RetryPolicy(max_attempts=4, min_request_interval=0.0)
-        pacer = RequestPacer(clock, 0.0)
+        pacer = RequestPacer(clock)
         with pytest.raises(RateLimitedError):
-            fetch(UNRATE, transport, policy, clock=clock, pacer=pacer)
+            fetch(UNRATE, transport, policy, pacer=pacer)
         assert clock.sleeps == [1.0, 2.0, 4.0]
 
     def test_server_errors_retry_then_upstream_error(self):
@@ -160,14 +159,14 @@ class TestRetryAndPacing:
         transport = ScriptedTransport([Response(500, "boom")] * 3, clock)
         policy = RetryPolicy(max_attempts=3, min_request_interval=0.0)
         with pytest.raises(UpstreamError) as err:
-            fetch(UNRATE, transport, policy, clock=clock, pacer=RequestPacer(clock, 0.0))
+            fetch(UNRATE, transport, policy, pacer=RequestPacer(clock))
         assert err.value.status == 500
 
     def test_client_error_not_retried(self):
         clock = VirtualClock()
         transport = ScriptedTransport([Response(404, "")], clock)
         with pytest.raises(UpstreamError):
-            fetch(UNRATE, transport, RetryPolicy(), clock=clock, pacer=RequestPacer(clock, 0.0))
+            fetch(UNRATE, transport, RetryPolicy(), pacer=RequestPacer(clock))
         assert len(transport.calls) == 1
 
     def test_pacing_interval_respected_across_fetches(self):
@@ -175,40 +174,28 @@ class TestRetryAndPacing:
         bodies = [Response(200, fred_ok_body())] * 5
         transport = ScriptedTransport(bodies, clock)
         policy = RetryPolicy(min_request_interval=0.75)
-        pacer = RequestPacer(clock, policy.min_request_interval)
+        pacer = RequestPacer(clock)
         for _ in range(5):
-            fetch(UNRATE, transport, policy, clock=clock, pacer=pacer)
+            fetch(UNRATE, transport, policy, pacer=pacer)
         times = [when for _, when in transport.calls]
         gaps = np.diff(times)
         assert np.all(gaps >= 0.75 - 1e-9)
 
     def test_pacing_per_source_independent(self):
         clock = VirtualClock()
-        pacer = RequestPacer(clock, 10.0)
-        pacer.wait("fred")
+        pacer = RequestPacer(clock)
+        pacer.wait("fred", 10.0)
         t0 = clock.now()
-        pacer.wait("eia")  # different source, no wait
+        pacer.wait("eia", 10.0)  # different source, no wait
         assert clock.now() == t0
-        pacer.wait("fred")
+        pacer.wait("fred", 10.0)
         assert clock.now() >= t0 + 10.0
-
-    def test_own_clock_does_not_become_the_shared_pacers(self, monkeypatch):
-        monkeypatch.setattr(sources, "_default_pacers", {})
-        monkeypatch.setenv("FRED_API_KEY", "k3y")
-        policy = RetryPolicy(min_request_interval=0.2)
-        transport = ScriptedTransport([Response(200, fred_ok_body())] * 3)
-        transport.mode = "live"
-        fetch(UNRATE, transport, policy, clock=VirtualClock())
-        start = time.monotonic()
-        fetch(UNRATE, transport, policy)
-        fetch(UNRATE, transport, policy)
-        assert time.monotonic() - start >= 0.2
 
     def test_unparseable_body(self):
         clock = VirtualClock()
         transport = ScriptedTransport([Response(200, "this is not json")], clock)
         with pytest.raises(ParseError):
-            fetch(UNRATE, transport, RetryPolicy(), clock=clock, pacer=RequestPacer(clock, 0.0))
+            fetch(UNRATE, transport, RetryPolicy(), pacer=RequestPacer(clock))
 
     def test_auth_missing_in_live_mode(self, monkeypatch):
         monkeypatch.delenv("FRED_API_KEY", raising=False)
@@ -216,7 +203,7 @@ class TestRetryAndPacing:
         transport = ScriptedTransport([Response(200, fred_ok_body())], clock)
         transport.mode = "live"
         with pytest.raises(AuthMissingError):
-            fetch(UNRATE, transport, RetryPolicy(), clock=clock, pacer=RequestPacer(clock, 0.0))
+            fetch(UNRATE, transport, RetryPolicy(), pacer=RequestPacer(clock))
 
 
 class LocalLive(LiveTransport):
@@ -234,7 +221,7 @@ class TestLiveTransport:
     def _fetch(self, server, clock=None, policy=None):
         clock = clock or VirtualClock()
         return fetch(UNRATE, LocalLive(server.url), policy or RetryPolicy(),
-                     clock=clock, pacer=RequestPacer(clock, 0.0))
+                     pacer=RequestPacer(clock))
 
     def test_ok(self, http_server, monkeypatch):
         monkeypatch.setenv("FRED_API_KEY", "k3y")
@@ -303,7 +290,7 @@ class TestConnectors:
         transport = ReplayTransport(demo_fixture_root)
         clock = VirtualClock()
         series = fetch(demo.UNRATE_QUERY, transport, RetryPolicy(min_request_interval=0.0),
-                       clock=clock, pacer=RequestPacer(clock, 0.0))
+                       pacer=RequestPacer(clock))
         assert len(series) == 1
         s = series[0]
         assert s.timestamps[0] == date(2007, 1, 1)
@@ -327,7 +314,7 @@ class TestConnectors:
         transport = ReplayTransport(demo_fixture_root)
         clock = VirtualClock()
         series = fetch(eia_query, transport, RetryPolicy(min_request_interval=0.0),
-                       clock=clock, pacer=RequestPacer(clock, 0.0))
+                       pacer=RequestPacer(clock))
         assert len(series) == 1
         s = series[0]
         assert len(s) == 180  # both pages, resorted ascending
@@ -389,7 +376,7 @@ class TestConnectors:
         transport = ReplayTransport(demo_fixture_root)
         clock = VirtualClock()
         series = fetch(yq, transport, RetryPolicy(min_request_interval=0.0),
-                       clock=clock, pacer=RequestPacer(clock, 0.0))
+                       pacer=RequestPacer(clock))
         assert len(series) == 1
         assert series[0].source is Source.YAHOO
         # one null close was dropped
@@ -403,7 +390,7 @@ class TestConnectors:
         transport = ReplayTransport(demo_fixture_root)
         clock = VirtualClock()
         series = fetch(tq, transport, RetryPolicy(min_request_interval=0.0),
-                       clock=clock, pacer=RequestPacer(clock, 0.0))
+                       pacer=RequestPacer(clock))
         assert len(series) == 1
         assert len(series[0]) == 120
         assert series[0].source is Source.TRENDS
@@ -412,7 +399,7 @@ class TestConnectors:
         transport = ReplayTransport(tmp_path)
         clock = VirtualClock()
         with pytest.raises(FixtureMissingError):
-            fetch(UNRATE, transport, RetryPolicy(), clock=clock, pacer=RequestPacer(clock, 0.0))
+            fetch(UNRATE, transport, RetryPolicy(), pacer=RequestPacer(clock))
 
     def test_missing_fixture_message(self, tmp_path, monkeypatch):
         request = build_fred_request(UNRATE.payload, api_key=None)
@@ -460,7 +447,7 @@ class TestConnectors:
         clock = VirtualClock()
         with pytest.raises(FixtureMissingError):
             fetch_all([demo.UNRATE_QUERY, bad], transport, RetryPolicy(min_request_interval=0.0),
-                      clock=clock, pacer=RequestPacer(clock, 0.0))
+                      pacer=RequestPacer(clock))
         # upstream failures, by contrast, are tallied
         scripted = ScriptedTransport(
             [Response(200, fred_ok_body()), Response(404, "")], VirtualClock()
@@ -468,7 +455,7 @@ class TestConnectors:
         scripted.clock = clock = VirtualClock()
         collected, failures = fetch_all(
             [demo.UNRATE_QUERY, bad], scripted, RetryPolicy(min_request_interval=0.0),
-            clock=clock, pacer=RequestPacer(clock, 0.0),
+            pacer=RequestPacer(clock),
         )
         assert len(collected) == 1 and len(failures) == 1
 
@@ -556,29 +543,13 @@ def test_request_key_excludes_credentials():
 
 
 class TestConcurrency:
-    def test_pacer_serializes_within_source_across_threads(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        clock = VirtualClock()
-        pacer = RequestPacer(clock, 1.0)
-        stamps: list[float] = []
-
-        def one_request(_):
-            pacer.wait("fred")
-            stamps.append(clock.now())
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(one_request, range(12)))
-        stamps.sort()
-        assert all(b - a >= 1.0 - 1e-9 for a, b in zip(stamps, stamps[1:]))
-
     def test_custom_backoff_parameters(self):
         clock = VirtualClock()
         transport = ScriptedTransport([Response(429, "")] * 4, clock)
         policy = RetryPolicy(max_attempts=4, base_delay=0.5, backoff_multiplier=3.0,
                              min_request_interval=0.0)
         with pytest.raises(RateLimitedError):
-            fetch(UNRATE, transport, policy, clock=clock, pacer=RequestPacer(clock, 0.0))
+            fetch(UNRATE, transport, policy, pacer=RequestPacer(clock))
         assert clock.sleeps == [0.5, 1.5, 4.5]
 
 

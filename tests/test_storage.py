@@ -1,7 +1,9 @@
-"""``save_stage`` writes the bytes of ``save_series`` in fewer formatting passes."""
+"""``save_stage`` writes the bytes of ``save_series`` in fewer formatting passes,
+and every other file of the package is written by ``write_document``."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tempfile
 from datetime import date
@@ -11,8 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftminer import demo, pipeline, querygen, sources
 from shiftminer.series import AugmentMethod, Provenance, Source, Stage, TimeSeries
-from shiftminer.storage import IoFailureError, save_series, save_stage, stage_dir
+from shiftminer.storage import (
+    DatasetManifest,
+    IoFailureError,
+    save_series,
+    save_stage,
+    stage_dir,
+    write_document,
+    write_manifest,
+)
 
 EDGE_VALUES = (-0.0, 5e-324, 1e308, 1e-5, 123456789012.5)
 NON_ASCII = "Ölpreis – 原油 ☃"
@@ -160,3 +171,82 @@ def test_unwritable_stage_names_its_directory(tmp_path):
     series = TimeSeries("s", Source.SYNTHETIC, stamps(737425, 2), [1.0, 2.0], Stage.ORIGINAL)
     with pytest.raises(IoFailureError, match="cannot write series under .*original"):
         save_stage(tmp_path, "d", [series])
+
+
+# --- the one writer of every other file -------------------------------------
+#
+# Each case writes one file under ``root`` through a public writer and returns
+# the file, the document it holds and its ``sort_keys``, or the file and its
+# text. The file must be exactly ``json.dumps(doc, indent=2, sort_keys=...)``
+# and a newline.
+
+
+def manifest_case(root):
+    manifest = DatasetManifest("d", "Économie", "", 2, 9, 3, 1, 30, 7, "2024-06-01T00:00:00+00:00",
+                               {"queries": "external"})
+    return write_manifest(root, manifest), dataclasses.asdict(manifest), True
+
+
+def split_case(root):
+    parent = TimeSeries("p", Source.FRED, stamps(737425, 3), [1.0, 2.0, 3.0], Stage.PRUNED)
+    child = dataclasses.replace(parent, id="p-aug00", stage=Stage.AUGMENTED,
+                                provenance=Provenance("p", AugmentMethod.TIME_WARP, 1, True))
+    save_stage(root, "d", [parent, child])
+    summary = pipeline.split_dataset(root, "d", 0.5, 0, include_test_augmented=True)
+    return root / "d" / "splits" / "summary.json", summary, True
+
+
+def queries_case(root):
+    queries = [demo.UNRATE_QUERY]
+    doc = [sources.query_to_raw(q) for q in queries]  # "source" first: the keys stay unsorted
+    return sources.save_queries(queries, root / "q" / "queries.json"), doc, False
+
+
+def fixture_case(root):
+    params = (("b", "2"), ("api_key", "k"), ("a", "1"))  # sorted, the key left out
+    request = sources.Request("fred", "GET", "https://x.test/obs", params)
+    doc = {"request": {"method": "GET", "url": "https://x.test/obs",
+                       "params": [["a", "1"], ["b", "2"]]},
+           "status": 200, "body": NON_ASCII}
+    return sources.write_fixture(root, request, sources.Response(200, NON_ASCII)), doc, True
+
+
+def catalog_case(root):
+    entries = [{"name": "FRED", "domain": "Economics", "has_api": True, "link": "", "license": ""}]
+    return querygen.write_catalog(entries, root / "c" / "catalog.json"), entries, True
+
+
+def demo_config_case(root):
+    path = demo.build_demo_config(root / "fx", root / "data", root / "fx" / "q.json", "demo", 3,
+                                  verify_shift=False)
+    doc = {"dataset_name": "demo", "source": "fred", "query_file": "q.json",
+           "transport_mode": "replay", "detector": {},
+           "augment": {"factor": 30, "verify_shift": False}, "split_ratio": 0.8,
+           "master_seed": 3, "output_dir": str(root / "data"), "fixtures_dir": ".",
+           "domain": "Economics & Finance", "description": "Synthetic macro-style replay corpus"}
+    return path, doc, True
+
+
+def completion_case(root):
+    text = "Here:\r\n```json\n[]\n```" + NON_ASCII  # written as it is, no newline added
+    return querygen.write_completion_fixture(root / "llm", "a prompt", text), text
+
+
+@pytest.mark.parametrize("case", [manifest_case, split_case, queries_case, fixture_case,
+                                  catalog_case, demo_config_case, completion_case])
+def test_every_writer_writes_indented_json_or_the_text(tmp_path, case):
+    path, *expected = case(tmp_path)
+    if len(expected) == 2:
+        doc, sort_keys = expected
+        text = json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+    else:
+        (text,) = expected
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_write_document_makes_parents_and_names_a_failed_file(tmp_path):
+    path = write_document(tmp_path / "a" / "b" / "doc.json", {"b": 1, "a": [1, 2]})
+    assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
+    (tmp_path / "blocked").write_text("a file where a directory belongs")
+    with pytest.raises(IoFailureError, match="cannot write .*blocked/doc.txt"):
+        write_document(tmp_path / "blocked" / "doc.txt", "text")
