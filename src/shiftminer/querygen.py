@@ -158,7 +158,7 @@ class ReplayBackend:
 
 
 def write_completion_fixture(root: str | Path, prompt: str, completion: str) -> Path:
-    return write_document(Path(root) / f"{prompt_fingerprint(prompt)}.txt", completion)
+    return write_document(ReplayBackend(root).fixture_path(prompt), completion)
 
 
 class RecordBackend:

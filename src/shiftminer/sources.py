@@ -431,8 +431,7 @@ def write_fixture(root: str | Path, request: Request, response: Response) -> Pat
         "status": response.status,
         "body": response.body,
     }
-    return write_document(Path(root) / request.source / f"{canonical_request_key(request)}.json",
-                          record)
+    return write_document(ReplayTransport(root).fixture_path(request), record)
 
 
 class RecordTransport:
