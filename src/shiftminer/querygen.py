@@ -33,7 +33,7 @@ from .sources import (
     known_fields,
     query_from_raw,
 )
-from .storage import write_document
+from .storage import IoFailureError, write_document
 
 logger = logging.getLogger(__name__)
 
@@ -296,8 +296,9 @@ def _rounds(
     line and the next follow-up (the last one repeats) to the transcript, so
     every round's prompt, and therefore its fixture key, is distinct. A first
     prompt over the backend's ``max_prompt_chars`` raises
-    :class:`BackendFailureError`, a later one ends the rounds, and any
-    backend error is raised as a :class:`BackendFailureError`.
+    :class:`BackendFailureError`, a later one ends the rounds, and any other
+    backend error but an :class:`~shiftminer.storage.IoFailureError` (a
+    recording backend that cannot write) is raised as a :class:`BackendFailureError`.
     """
     limit = getattr(backend, "max_prompt_chars", None)
     followups = [render_text(fu, bindings) for fu in template.followups]
@@ -313,7 +314,7 @@ def _rounds(
             return
         try:
             completion = backend.complete(transcript)
-        except BackendFailureError:
+        except (BackendFailureError, IoFailureError):
             raise
         except Exception as exc:
             raise BackendFailureError(f"backend {backend.name} failed: {exc}") from exc

@@ -27,10 +27,13 @@ import time
 import urllib.parse
 from dataclasses import dataclass, fields
 from datetime import date, datetime, timezone
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
-from .series import Source, Stage, TimeSeries, make_series_id
+import numpy as np
+
+from .series import NonMonotonicTimestampsError, Source, Stage, TimeSeries, make_series_id
 from .storage import write_document
 
 logger = logging.getLogger(__name__)
@@ -524,12 +527,16 @@ def build_trends_request(payload: TrendsQuery) -> Request:
 # --- response parsing -------------------------------------------------------
 #
 # Each parser builds one column of dates and one of floats with C-level maps
-# and comprehensions: no (date, value) pair, regex or ``datetime`` per row,
-# and no sort unless the dates arrive out of order.
+# and comprehensions: no (date, value) pair, regex or ``datetime`` per row.
+# EIA rows are checked, filtered and grouped by column; epoch stamps become
+# days in one numpy pass. The ``TimeSeries`` check is the one order check, and
+# a sort happens only when it fails.
 
 _YEAR_RE = re.compile(r"\d{4}")
 _MONTH_RE = re.compile(r"\d{4}-\d{2}")
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+# the days from 1970-01-01 to 0001-01-01 and to 9999-12-31
+_FIRST_DAY = date(1, 1, 1).toordinal() - date(1970, 1, 1).toordinal()
+_LAST_DAY = date(9999, 12, 31).toordinal() - date(1970, 1, 1).toordinal()
 
 
 def _parse_period(raw: str) -> date:
@@ -545,31 +552,48 @@ def _parse_period(raw: str) -> date:
     return date.fromisoformat(raw[:10])
 
 
+def _parse_periods(periods: list) -> list[date]:
+    """:func:`_parse_period` of each period: ``date.fromisoformat`` of the
+    first ten characters, mapped over the column, when all are strings that
+    long; otherwise, or on a bad date, period by period (the same error)."""
+    if set(map(type, periods)) == {str} and min(map(len, periods)) >= 10:
+        try:
+            return list(map(date.fromisoformat, map(operator.getitem, periods, repeat(slice(10)))))
+        except ValueError:
+            pass
+    return list(map(_parse_period, periods))
+
+
 def _utc_days(stamps: Iterable) -> list[date]:
-    """The UTC day of each epoch-seconds stamp (taken through ``int``); outside
-    years 1-9999 ``date.fromordinal`` raises."""
-    return [date.fromordinal(_EPOCH_ORDINAL + int(stamp) // 86400) for stamp in stamps]
+    """The UTC day of each epoch-seconds stamp: ``int`` of each (it truncates
+    a float and reads a string), floor-divided by 86,400 in one int64 array.
+    A day outside years 1-9999 raises ``ValueError``, a stamp past int64
+    ``OverflowError``."""
+    days = np.array(list(map(int, stamps)), dtype=np.int64) // 86400
+    if days.size and (days.min() < _FIRST_DAY or days.max() > _LAST_DAY):
+        raise ValueError("epoch stamp outside years 1-9999")
+    return days.astype("datetime64[D]").tolist()
 
 
 def _series_or_parse_error(
-    source: Source, native_id: str, comment: str, timestamps: list[date], values: list[float]
+    source: Source, native_id: str, comment: str, timestamps: list[date], values: Sequence[float]
 ) -> TimeSeries:
-    """One original series from two columns. Both are reordered by a stable
-    argsort of the dates only when the dates do not already increase strictly;
-    a repeated date is left for the ``TimeSeries`` check to reject."""
+    """One original series from two columns. Only when the ``TimeSeries``
+    order check rejects them are both reordered by a stable sort of the dates
+    and checked again, so a repeated date is still rejected, and every error
+    names the series by its sorted range."""
+
+    def build(timestamps: list[date], values: Sequence[float]) -> TimeSeries:
+        series_id = make_series_id(source, native_id, timestamps[0], timestamps[-1])
+        return TimeSeries(series_id, source, timestamps, values, Stage.ORIGINAL, comment=comment)
+
     try:
-        if any(map(operator.ge, timestamps, timestamps[1:])):
+        try:
+            return build(timestamps, values)
+        except NonMonotonicTimestampsError:
             order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
-            timestamps = [timestamps[i] for i in order]
-            values = [values[i] for i in order]
-        return TimeSeries(
-            id=make_series_id(source, native_id, timestamps[0], timestamps[-1]),
-            source=source,
-            timestamps=timestamps,
-            values=values,
-            stage=Stage.ORIGINAL,
-            comment=comment,
-        )
+            return build(list(map(timestamps.__getitem__, order)),
+                         list(map(values.__getitem__, order)))
     except ValueError as exc:
         raise ParseError(f"{source.value} response for {native_id!r}: {exc}") from exc
 
@@ -604,46 +628,56 @@ def eia_rows(body: str) -> tuple[int, list[dict]]:
 
 def eia_rows_to_series(payload: EiaQuery, comment: str, rows: list[dict]) -> list[TimeSeries]:
     """Group rows by their identity columns (all but period, value and
-    ``*units``); one series per group, in the order of the sorted
-    ``(column, value)`` pairs.
+    ``*units``) and the ``str`` of each one's value; one series per group, in
+    the order of the sorted ``(column, value)`` pairs.
 
-    The identity columns of each distinct column list are worked out once.
-    Rows arrive in whatever sort the query asked for, so observations are
-    reordered by period; a duplicated period within one group is an error
-    rather than silently collapsed.
+    The work goes by column: rows without a value are dropped, and each of
+    the period, the value and every identity column is mapped once over all
+    rows. The columns are split into groups by one stable sort of the rows'
+    group codes. Observations are reordered by period; a duplicated period
+    within one group is an error rather than silently collapsed.
     """
     route = payload.api_route.strip("/").split("/")
     stem = route[-2] if route[-1] == "data" and len(route) > 1 else route[-1]
-    identity: dict[tuple, tuple[str, ...]] = {}  # a row's columns -> its sorted identity columns
-    # (identity columns, their values) -> (dates, values)
-    groups: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[list[date], list[float]]] = {}
     try:
-        for row in rows:
-            if not isinstance(row, dict) or "period" not in row:
-                raise ValueError(f"row without period: {row!r}")
-            value = row.get("value")
-            if value is None:
-                continue
-            when = _parse_period(row["period"])
-            value = float(value)
-            columns = tuple(row)
-            names = identity.get(columns)
-            if names is None:
-                names = identity[columns] = tuple(sorted(
-                    k for k in columns if k not in ("period", "value") and not k.endswith("units")
-                ))
-            key = (names, tuple([str(row[k]) for k in names]))
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = ([], [])
-            group[0].append(when)
-            group[1].append(value)
+        if not (all(map(isinstance, rows, repeat(dict)))
+                and all(map(dict.__contains__, rows, repeat("period")))):
+            row = next(row for row in rows if not isinstance(row, dict) or "period" not in row)
+            raise ValueError(f"row without period: {row!r}")
+        values = list(map(dict.get, rows, repeat("value")))
+        if None in values:
+            present = list(map(operator.is_not, values, repeat(None)))
+            rows, values = list(compress(rows, present)), list(compress(values, present))
+        timestamps = _parse_periods(list(map(operator.itemgetter("period"), rows)))
+        values = list(map(float, values))
+        identity = {columns: tuple(sorted(
+            k for k in columns if k not in ("period", "value") and not k.endswith("units")
+        )) for columns in set(map(tuple, rows))}  # a row's columns -> its sorted identity columns
+        names = sorted(set().union(*identity.values()))
+        # a row's key: the str of its value in each of ``names`` ("None" where it has no
+        # such column) and, when rows differ in them, its own identity columns
+        key_columns = [list(map(str, map(dict.get, rows, repeat(name)))) for name in names]
+        if len(set(identity.values())) > 1:
+            key_columns.append(list(map(identity.__getitem__, map(tuple, rows))))
     except Exception as exc:
         raise ParseError(f"bad EIA rows: {exc}") from exc
 
+    def pairs(key: tuple) -> tuple[tuple[str, str], ...]:
+        own = key[-1] if len(key) > len(names) else names
+        return tuple((name, value) for name, value in zip(names, key) if name in own)
+
+    row_keys = list(zip(*key_columns)) if key_columns else [()] * len(rows)
+    keys = sorted(set(row_keys), key=pairs)
+    codes = np.fromiter(map({key: i for i, key in enumerate(keys)}.__getitem__, row_keys),
+                        dtype=np.intp, count=len(row_keys))
+    # one stable sort by group keeps each group's rows in arrival order
+    order = np.argsort(codes, kind="stable").tolist()
+    timestamps, values = (list(map(column.__getitem__, order)) for column in (timestamps, values))
+    bounds = [0, *np.cumsum(np.bincount(codes, minlength=len(keys))).tolist()]
     return [
-        _series_or_parse_error(Source.EIA, "-".join((stem, *key[1])), comment, *groups[key])
-        for key in sorted(groups, key=lambda key: tuple(zip(*key)))
+        _series_or_parse_error(Source.EIA, "-".join([stem, *(v for _, v in pairs(key))]),
+                               comment, timestamps[start:stop], values[start:stop])
+        for key, start, stop in zip(keys, bounds, bounds[1:])
     ]
 
 
@@ -764,14 +798,15 @@ def _eia_check(p: EiaQuery) -> list[str]:
 
 
 def _eia_collect(p: EiaQuery, comment: str, api_key: str | None, send: Send) -> list[TimeSeries]:
-    """Page through the rows until the reported total (or an empty page)."""
-    page_length = int(p.params_dict().get("length", EIA_DEFAULT_PAGE))
+    """Page through the rows until the reported total (or an empty page).
+    Each page starts where the rows received so far end, so a server that
+    caps a page below the requested ``length`` loses none."""
     offset = int(p.params_dict().get("offset", 0))
     rows: list[dict] = []
     for _ in range(EIA_MAX_PAGES):
         total, page = eia_rows(send(build_eia_request(p, api_key, offset)).body)
         rows.extend(page)
-        offset += page_length
+        offset += len(page)
         if not page or len(rows) >= total:
             break
     series = eia_rows_to_series(p, comment, rows)

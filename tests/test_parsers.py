@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftminer import sources, storage
+from shiftminer import demo, sources, storage
 from shiftminer.series import Source, Stage, TimeSeries, make_series_id
 from shiftminer.sources import (
     EiaQuery,
@@ -50,6 +50,60 @@ def test_four_connector_original_tree_pinned(demo_fixture_root, tmp_path):
     tree = _tree_bytes(storage.stage_dir(tmp_path, "ds", Stage.ORIGINAL))
     assert len(tree) == 8
     assert _tree_digest(tree) == CONNECTOR_ORIGINAL_SHA256
+
+
+# sha256 of the ``original/`` tree that collecting ``long_connector_corpus`` writes,
+# taken with the row-at-a-time parsers. A change here is a change of output bytes.
+LONG_ORIGINAL_SHA256 = "db3dec8c821c5dbd0510588eeecf886b834854b85fd661f0d2c1251bfd5a33bc"
+
+
+def long_connector_corpus(root) -> list[sources.SourceQuery]:
+    """Recorded bodies of 2,500-4,000 rows through all four connectors: FRED
+    with missing values, one EIA query over three descending pages whose 3,000
+    rows interleave two respondents, Yahoo with null closes, and Trends."""
+    rng = np.random.default_rng(12)
+    start = date(1996, 3, 4)
+
+    def days(n, step=1):
+        return [start + timedelta(days=step * i) for i in range(n)]
+
+    def level(n):
+        return np.round(rng.uniform(10, 90) + np.cumsum(rng.normal(0, 1, n)), 3).tolist()
+
+    fred = FredQuery("LONGFRED", start, start + timedelta(days=2499))
+    eia = EiaQuery(EIA.api_route, (("facets[respondent][]", "PJM,ERCO"), ("length", "1000"),
+                                   ("sort[0][column]", "period"), ("sort[0][direction]", "desc")))
+    yahoo = YahooQuery("LONG", start, start + timedelta(days=2999))
+    trends = TrendsQuery("long topic", start, start + timedelta(weeks=3999), geo="DE")
+    closes = level(3000)
+    for i in range(7, 3000, 211):
+        closes[i] = None
+    rows = [{"period": day.isoformat(), "respondent": respondent, "type": "D",
+             "value": value, "value-units": "megawatthours"}
+            for respondent in ("PJM", "ERCO") for day, value in zip(days(1500), level(1500))]
+    rows.sort(key=lambda row: row["period"], reverse=True)
+    recorded = [
+        (sources.build_fred_request(fred, None), demo.fred_body(days(2500), level(2500), 13)),
+        *[(sources.build_eia_request(eia, None, offset),
+           demo.eia_body(rows[offset:offset + 1000], len(rows))) for offset in (0, 1000, 2000)],
+        (sources.build_yahoo_request(yahoo), demo.yahoo_body(days(3000), closes)),
+        (sources.build_trends_request(trends),
+         demo.trends_body(days(4000, 7), [int(v) % 101 for v in level(4000)])),
+    ]
+    for request, body in recorded:
+        sources.write_fixture(root, request, sources.Response(200, body))
+    return [sources.SourceQuery(source, payload) for source, payload in [
+        (Source.FRED, fred), (Source.EIA, eia), (Source.YAHOO, yahoo), (Source.TRENDS, trends)]]
+
+
+def test_long_four_connector_original_tree_pinned(tmp_path):
+    queries = long_connector_corpus(tmp_path / "fixtures")
+    collected, failures = sources.fetch_all(queries, ReplayTransport(tmp_path / "fixtures"))
+    assert failures == []
+    assert [len(s) for s in collected] == [2308, 1500, 1500, 2985, 4000]
+    storage.save_stage(tmp_path, "long", collected)
+    tree = _tree_bytes(storage.stage_dir(tmp_path, "long", Stage.ORIGINAL))
+    assert _tree_digest(tree) == LONG_ORIGINAL_SHA256
 
 
 # --- the row-wise parsers, as they were -------------------------------------
@@ -356,6 +410,83 @@ def test_mutated_fixture_bodies_parse_as_before(source, demo_fixture_root):
                 assert_same(source, rows)
             else:
                 assert_same(source, mutated)
+
+
+@st.composite
+def long_eia_rows(draw):
+    """200-2,000 rows of 1-4 interleaved groups in a drawn order, one day per row.
+    Respondents may be ``1``, ``1.0``, ``True`` and ``"1"`` (three groups, the
+    first and last merged); a group may carry a ``type`` (null too) the others
+    lack; periods are days, hours or both; one may be malformed or not a string."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 4))
+    respondents = draw(st.sampled_from([["PJM", "ERCO", "MISO", "CISO"], [1, 1.0, True, "1"]]))
+    extras = draw(st.lists(st.sampled_from([{}, {"type": "D"}, {"type": None}, {"units": "MWh"}]),
+                           min_size=4, max_size=4))
+    forms = draw(st.sampled_from([["{}"], ["{}T07"], ["{}", "{}T23"]]))
+    start = date(2000, 1, 1) + timedelta(days=rng.randrange(5000))
+    rows = []
+    for i in range(draw(st.integers(200, 2000))):
+        group = rng.randrange(count)
+        value = None if rng.random() < 0.05 else rng.choice([round(rng.uniform(-1e3, 1e3), 2), "7"])
+        rows.append({"period": rng.choice(forms).format((start + timedelta(days=i)).isoformat()),
+                     "respondent": respondents[group], **extras[group], "value": value})
+    order = draw(st.sampled_from(["sorted", "reversed", "shuffled"]))
+    if order != "sorted":
+        rows.reverse() if order == "reversed" else rng.shuffle(rows)
+    fault = draw(st.sampled_from([None, "2000-13-01", 2000, 20000101, None]))
+    if fault is not None or draw(st.booleans()):
+        rows[rng.randrange(len(rows))]["period"] = fault
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=long_eia_rows())
+def test_long_eia_row_lists_parse_as_before(rows):
+    assert_same("eia", rows)
+
+
+def stamp_body(source: str, stamps: list) -> str:
+    """A Yahoo or Trends body of ``stamps`` as they are, each with a value."""
+    values = [float(i) for i in range(len(stamps))]
+    if source == "yahoo":
+        return json.dumps({"chart": {"result": [
+            {"timestamp": stamps, "indicators": {"quote": [{"close": values}]}}]}})
+    return json.dumps({"default": {"timelineData": [
+        {"time": s, "value": [v]} for s, v in zip(stamps, values)]}})
+
+
+# negative floats truncate toward zero, bools are 0 and 1, strings are read by ``int``
+ODD_STAMPS = (st.integers(-400 * 86400, 400 * 86400)
+              | st.floats(-400 * 86400, 400 * 86400, allow_nan=False)
+              | st.booleans() | st.integers(-400 * 86400, 400 * 86400).map(str)
+              | st.sampled_from([-0.5, 0.5, -86400.5, "1.5", 2**63 - 1, 2**63, -(2**63) - 1,
+                                 10**30, 1e300, -1e300]))
+
+
+@pytest.mark.parametrize("source", ["yahoo", "trends"])
+@settings(max_examples=150, deadline=None)
+@given(stamps=st.lists(ODD_STAMPS, max_size=12))
+def test_odd_stamps_parse_as_before(source, stamps):
+    assert_same(source, stamp_body(source, stamps))
+
+
+@pytest.mark.parametrize("source", ["yahoo", "trends"])
+@pytest.mark.parametrize("stamps, days", [
+    ([-0.5, 86400.75], [date(1970, 1, 1), date(1970, 1, 2)]),
+    ([-86400.5, True], [date(1969, 12, 31), date(1970, 1, 1)]),
+    (["172800", False], [date(1970, 1, 1), date(1970, 1, 3)]),
+    ([0, 2**63], None),
+    ([-(2**63) - 1, 0], None),
+    ([0, 2**63 - 1], None),
+])
+def test_odd_stamps_by_hand(source, stamps, days):
+    parse, _, payload = PARSERS[source]
+    outcome = assert_same(source, stamp_body(source, stamps))
+    if days is None:
+        assert outcome is ParseError
+    else:
+        assert list(parse(payload, "", stamp_body(source, stamps))[0].timestamps) == days
 
 
 # --- cases named by hand ----------------------------------------------------

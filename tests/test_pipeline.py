@@ -23,10 +23,12 @@ from shiftminer.pipeline import (
     split_dataset,
     split_train_test,
 )
+from shiftminer.querygen import RecordBackend
 from shiftminer.series import Source, Stage
 from shiftminer.storage import DatasetManifest, load_stage
 
 from conftest import make_series, step_values
+from test_querygen import TWO_QUERY_TEXT, CannedBackend
 
 NOW = "2024-06-01T00:00:00+00:00"
 
@@ -392,6 +394,31 @@ class TestCli:
         path = mini_corpus["config_path"].with_name("cfg.json")
         path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path)]) == 5
+
+    def test_record_mode_queries_stage_cannot_write_its_recording(self, tmp_path):
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file, not a directory")
+        config = PipelineConfig("rec", Source.FRED, transport_mode="record",
+                                output_dir=tmp_path / "data", fixtures_dir=blocker / "fx")
+        with pytest.raises(StageError) as err:
+            run(config, backend=RecordBackend(blocker / "fx" / "llm", CannedBackend()))
+        assert err.value.stage == "queries"
+        assert isinstance(err.value.cause, storage.IoFailureError)
+
+    @pytest.mark.parametrize("reply, code", [(TWO_QUERY_TEXT, 5), (ValueError("bad reply"), 3)],
+                             ids=["unwritable-recording", "backend-error"])
+    def test_exit_code_record_mode_query_generation(self, tmp_path, monkeypatch, capsys,
+                                                    reply, code):
+        """An unwritable recording is an I/O error; any other backend error a collect error."""
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file, not a directory")
+        monkeypatch.setattr("shiftminer.querygen.HttpBackend", lambda: CannedBackend(reply))
+        config = {"dataset_name": "rec", "source": "fred", "transport_mode": "record",
+                  "output_dir": str(tmp_path / "data"), "fixtures_dir": str(blocker / "fx")}
+        config_path = storage.write_document(tmp_path / "rec.json", config)
+        assert main(["run", "--config", str(config_path)]) == code
+        assert main(["generate-queries", "--source", "fred", "--transport", "record",
+                     "--fixtures", str(blocker / "fx"), "--out", str(tmp_path / "q.json")]) == code
 
     def test_prune_and_augment_subcommands(self, mini_corpus, capsys):
         config_path = str(mini_corpus["config_path"])

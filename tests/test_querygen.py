@@ -16,6 +16,7 @@ from shiftminer.querygen import (
     NoQueriesFoundError,
     PromptTemplate,
     QUERY_TEMPLATE,
+    RecordBackend,
     ReplayBackend,
     bind_queries,
     discover_sources,
@@ -28,6 +29,7 @@ from shiftminer.querygen import (
 )
 from shiftminer.series import Source
 from shiftminer.sources import EiaQuery, FredQuery
+from shiftminer.storage import IoFailureError
 
 from conftest import Reply
 
@@ -300,6 +302,29 @@ class TinyBackend:
 def test_backend_prompt_limit_enforced(tmp_path):
     with pytest.raises(BackendFailureError):
         generate_queries(Source.FRED, TinyBackend(), query_count=5, max_rounds=1)
+
+
+class CannedBackend:
+    """A live backend's stand-in: answers every prompt with ``reply``, or raises it."""
+
+    name = "canned"
+    max_prompt_chars = 200_000
+
+    def __init__(self, reply: str | Exception = TWO_QUERY_TEXT) -> None:
+        self.reply = reply
+
+    def complete(self, prompt):
+        if isinstance(self.reply, Exception):
+            raise self.reply
+        return self.reply
+
+
+def test_a_recording_that_cannot_be_written_is_an_io_failure(tmp_path):
+    blocker = tmp_path / "blocked"
+    blocker.write_text("a file, not a directory")
+    backend = RecordBackend(blocker / "llm", CannedBackend())
+    with pytest.raises(IoFailureError, match="cannot write"):
+        generate_queries(Source.FRED, backend, query_count=2, max_rounds=1)
 
 
 class TestHttpBackend:

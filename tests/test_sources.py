@@ -7,7 +7,7 @@ import logging
 import re
 import socket
 import zlib
-from datetime import date
+from datetime import date, timedelta
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
@@ -322,6 +322,23 @@ class TestConnectors:
         assert "PJM" in s.id
         # two scripted pages were fetched
         assert len(list((demo_fixture_root / "eia").glob("*.json"))) == 2
+
+    def test_eia_pages_shorter_than_length_advance_by_the_rows_received(self):
+        rows = [{"period": (date(2020, 1, 1) + timedelta(days=i)).isoformat(),
+                 "respondent": "PJM", "value": float(i)} for i in range(180)]
+        offsets = []
+
+        class CappedTransport:  # serves at most 60 rows whatever the length asked
+            mode = "replay"
+
+            def send(self, request):
+                offsets.append(offset := int(dict(request.params)["offset"]))
+                return Response(200, demo.eia_body(rows[offset:offset + 60], total=len(rows)))
+
+        payload = EiaQuery("electricity/rto/daily-region-data/data", (("length", "100"),))
+        [series] = fetch(SourceQuery(Source.EIA, payload), CappedTransport())
+        assert offsets == [0, 60, 120]
+        assert series.values.tolist() == list(map(float, range(180)))
 
     def test_eia_multiple_groups(self):
         rows = []
