@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Convert recorded HTTP fixtures from the old JSON envelope to the current layout.
+
+Older recordings are ``<root>/<source>/<request key>.json`` files, each one
+JSON object with the ``request``, the ``status`` and the ``body`` as an
+escaped string. Each is rewritten through ``sources.write_fixture`` as
+``<root>/<source>/<request key>.http``: a one-line JSON header, then the
+body as received, which is what replay reads. The old files stay in place.
+
+Every old file is checked before any new one is written. A file that is not
+such an envelope, or whose request no longer hashes to its file name, stops
+the conversion with an error naming it.
+
+    python3 scripts/convert_fixtures.py fixtures
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from shiftminer.series import Source
+from shiftminer.sources import Request, Response, canonical_request_key, write_fixture
+
+
+def read_envelope(path: Path) -> tuple[Request, Response]:
+    """The exchange an old ``<source>/<key>.json`` envelope recorded."""
+    record = json.loads(path.read_bytes().decode("utf-8"))
+    raw = record["request"]
+    request = Request(path.parent.name, raw["method"], raw["url"], tuple(map(tuple, raw["params"])))
+    status, body = record["status"], record["body"]
+    if type(status) is not int or not isinstance(body, str):
+        raise TypeError("status is not an int or body is not a string")
+    if (key := canonical_request_key(request)) != path.stem:
+        raise ValueError(f"the request hashes to {key}, not to the file name")
+    return request, Response(status, body)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("root", type=Path, help="the fixtures directory")
+    args = parser.parse_args(argv)
+
+    exchanges = []
+    for source in Source:
+        for path in sorted((args.root / source.value).glob("*.json")):
+            try:
+                exchanges.append(read_envelope(path))
+            except (ValueError, LookupError, TypeError) as exc:
+                sys.exit(f"cannot convert {path}: {exc!r}")
+    for request, response in exchanges:
+        write_fixture(args.root, request, response)
+    print(f"converted {len(exchanges)} fixtures under {args.root}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -151,10 +151,13 @@ class ReplayBackend:
         return self.root / f"{prompt_fingerprint(prompt)}.txt"
 
     def complete(self, prompt: str) -> str:
+        """The completion as recorded: the bytes decoded as UTF-8, with no
+        newline translation, so a ``\\r\\n`` replays as it was."""
         path = self.fixture_path(prompt)
-        if not path.exists():
-            raise BackendFailureError(f"no completion fixture {path}")
-        return path.read_text(encoding="utf-8")
+        try:  # one open: no existence check that the read could race
+            return path.read_bytes().decode("utf-8")
+        except (FileNotFoundError, NotADirectoryError):
+            raise BackendFailureError(f"no completion fixture {path}") from None
 
 
 def write_completion_fixture(root: str | Path, prompt: str, completion: str) -> Path:

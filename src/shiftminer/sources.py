@@ -77,6 +77,10 @@ class TransportError(Exception):
     """Retryable transport-level failure (connection reset, timeout)."""
 
 
+class TruncatedResultError(Exception):
+    """More rows than :data:`EIA_MAX_PAGES` pages hold; split the query by date."""
+
+
 class FixtureMissingError(Exception):
     """Replay transport has no readable recording for this request."""
 
@@ -399,7 +403,7 @@ class LiveTransport:
 
 
 class ReplayTransport:
-    """Serves responses from ``<root>/<source>/<request hash>.json``."""
+    """Serves responses from ``<root>/<source>/<request hash>.http``."""
 
     mode = "replay"
 
@@ -407,38 +411,53 @@ class ReplayTransport:
         self.root = Path(root)
 
     def fixture_path(self, request: Request) -> Path:
-        return self.root / request.source / f"{canonical_request_key(request)}.json"
+        return self.root / request.source / f"{canonical_request_key(request)}.http"
 
     def send(self, request: Request) -> Response:
         path = self.fixture_path(request)
         try:  # one open: no existence check that the read could race
-            record = json.loads(path.read_text(encoding="utf-8"))
-            response = Response(status=int(record["status"]), body=record["body"])
-            if not isinstance(response.body, str):
-                raise TypeError("body is not a string")
+            return read_fixture(path)
         except (FileNotFoundError, NotADirectoryError):
             raise FixtureMissingError(f"no fixture {path} for {request.url}") from None
-        except (ValueError, LookupError, TypeError) as exc:
-            raise FixtureMissingError(f"unreadable fixture {path}: {exc!r}") from exc
-        return response
+
+
+def read_fixture(path: str | Path) -> Response:
+    """The response :func:`write_fixture` recorded at ``path``: a one-line JSON
+    header holding the ``status``, a newline, then the body as received. The
+    bytes are decoded as strict UTF-8 with no newline translation, so a body's
+    ``\\r\\n`` comes back as it was. Raises :class:`FixtureMissingError` for a
+    file of any other shape and :class:`FileNotFoundError` for a missing one."""
+    try:
+        header, newline, body = Path(path).read_bytes().decode("utf-8").partition("\n")
+        if not newline:
+            raise ValueError("no header line")
+        status = json.loads(header)["status"]  # a header that is no object: TypeError
+        if type(status) is not int:
+            raise TypeError(f"status {status!r} is not an int")
+    except (ValueError, LookupError, TypeError) as exc:
+        raise FixtureMissingError(f"unreadable fixture {path}: {exc!r}") from exc
+    return Response(status=status, body=body)
 
 
 def write_fixture(root: str | Path, request: Request, response: Response) -> Path:
-    """Record one request/response pair; credentials are redacted."""
-    record = {
+    """Record one request/response pair for :func:`read_fixture`; credentials
+    are redacted. The header is dumped without indent, which escapes every
+    newline in its strings, so it is always exactly the first line."""
+    header = {
         "request": {
             "method": request.method,
             "url": request.url,
             "params": sorted((k, v) for k, v in request.params if k != "api_key"),
         },
         "status": response.status,
-        "body": response.body,
     }
-    return write_document(ReplayTransport(root).fixture_path(request), record)
+    text = f"{json.dumps(header, sort_keys=True)}\n{response.body}"
+    return write_document(ReplayTransport(root).fixture_path(request), text)
 
 
 class RecordTransport:
-    """Pass-through transport that records every successful exchange."""
+    """Pass-through transport that records every response it gets, 429 and
+    5xx too. A retried request's fixture holds its last attempt."""
 
     mode = "record"
 
@@ -800,7 +819,9 @@ def _eia_check(p: EiaQuery) -> list[str]:
 def _eia_collect(p: EiaQuery, comment: str, api_key: str | None, send: Send) -> list[TimeSeries]:
     """Page through the rows until the reported total (or an empty page).
     Each page starts where the rows received so far end, so a server that
-    caps a page below the requested ``length`` loses none."""
+    caps a page below the requested ``length`` loses none. A total that
+    :data:`EIA_MAX_PAGES` pages do not reach fails the query rather than
+    return a cut series."""
     offset = int(p.params_dict().get("offset", 0))
     rows: list[dict] = []
     for _ in range(EIA_MAX_PAGES):
@@ -809,6 +830,9 @@ def _eia_collect(p: EiaQuery, comment: str, api_key: str | None, send: Send) -> 
         offset += len(page)
         if not page or len(rows) >= total:
             break
+    else:
+        raise TruncatedResultError(f"EIA {p.api_route}: reported {total} rows, received "
+                                   f"{len(rows)} in {EIA_MAX_PAGES} pages")
     series = eia_rows_to_series(p, comment, rows)
     if not series:
         raise EmptyResultError(f"EIA {p.api_route}: no observations")
@@ -973,7 +997,8 @@ def fetch_all(
     for query in queries:
         try:
             batch = fetch(query, transport, policy, pacer=pacer)
-        except (RateLimitedError, UpstreamError, ParseError, EmptyResultError) as exc:
+        except (RateLimitedError, UpstreamError, ParseError, EmptyResultError,
+                TruncatedResultError) as exc:
             logger.warning("query failed (%s): %s", type(exc).__name__, exc)
             failures.append((query, f"{type(exc).__name__}: {exc}"))
             continue

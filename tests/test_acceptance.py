@@ -7,7 +7,6 @@ capture so they always reach the terminal).
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 import zlib
 from datetime import date, timedelta
@@ -41,6 +40,7 @@ from shiftminer.sources import (
     fetch,
     fred_response_to_series,
     load_queries,
+    read_fixture,
     trends_response_to_series,
     validate_query,
     yahoo_response_to_series,
@@ -318,7 +318,7 @@ def test_criterion_7_connector_robustness(capsys, demo_fixture_root):
 
     fuzz_count = 0
     for source, parse in parsers.items():
-        body = json.loads(next((demo_fixture_root / source).glob("*.json")).read_text())["body"]
+        body = read_fixture(next((demo_fixture_root / source).glob("*.http"))).body
         query = next(q for q in queries if q.source.value == source)
         rng = np.random.default_rng(70_000 + len(source))
         for _ in range(150):

@@ -398,8 +398,8 @@ def test_generated_bodies_parse_as_before(source, data):
 @pytest.mark.parametrize("source", list(PARSERS))
 def test_mutated_fixture_bodies_parse_as_before(source, demo_fixture_root):
     rng = np.random.default_rng(sum(map(ord, source)))
-    for path in sorted((demo_fixture_root / source).glob("*.json")):
-        body = json.loads(path.read_text())["body"]
+    for path in sorted((demo_fixture_root / source).glob("*.http")):
+        body = sources.read_fixture(path).body
         for _ in range(100):
             mutated = _mutate(body, rng)
             if source == "eia":

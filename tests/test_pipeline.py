@@ -364,10 +364,11 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 3
 
     @pytest.mark.parametrize(
-        "record", ["{not json", '{"status": 200}', '{"status": 200, "body": 5}']
+        "record", ['{"status": 200}', '[200]\n{}', '{"status": "200"}\n{}'],
+        ids=["no-newline", "header-not-object", "status-not-int"],
     )
     def test_exit_code_unreadable_fixture(self, mini_corpus, capsys, record):
-        fixture = sorted((mini_corpus["root"] / "fixtures" / "fred").glob("*.json"))[0]
+        fixture = sorted((mini_corpus["root"] / "fixtures" / "fred").glob("*.http"))[0]
         fixture.write_text(record)
         assert main(["run", "--config", str(mini_corpus["config_path"])]) == 3
         assert f"unreadable fixture {fixture}" in capsys.readouterr().err

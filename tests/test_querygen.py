@@ -291,6 +291,15 @@ def test_replay_backend_deterministic(tmp_path):
     assert first == second
 
 
+def test_replay_backend_returns_the_completion_as_recorded(tmp_path):
+    completion = '```json\r\n[{"series_id": "A"}]\r\n```\r\nÖlpreis\r'
+    write_completion_fixture(tmp_path, "a prompt", completion)
+    backend = ReplayBackend(tmp_path)
+    assert backend.complete("a prompt") == completion
+    with pytest.raises(BackendFailureError, match="no completion fixture .*txt$"):
+        backend.complete("another prompt")
+
+
 class TinyBackend:
     name = "tiny"
     max_prompt_chars = 10

@@ -8,7 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from shiftminer import demo, sources
 from shiftminer.cli import main
+from shiftminer.sources import Request, Response
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -116,3 +118,66 @@ def test_bench_pairs_writes_digests_equal(tmp_path, monkeypatch, capsys):
         "digests_equal false"
         for metric in ("run_s", "split_s", "peak_rss_mb", "setup_s")
     ]
+
+
+def old_write_fixture(root, request, response):
+    """The writer of the old ``<source>/<key>.json`` envelopes, kept as the oracle."""
+    record = {
+        "request": {
+            "method": request.method,
+            "url": request.url,
+            "params": sorted((k, v) for k, v in request.params if k != "api_key"),
+        },
+        "status": response.status,
+        "body": response.body,
+    }
+    path = Path(root) / request.source / f"{sources.canonical_request_key(request)}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes((json.dumps(record, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    return path
+
+
+def convert_fixtures(root):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run([sys.executable, str(SCRIPTS / "convert_fixtures.py"), str(root)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_convert_fixtures_replays_every_old_recording(tmp_path, monkeypatch):
+    root = tmp_path / "fixtures"
+    recorded = []
+
+    def record(root, request, response):
+        recorded.append((request, response))
+        return old_write_fixture(root, request, response)
+
+    monkeypatch.setattr(demo, "write_fixture", record)
+    demo.build_connector_fixtures(root)
+    odd = [Response(503, "busy\r\n"), Response(200, ""), Response(200, "\nÖlpreis – 原油 ☃\r"),
+           Response(404, '{"request": {}, "status": 200}\n{}')]
+    for i, response in enumerate(odd):
+        record(root, Request("trends", "GET", "https://x.test/\n", (("q", f"x{i}\r\n"),
+                                                                    ("api_key", "k"))), response)
+    old = {path: path.read_bytes() for path in root.glob("*/*.json")}
+    assert len(old) == len(recorded) == 9
+
+    result = convert_fixtures(root)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"converted 9 fixtures under {root}\n"
+    assert {path: path.read_bytes() for path in root.glob("*/*.json")} == old  # left in place
+    assert len(list(root.glob("*/*.http"))) == 9
+    replay = sources.ReplayTransport(root)
+    for request, response in recorded:
+        assert replay.send(request) == response
+
+
+def test_convert_fixtures_names_a_file_whose_key_differs(tmp_path):
+    good = Request("fred", "GET", "https://x.test/obs", (("series_id", "A"),))
+    old_write_fixture(tmp_path, good, Response(200, "{}"))
+    moved = old_write_fixture(tmp_path, Request("fred", "GET", "https://x.test/obs", ()),
+                              Response(200, "{}"))
+    moved = moved.rename(moved.with_name("f" * 32 + ".json"))
+    result = convert_fixtures(tmp_path)
+    assert result.returncode == 1
+    assert f"cannot convert {moved}" in result.stderr
+    assert list(tmp_path.glob("*/*.http")) == []  # checked before anything is written

@@ -12,6 +12,8 @@ from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from shiftminer import demo
 from shiftminer.series import Source, Stage
 from shiftminer.sources import (
@@ -27,6 +29,7 @@ from shiftminer.sources import (
     QueryFieldError,
     RateLimitedError,
     ReplayTransport,
+    Request,
     RequestPacer,
     Response,
     RetryPolicy,
@@ -51,6 +54,7 @@ from shiftminer.sources import (
     load_queries,
     query_from_raw,
     query_to_raw,
+    read_fixture,
     save_queries,
     trends_response_to_series,
     validate_query,
@@ -67,6 +71,18 @@ UNRATE = SourceQuery(
     payload=FredQuery("UNRATE", date(2007, 1, 1), date(2013, 1, 1)),
     comment="Covers the Great Recession period, showcasing shifts in employment levels.",
 )
+
+
+# Live bodies are decoded with errors="replace", so they hold no lone surrogate.
+TEXT = st.text(st.characters(exclude_categories=("Cs",)))
+BODY_PIECES = st.sampled_from([
+    "\r", "\r\n", "\n", "{}", "Ölpreis – 原油 ☃", "\u2028",
+    '{"request": {"method": "GET"}, "status": 404}\n',  # a first line that looks like a header
+])
+RESPONSES = st.builds(Response, st.integers(100, 599),
+                      st.lists(BODY_PIECES | TEXT, max_size=6).map("".join))
+REQUESTS = st.builds(Request, st.sampled_from([s.value for s in CONNECTORS]), st.just("GET"),
+                     TEXT, st.lists(st.tuples(TEXT, TEXT), max_size=3).map(tuple))
 
 
 def fred_ok_body(n=24):
@@ -321,7 +337,7 @@ class TestConnectors:
         assert s.timestamps[0] == date(2017, 9, 1)
         assert "PJM" in s.id
         # two scripted pages were fetched
-        assert len(list((demo_fixture_root / "eia").glob("*.json"))) == 2
+        assert len(list((demo_fixture_root / "eia").glob("*.http"))) == 2
 
     def test_eia_pages_shorter_than_length_advance_by_the_rows_received(self):
         rows = [{"period": (date(2020, 1, 1) + timedelta(days=i)).isoformat(),
@@ -339,6 +355,26 @@ class TestConnectors:
         [series] = fetch(SourceQuery(Source.EIA, payload), CappedTransport())
         assert offsets == [0, 60, 120]
         assert series.values.tolist() == list(map(float, range(180)))
+
+    def test_eia_total_beyond_the_page_cap_fails_the_query(self):
+        rows = [{"period": (date(2000, 1, 1) + timedelta(days=i)).isoformat(),
+                 "respondent": "PJM", "value": float(i)} for i in range(7000)]
+        offsets = []
+
+        class CappedTransport:  # serves at most 60 rows whatever the length asked
+            mode = "replay"
+
+            def send(self, request):
+                offsets.append(offset := int(dict(request.params)["offset"]))
+                return Response(200, demo.eia_body(rows[offset:offset + 60], total=len(rows)))
+
+        route = "electricity/rto/daily-region-data/data"
+        query = SourceQuery(Source.EIA, EiaQuery(route, (("length", "100"),)))
+        collected, failures = fetch_all([query], CappedTransport())
+        assert len(offsets) == 100
+        assert collected == []
+        assert failures == [(query, f"TruncatedResultError: EIA {route}: reported 7000 rows, "
+                                    "received 6000 in 100 pages")]
 
     def test_eia_multiple_groups(self):
         rows = []
@@ -397,8 +433,8 @@ class TestConnectors:
         assert len(series) == 1
         assert series[0].source is Source.YAHOO
         # one null close was dropped
-        body = json.loads(next((demo_fixture_root / "yahoo").glob("*.json")).read_text())
-        n_raw = len(json.loads(body["body"])["chart"]["result"][0]["timestamp"])
+        body = read_fixture(next((demo_fixture_root / "yahoo").glob("*.http"))).body
+        n_raw = len(json.loads(body)["chart"]["result"][0]["timestamp"])
         assert len(series[0]) == n_raw - 1
 
     def test_trends_fixture(self, demo_fixture_root):
@@ -420,7 +456,7 @@ class TestConnectors:
 
     def test_missing_fixture_message(self, tmp_path, monkeypatch):
         request = build_fred_request(UNRATE.payload, api_key=None)
-        path = tmp_path / "fred" / f"{canonical_request_key(request)}.json"
+        path = tmp_path / "fred" / f"{canonical_request_key(request)}.http"
         expected = f"no fixture {path} for {FRED_URL}"
         checked, exists = [], type(path).exists
         monkeypatch.setattr(type(path), "exists",
@@ -441,16 +477,39 @@ class TestConnectors:
         with pytest.raises(FixtureMissingError, match=f"unreadable fixture {re.escape(str(path))}"):
             ReplayTransport(tmp_path).send(request)
 
+    @pytest.mark.parametrize("content", [
+        b'{"status": 200}',  # no newline
+        b'{not json\n{}',
+        b'[200]\n{}',  # a header that is not an object
+        b'{"request": {}}\n{}',  # no status
+        b'{"status": "200"}\n{}',
+        b'{"status": true}\n{}',
+        b'{"status": 200.0}\n{}',
+    ])
+    def test_malformed_fixture_is_unreadable(self, tmp_path, content):
+        request = build_fred_request(UNRATE.payload, api_key=None)
+        path = write_fixture(tmp_path, request, Response(200, fred_ok_body()))
+        path.write_bytes(content)
+        with pytest.raises(FixtureMissingError, match=f"unreadable fixture {re.escape(str(path))}"):
+            ReplayTransport(tmp_path).send(request)
+
     def test_record_then_replay_roundtrip(self, tmp_path):
         request = build_fred_request(UNRATE.payload, api_key="secret")
         response = Response(200, fred_ok_body())
         write_fixture(tmp_path, request, response)
-        stored = json.loads(next((tmp_path / "fred").glob("*.json")).read_text())
-        assert "secret" not in json.dumps(stored)  # credentials redacted
+        stored = next((tmp_path / "fred").glob("*.http")).read_bytes().decode("utf-8")
+        assert "secret" not in stored  # credentials redacted
         # replay finds it regardless of the key used to build the request
         replay = ReplayTransport(tmp_path)
         again = replay.send(build_fred_request(UNRATE.payload, api_key=None))
         assert again == response
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(request=REQUESTS, response=RESPONSES)
+    def test_write_then_replay_gives_back_the_response(self, tmp_path_factory, request, response):
+        root = tmp_path_factory.mktemp("fixtures")
+        write_fixture(root, request, response)
+        assert ReplayTransport(root).send(request) == response
 
     def test_empty_observations(self):
         payload = FredQuery("X", date(2010, 1, 1), date(2011, 1, 1))
@@ -524,7 +583,7 @@ def _mutate(body: str, rng: np.random.Generator) -> str:
 @pytest.mark.parametrize("source", ["fred", "eia", "yahoo", "trends"])
 def test_parser_fuzz_never_emits_invalid_series(source, demo_fixture_root):
     fixture_dir = demo_fixture_root / source
-    bodies = [json.loads(p.read_text())["body"] for p in sorted(fixture_dir.glob("*.json"))]
+    bodies = [read_fixture(p).body for p in sorted(fixture_dir.glob("*.http"))]
     queries = load_queries(demo_fixture_root / "connector_queries.json")
     query = next(q for q in queries if q.source.value == source)
     rng = np.random.default_rng(zlib.crc32(source.encode()))

@@ -205,10 +205,12 @@ def queries_case(root):
 def fixture_case(root):
     params = (("b", "2"), ("api_key", "k"), ("a", "1"))  # sorted, the key left out
     request = sources.Request("fred", "GET", "https://x.test/obs", params)
-    doc = {"request": {"method": "GET", "url": "https://x.test/obs",
-                       "params": [["a", "1"], ["b", "2"]]},
-           "status": 200, "body": NON_ASCII}
-    return sources.write_fixture(root, request, sources.Response(200, NON_ASCII)), doc, True
+    header = {"request": {"method": "GET", "url": "https://x.test/obs",
+                          "params": [["a", "1"], ["b", "2"]]},
+              "status": 200}
+    body = "{\r\n" + NON_ASCII  # a one-line header, then the body as it is
+    text = json.dumps(header, sort_keys=True) + "\n" + body
+    return sources.write_fixture(root, request, sources.Response(200, body)), text
 
 
 def catalog_case(root):
