@@ -9,10 +9,12 @@ direction ``BENCHMARK.json`` declares better) and the ratio of the
 medians; the jobs attempted and failed; each run's tree digest, and
 ``digests_equal``, true when both sides wrote the same digest on every
 seed (each seed where they differ is also warned about on stderr).
-With ``--traced``, one ``--trace 1`` run per side on the first seed adds
-the per-layer metrics. It ends by printing one summary line per workload
-and end-to-end metric: parent -> change median, the change's wins, the
-parent's IQR and ``digests_equal``. Only the standard library is used.
+With ``--traced``, every seed also gets a pair of ``--trace 1`` runs, in the
+same alternating order, and each per-layer metric is compared like an
+end-to-end one (``per_layer``: both sides' runs, medians, quartiles, wins).
+It ends by printing one summary line per workload and end-to-end metric:
+parent -> change median, the change's wins, the parent's IQR and
+``digests_equal``. Only the standard library is used.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --seeds 701-710 --seconds 30 --out BENCH_7.json --note "what the change does"
@@ -67,13 +69,15 @@ def summarize(runs: list[float]) -> dict:
 
 
 def compare(parent: list[float], change: list[float], better: str) -> dict:
-    """Both sides' summaries, the change's wins and the ratio of the medians."""
+    """Both sides' summaries, the change's wins and the ratio of the medians
+    (None when the parent's median is 0, as a count of retries may be)."""
     wins = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
+    base = statistics.median(parent)
     return {
         "parent": summarize(parent),
         "change": summarize(change),
         "change_wins": f"{wins}/{len(parent)}",
-        "change_over_parent": round(statistics.median(change) / statistics.median(parent), 4),
+        "change_over_parent": round(statistics.median(change) / base, 4) if base else None,
     }
 
 
@@ -123,7 +127,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--workload", action="append",
                         help="repeatable; default: every workload in BENCHMARK.json")
     parser.add_argument("--traced", action="store_true",
-                        help="add one --trace 1 run per side on the first seed")
+                        help="add a pair of --trace 1 runs per seed for the per-layer metrics")
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
     parser.add_argument("--note", default="", help="what the change does")
     return parser.parse_args(argv)
@@ -136,24 +140,31 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    layer_better = {metric["name"]: metric["better"] for metric in declared["per_layer"]}
     workloads = args.workload or [workload["name"] for workload in declared["workloads"]]
     report = {
         "change": args.note,
         "command": f"python3 perfbench/run.py --workload <name> --seed <seed> "
                    f"--seconds {args.seconds:g} --trace 0",
         "machine": machine(),
-        "method": "one parent and one change run per seed, alternating which runs first; each "
-                  "value is that run's median in the unit perfbench reports; quartiles are "
-                  "inclusive; wins count pairs where the change is better",
+        "method": "one parent and one change run per seed (with --traced, also one --trace 1 "
+                  "run each for per_layer), alternating which runs first; each value is that "
+                  "run's median in the unit perfbench reports; quartiles are inclusive; wins "
+                  "count pairs where the change is better",
         "end_to_end": {},
     }
     for workload in workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        traced: dict[str, list[dict]] = {"parent": [], "change": []}
+        passes = [(0, runs), (1, traced)] if args.traced else [(0, runs)]
         for i, seed in enumerate(args.seeds):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                runs[side].append(run_once(checkouts[side], workload, seed, args.seconds))
-                print(f"{workload} seed {seed} {side}: "
-                      f"{json.dumps(runs[side][-1]['metrics'])}", file=sys.stderr, flush=True)
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for trace, into in passes:
+                for side in order:
+                    into[side].append(run_once(checkouts[side], workload, seed, args.seconds,
+                                               trace))
+                    print(f"{workload} seed {seed} {side} trace {trace}: "
+                          f"{json.dumps(into[side][-1]['metrics'])}", file=sys.stderr, flush=True)
         entry: dict = {
             "seeds": args.seeds,
             "jobs": {side: {"attempted": sum(r["attempted"] for r in side_runs),
@@ -168,10 +179,10 @@ def main(argv: list[str] | None = None) -> int:
         entry["digests_equal"] = digests_equal(workload, args.seeds, entry["digests"])
         report["end_to_end"][workload] = entry
         if args.traced:
-            seed = args.seeds[0]
-            report.setdefault("traced", {})[f"{workload} seed {seed}"] = {
-                side: run_once(checkouts[side], workload, seed, args.seconds, trace=1)["metrics"]
-                for side in ("parent", "change")
+            report.setdefault("per_layer", {})[workload] = {
+                metric: compare(*([r["metrics"][metric] for r in traced[side]]
+                                  for side in ("parent", "change")), direction)
+                for metric, direction in layer_better.items()
             }
         args.out.write_text(json.dumps(report, indent=1) + "\n")  # kept after every workload
     print("\n".join(summary_lines(report["end_to_end"], list(better))))

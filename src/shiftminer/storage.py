@@ -24,11 +24,22 @@ Every file the package writes goes through this module: series through
 
 Reading has two halves, a CSV body reader and :func:`read_sidecar` (joined body
 first by :func:`load_series`); :func:`load_stage_meta` reads sidecars alone.
+
+Every file is read by ``_read_file`` and written by ``_write_file``, on ``str``
+paths through ``os.open``, ``os.read`` and ``os.write``, with no pathlib or
+text-mode ``io`` wrapping per file. A stage directory is listed once by name:
+its series are the entries ending ``.csv``, in name order, and a series'
+sidecar is its stem (as ``Path.stem`` has it) plus ``.meta.json``. A stage
+directory holds only its own stage: :func:`load_stage` and
+:func:`load_stage_meta` reject a series whose sidecar names another stage, or
+that has no sidecar outside ``original/`` (the default stage is
+``original``), while a standalone :func:`load_series` keeps the defaults.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -44,6 +55,7 @@ from .series import (
 )
 
 CSV_HEADER = "timestamp,value"
+_READ_CHUNK = 1 << 16  # one read takes any sidecar and most CSVs whole
 
 
 class MalformedFileError(ValueError):
@@ -106,7 +118,7 @@ def load_series(path: str | Path) -> TimeSeries:
     :class:`TimeSeries` checks (too short, unordered, a NaN or infinite
     value) naming the file.
     """
-    path = Path(path)
+    path = os.fspath(path)
     timestamps, values = _read_body(path)
     meta = read_sidecar(path)
     try:
@@ -116,9 +128,9 @@ def load_series(path: str | Path) -> TimeSeries:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _read_body(path: Path) -> tuple[list[date], list[float]]:
+def _read_body(path: str) -> tuple[list[date], list[float]]:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = _read_file(path)
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}") from exc
 
@@ -142,13 +154,16 @@ def _read_body(path: Path) -> tuple[list[date], list[float]]:
     return timestamps, values
 
 
-def read_sidecar(path: Path) -> SeriesMeta:
+def read_sidecar(path: str | Path) -> SeriesMeta:
     """The sidecar of series file ``path``, or the defaults below without one; a
     sidecar that is not a JSON object of known fields, or whose id or comment
     is not a string, is a MalformedFileError."""
-    meta_path = path.with_name(f"{path.stem}.meta.json")
+    head, sep, name = os.fspath(path).rpartition("/")
+    dot = name.rfind(".")
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name  # as Path.stem
+    meta_path = f"{head}{sep}{stem}.meta.json"
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = json.loads(_read_file(meta_path))
     except FileNotFoundError:
         meta = {}
     except (OSError, json.JSONDecodeError) as exc:
@@ -156,7 +171,7 @@ def read_sidecar(path: Path) -> SeriesMeta:
     try:
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
-        sid, comment = meta.get("id", path.stem), meta.get("comment", "")
+        sid, comment = meta.get("id", stem), meta.get("comment", "")
         if not isinstance(sid, str) or not isinstance(comment, str):
             raise ValueError("id and comment must be strings")
         return SeriesMeta(sid, Source(meta.get("source", Source.SYNTHETIC)),
@@ -172,11 +187,12 @@ def save_series(series: TimeSeries, directory: str | Path) -> Path:
     Round trip holds: loading the written file reproduces timestamps
     exactly and values to 12 significant digits.
     """
-    return _save_all([(series, Path(directory))])[0]
+    return Path(_save_all([(series, os.fspath(directory))])[0])
 
 
-def _save_all(items: Iterable[tuple[TimeSeries, Path]]) -> list[Path]:
-    """Write each series into its directory, creating each directory once.
+def _save_all(items: Iterable[tuple[TimeSeries, str]]) -> list[str]:
+    """Write each series into its directory, creating each directory once;
+    returns the CSV paths.
 
     Each CSV body is one ``%`` of a row template over the series' values.
     The template is built again only when a series' tuple is not the
@@ -192,13 +208,14 @@ def _save_all(items: Iterable[tuple[TimeSeries, Path]]) -> list[Path]:
                         + ",%.12g\n")
         meta = {"id": series.id, "source": series.source.value, "stage": series.stage.value,
                 "comment": series.comment, "provenance": _provenance_to_meta(series.provenance)}
-        paths.append(directory / f"{series.id}.csv")
+        base = f"{directory}/{series.id}"
+        paths.append(f"{base}.csv")
         try:
             if directory not in made:
-                directory.mkdir(parents=True, exist_ok=True)
+                Path(directory).mkdir(parents=True, exist_ok=True)
                 made.add(directory)
             _write_file(paths[-1], template % tuple(series.values.tolist()))
-            _write_file(directory / f"{series.id}.meta.json", _json_text(meta))
+            _write_file(f"{base}.meta.json", _json_text(meta))
         except OSError as exc:
             raise IoFailureError(f"cannot write series under {directory}") from exc
     return paths
@@ -211,7 +228,7 @@ def write_document(path: str | Path, doc: object, *, sort_keys: bool = True) -> 
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        _write_file(path, doc if isinstance(doc, str) else _json_text(doc, sort_keys))
+        _write_file(str(path), doc if isinstance(doc, str) else _json_text(doc, sort_keys))
     except OSError as exc:
         raise IoFailureError(f"cannot write {path}") from exc
     return path
@@ -221,8 +238,30 @@ def _json_text(doc: object, sort_keys: bool = True) -> str:
     return json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
 
 
-def _write_file(path: Path, text: str) -> None:
-    path.write_bytes(text.encode("utf-8"))
+def _read_file(path: str) -> str:
+    """The whole file at ``path`` as a text-mode read returns it: decoded as
+    strict UTF-8, with ``\\r\\n`` and ``\\r`` line ends turned into ``\\n``."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _write_file(path: str, text: str) -> None:
+    """Create or truncate the file at ``path`` and write ``text`` as UTF-8,
+    looping until the kernel has taken every byte."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _provenance_to_meta(prov: Provenance | None) -> dict | None:
@@ -256,28 +295,45 @@ def save_stage(root: str | Path, name: str, series_list: Iterable[TimeSeries]) -
     :func:`save_series`, building one row template per run of series that
     share a timestamps tuple and formatting each distinct date once (see the
     module docstring)."""
-    directories = {stage: stage_dir(root, name, stage) for stage in Stage}
-    return _save_all((series, directories[series.stage]) for series in series_list)
+    directories = {stage: str(stage_dir(root, name, stage)) for stage in Stage}
+    paths = _save_all((series, directories[series.stage]) for series in series_list)
+    return list(map(Path, paths))
 
 
-def _stage_files(root: str | Path, name: str, stage: Stage) -> list[Path]:
-    directory = stage_dir(root, name, stage)
-    # within one directory str sorts as Path does, at a fraction of the cost
-    return sorted(directory.glob("*.csv"), key=str) if directory.is_dir() else []
+def _stage_files(root: str | Path, name: str, stage: Stage) -> list[str]:
+    """The paths of a stage directory's ``*.csv`` entries in name order; none
+    when the directory is missing or cannot be listed."""
+    directory = str(stage_dir(root, name, stage))
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    return [f"{directory}/{entry}" for entry in sorted(n for n in names if n.endswith(".csv"))]
+
+
+def _of_stage(stage: Stage, path: str,
+              item: TimeSeries | SeriesMeta) -> TimeSeries | SeriesMeta:
+    """``item``, read from ``path`` in ``stage``'s directory, when it is of that stage."""
+    if item.stage is not stage:
+        raise MalformedFileError(f"{path}: a series of stage {item.stage.value!r} (its sidecar's, "
+                                 f"or the default without one) in the {stage.value} directory")
+    return item
 
 
 def load_stage(root: str | Path, name: str, stage: Stage) -> list[TimeSeries]:
-    """Load every series in a stage directory, sorted by id."""
-    return [load_series(p) for p in _stage_files(root, name, stage)]
+    """Load every series in a stage directory, sorted by id; a series of
+    another stage there is a :class:`MalformedFileError`."""
+    return [_of_stage(stage, path, load_series(path)) for path in _stage_files(root, name, stage)]
 
 
 def load_stage_meta(root: str | Path, name: str, stage: Stage) -> list[SeriesMeta]:
     """The sidecars of the series :func:`load_stage` loads, in its order, not their CSVs."""
-    paths = _stage_files(root, name, stage)
-    metas = [read_sidecar(path) for path in paths]
-    for path, meta in zip(paths, metas):
+    metas = []
+    for path in _stage_files(root, name, stage):
+        meta = _of_stage(stage, path, read_sidecar(path))
         if not meta.id or (meta.stage is Stage.AUGMENTED) != (meta.provenance is not None):
             raise MalformedFileError(f"{path}: sidecar has an empty id or misplaced provenance")
+        metas.append(meta)
     return metas
 
 
@@ -292,7 +348,7 @@ def write_manifest(root: str | Path, manifest: DatasetManifest) -> Path:
 def load_manifest(root: str | Path, name: str) -> DatasetManifest:
     path = manifest_path(root, name)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(_read_file(str(path)))
     except OSError as exc:
         raise IoFailureError(f"cannot read manifest {path}") from exc
     except json.JSONDecodeError as exc:

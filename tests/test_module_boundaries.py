@@ -119,12 +119,15 @@ def test_dependency_checker_sees_every_form(tmp_path):
 
 
 WRITING_METHODS = ("write_text", "write_bytes", "mkdir")
+OS_WRITES = ("open", "write", "mkdir", "makedirs", "replace", "rename")
 
 
 def file_writes(path: Path) -> list[str]:
     """Every call in ``path`` that writes a file or makes a directory: ``open``
-    in a writing mode, ``.write_text``, ``.write_bytes``, ``json.dump`` and
-    ``.mkdir``, in line order."""
+    in a writing mode, ``.write_text``, ``.write_bytes``, ``json.dump``,
+    ``.mkdir``, ``os.open`` (in any mode), ``os.write``, ``os.mkdir``,
+    ``os.makedirs``, ``os.replace``, ``os.rename``, ``shutil.copy*`` and
+    ``shutil.move``, in line order."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found: list[tuple[int, str]] = []
     for node in ast.walk(tree):
@@ -132,14 +135,19 @@ def file_writes(path: Path) -> list[str]:
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "open":
+        module = getattr(getattr(func, "value", None), "id", None)  # the os of os.open
+        if module == "os":
+            writes = name in OS_WRITES
+        elif module == "shutil":
+            writes = name == "move" or name.startswith("copy")
+        elif name == "open":
             # open(file, mode) or path.open(mode)
             at = 1 if isinstance(func, ast.Name) else 0
             modes = [kw.value for kw in node.keywords if kw.arg == "mode"] or node.args[at:at + 1]
             writes = any(isinstance(m, ast.Constant) and isinstance(m.value, str)
                          and set(m.value) & set("wax+") for m in modes)
         elif name == "dump":
-            writes = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json"
+            writes = module == "json"
         else:
             writes = isinstance(func, ast.Attribute) and name in WRITING_METHODS
         if writes:
@@ -156,7 +164,7 @@ def test_only_storage_writes_files():
 def test_write_checker_sees_every_form(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text(
-        "import json\n"
+        "import json, os, shutil\n"
         "def save(path, doc):\n"
         "    with open(path, 'w', encoding='utf-8') as fh:\n"
         "        json.dump(doc, fh)\n"
@@ -165,10 +173,22 @@ def test_write_checker_sees_every_form(tmp_path):
         "    path.open(mode='ab').write(b'')\n"
         "    path.write_bytes(b'')\n"
         "    open(path, 'r+')\n"
+        "    fd = os.open(path, os.O_WRONLY | os.O_CREAT)\n"
+        "    os.write(fd, b'')\n"
+        "    os.mkdir(path)\n"
+        "    os.makedirs(path, exist_ok=True)\n"
+        "    os.replace(path, path)\n"
+        "    os.rename(path, path)\n"
+        "    shutil.copy(path, path)\n"
+        "    shutil.copyfile(path, path)\n"
+        "    shutil.copytree(path, path)\n"
+        "    shutil.move(path, path)\n"
         "def load(path):\n"
         "    open(path).read()\n"
         "    open(path, 'rb').read()\n"
         "    path.open().read()\n"
+        "    os.listdir(os.path.dirname(path))\n"
+        "    shutil.rmtree(path)\n"
         "    return json.dumps(json.loads(path.read_text()))\n"
     )
     assert file_writes(path) == [
@@ -179,4 +199,14 @@ def test_write_checker_sees_every_form(tmp_path):
         "probe.py:7 calls open",
         "probe.py:8 calls write_bytes",
         "probe.py:9 calls open",
+        "probe.py:10 calls open",
+        "probe.py:11 calls write",
+        "probe.py:12 calls mkdir",
+        "probe.py:13 calls makedirs",
+        "probe.py:14 calls replace",
+        "probe.py:15 calls rename",
+        "probe.py:16 calls copy",
+        "probe.py:17 calls copyfile",
+        "probe.py:18 calls copytree",
+        "probe.py:19 calls move",
     ]

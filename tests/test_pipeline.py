@@ -55,10 +55,10 @@ def fail_on_third_file(monkeypatch, stage: Stage) -> list[Path]:
     written: list[Path] = []
 
     def fail_on_third(path, text):
-        if path.parent.name == stage.value:
+        if Path(path).parent.name == stage.value:
             if len(written) == 2:
                 raise OSError("disk full")
-            written.append(path)
+            written.append(Path(path))
         write_file(path, text)
 
     monkeypatch.setattr(storage, "_write_file", fail_on_third)
@@ -800,6 +800,17 @@ class TestSplitFromSidecars:
         assert main(["split", "--dataset", "mini", "--output-dir", str(mini_data)]) == 5
         assert f"{sidecar}: bad sidecar: id and comment must be strings" in capsys.readouterr().err
         assert not (mini_data / "mini" / "splits").exists()
+
+    @pytest.mark.parametrize("stage, command", [("augmented", "split"), ("pruned", "split"),
+                                                ("pruned", "augment")])
+    def test_series_without_sidecar_outside_original_exits_5(self, mini_data, capsys, stage,
+                                                             command):
+        sidecar = sorted((mini_data / "mini" / stage).glob("*.meta.json"))[0]
+        sidecar.unlink()
+        capsys.readouterr()
+        assert main([command, "--dataset", "mini", "--output-dir", str(mini_data)]) == 5
+        csv_path = sidecar.with_name(sidecar.name.replace(".meta.json", ".csv"))
+        assert f"{csv_path}: a series of stage 'original'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", ["[]", '"x"', '{"provenance": "x"}', '{"provenance": []}'])
     def test_stored_original_sidecar_of_the_wrong_shape_fails_prune(self, mini_data, capsys,

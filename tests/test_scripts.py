@@ -120,6 +120,39 @@ def test_bench_pairs_writes_digests_equal(tmp_path, monkeypatch, capsys):
     ]
 
 
+def test_bench_pairs_traced_compares_every_layer_metric_over_every_seed(tmp_path, monkeypatch):
+    bench_pairs = load_bench_pairs()
+    declared = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    layers = [metric["name"] for metric in declared["per_layer"]]
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        calls.append((seed, trace, checkout.name))
+        value = float(seed) + (checkout.name == "change")  # the change reads 1 higher
+        names = layers if trace else ["run_s", "split_s", "peak_rss_mb", "setup_s"]
+        metrics = {name: 0.0 if name == "sources.retries" else value for name in names}
+        return {"attempted": 1, "failed": 0, "digest": "d", "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        shutil.copy(SCRIPTS.parent / "BENCHMARK.json", tmp_path / side)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--seeds", "1-3", "--workload",
+                             "demo-30x", "--traced", "--out", str(out)]) == 0
+    assert calls == [(1, 0, "parent"), (1, 0, "change"), (1, 1, "parent"), (1, 1, "change"),
+                     (2, 0, "change"), (2, 0, "parent"), (2, 1, "change"), (2, 1, "parent"),
+                     (3, 0, "parent"), (3, 0, "change"), (3, 1, "parent"), (3, 1, "change")]
+    per_layer = json.loads(out.read_text())["per_layer"]["demo-30x"]
+    assert list(per_layer) == layers
+    assert per_layer["storage.load_s"] == bench_pairs.compare([1.0, 2.0, 3.0], [2.0, 3.0, 4.0],
+                                                              "lower")
+    assert per_layer["storage.load_s"]["change_wins"] == "0/3"
+    assert per_layer["storage.files_per_s"]["change_wins"] == "3/3"
+    assert per_layer["sources.retries"]["change_over_parent"] is None
+
+
 def old_write_fixture(root, request, response):
     """The writer of the old ``<source>/<key>.json`` envelopes, kept as the oracle."""
     record = {

@@ -58,15 +58,41 @@ def test_stage_meta_matches_loaded_series(tmp_path):
 
 def test_series_without_sidecar_gets_the_same_metadata(tmp_path):
     family(tmp_path)
-    pruned = stage_dir(tmp_path, "ds", Stage.PRUNED)
-    (pruned / "fred-P1.meta.json").unlink()
-    loaded = load_series(pruned / "fred-P1.csv")
-    meta = load_stage_meta(tmp_path, "ds", Stage.PRUNED)[1]
+    save_stage(tmp_path, "ds", [s.with_stage(Stage.ORIGINAL)
+                                for s in load_stage(tmp_path, "ds", Stage.PRUNED)])
+    original = stage_dir(tmp_path, "ds", Stage.ORIGINAL)
+    (original / "fred-P1.meta.json").unlink()
+    loaded = load_series(original / "fred-P1.csv")
+    meta = load_stage_meta(tmp_path, "ds", Stage.ORIGINAL)[1]
     assert meta == meta_of(loaded) == SeriesMeta("fred-P1", Source.SYNTHETIC, Stage.ORIGINAL,
                                                  None, "")
     # its children still name it as their parent, so they form one unit with it
     children = load_stage_meta(tmp_path, "ds", Stage.AUGMENTED)[3:]
     assert {c.provenance.parent_id for c in children} == {meta.id}
+
+
+@pytest.mark.parametrize("stage, victim, fields", [
+    (Stage.PRUNED, "fred-P1", None),
+    (Stage.AUGMENTED, "fred-P0-aug1", None),
+    (Stage.PRUNED, "fred-P1", {"stage": "original"}),
+    (Stage.AUGMENTED, "fred-P0-aug1", {"stage": "pruned", "provenance": None}),
+])
+def test_stage_directory_rejects_a_series_of_another_stage(tmp_path, stage, victim, fields):
+    """A missing sidecar (``fields`` None) gives the default stage, original,
+    which only ``original/`` accepts; a sidecar may not name another stage."""
+    family(tmp_path)
+    sidecar = stage_dir(tmp_path, "ds", stage) / f"{victim}.meta.json"
+    if fields is None:
+        sidecar.unlink()
+    else:
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **fields}))
+    csv_path = sidecar.with_name(f"{victim}.csv")
+    for load in (load_stage, load_stage_meta):
+        with pytest.raises(MalformedFileError, match=re.escape(f"{csv_path}: a series of stage")):
+            load(tmp_path, "ds", stage)
+    # read alone, the series keeps what its sidecar, or the default, says
+    assert load_series(csv_path).stage is (Stage.ORIGINAL if fields is None
+                                           else Stage(fields["stage"]))
 
 
 def test_dotted_id_finds_its_sidecar(tmp_path):

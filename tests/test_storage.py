@@ -1,10 +1,15 @@
 """``save_stage`` writes the bytes of ``save_series`` in fewer formatting passes,
-and every other file of the package is written by ``write_document``."""
+every other file of the package is written by ``write_document``, and the
+``os``-level reader, writer and stage listing match the pathlib ones they
+replaced."""
 
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
+import os
+import re
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -13,11 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftminer import demo, pipeline, querygen, sources
+from shiftminer import demo, pipeline, querygen, sources, storage
 from shiftminer.series import AugmentMethod, Provenance, Source, Stage, TimeSeries
 from shiftminer.storage import (
     DatasetManifest,
     IoFailureError,
+    load_series,
+    load_stage_meta,
+    read_sidecar,
     save_series,
     save_stage,
     stage_dir,
@@ -252,3 +260,132 @@ def test_write_document_makes_parents_and_names_a_failed_file(tmp_path):
     (tmp_path / "blocked").write_text("a file where a directory belongs")
     with pytest.raises(IoFailureError, match="cannot write .*blocked/doc.txt"):
         write_document(tmp_path / "blocked" / "doc.txt", "text")
+
+
+# --- the os-level reader, writer and stage listing --------------------------
+
+
+def old_stage_files(directory: Path) -> list[Path]:
+    """The pathlib listing the one ``os.listdir`` replaced, as the oracle."""
+    return sorted(directory.glob("*.csv"), key=str) if directory.is_dir() else []
+
+
+def old_read(path: Path) -> tuple[str, object]:
+    """The pathlib text reader the ``os`` one replaced, as the oracle: the text,
+    or the class of the error it raised."""
+    try:
+        return "text", path.read_text(encoding="utf-8")
+    except OSError as exc:
+        return "error", type(exc)
+
+
+def new_read(path: str) -> tuple[str, object]:
+    try:
+        return "text", storage._read_file(path)
+    except OSError as exc:
+        return "error", type(exc)
+
+
+def old_sidecar(path: Path) -> Path:
+    return path.with_name(f"{path.stem}.meta.json")
+
+
+def crowded_stage(directory: Path) -> None:
+    """Series with dotted, non-ASCII and hidden ids, one without a sidecar,
+    stray files and a sub-directory whose name ends ``.csv``."""
+    directory.mkdir(parents=True)
+    for name in ("yahoo-BRK.B-2020.csv", f"{NON_ASCII}.csv", ".x.csv", ".csv", ".csv.csv", "a.csv",
+                 "b.csv.csv"):  # ".csv" alone is its own stem, as Path.stem has it
+        (directory / name).write_text("timestamp,value\n2020-01-01,1\n2020-01-02,2\n")
+    (directory / "a.csv").write_text("timestamp,value\r\n2020-01-01,1\r2020-01-02,2\r\n")
+    for path in directory.glob("*.csv"):
+        if path.name != "a.csv":  # a.csv keeps no sidecar
+            old_sidecar(path).write_text(json.dumps({"comment": old_sidecar(path).name}))
+    for stray in ("x.csv.tmp", "y.tmp", "README", "a.CSV", "z.meta.json"):
+        (directory / stray).write_text("not a series\n")
+    (directory / "sub.csv").mkdir()
+
+
+@pytest.mark.parametrize("layout", ["crowded", "empty", "missing", "a file"])
+def test_stage_listing_and_reads_match_pathlib(tmp_path, layout):
+    directory = stage_dir(tmp_path, "d", Stage.ORIGINAL)
+    if layout == "crowded":
+        crowded_stage(directory)
+    elif layout == "empty":
+        directory.mkdir(parents=True)
+    elif layout == "a file":
+        directory.parent.mkdir(parents=True)
+        directory.write_text("a file where the stage directory belongs")
+    old = old_stage_files(directory)
+    new = storage._stage_files(tmp_path, "d", Stage.ORIGINAL)
+    assert new == [str(path) for path in old]
+    assert len(new) == (8 if layout == "crowded" else 0)
+    metas = load_stage_meta(tmp_path, "d", Stage.ORIGINAL)
+    for path, meta in zip(old, metas, strict=True):
+        assert meta == read_sidecar(str(path))
+        assert (meta.id, meta.comment) == ((path.stem, "") if path.name in ("a.csv", "sub.csv")
+                                           else (path.stem, old_sidecar(path).name))
+    for path in directory.iterdir() if directory.is_dir() else []:
+        assert new_read(str(path)) == old_read(path)
+    if layout == "crowded":
+        # CRLF and CR line ends read as a text-mode read translates them
+        assert load_series(directory / "a.csv") == TimeSeries(
+            "a", Source.SYNTHETIC, stamps(737425, 2), [1.0, 2.0], Stage.ORIGINAL)
+        with pytest.raises(IoFailureError, match=re.escape(f"cannot read {directory}/sub.csv")):
+            load_series(directory / "sub.csv")
+
+
+def test_a_file_larger_than_one_read_round_trips(tmp_path):
+    n = 6000
+    values = [(i - 3000) / 8 for i in range(n)]  # exact at 12 significant digits
+    series = TimeSeries("long", Source.EIA, stamps(700000, n), values, Stage.ORIGINAL,
+                        comment=NON_ASCII * 10000)
+    path = save_series(series, tmp_path)
+    assert path.stat().st_size > storage._READ_CHUNK
+    assert (tmp_path / "long.meta.json").stat().st_size > storage._READ_CHUNK
+    assert load_series(path) == series
+
+
+def test_short_writes_still_write_every_byte(tmp_path, monkeypatch):
+    series_list = family([1.5, -2.0, 3.0], [[0.25, 5e-324, 1e308]] * 4, NON_ASCII, [1.0, 2.0])
+    for series in series_list:
+        reference_save(series, stage_dir(tmp_path / "oracle", "d", series.stage))
+    write, calls = os.write, []
+
+    def three_bytes(fd, data):
+        calls.append(len(data))
+        return write(fd, bytes(data[:3]))
+
+    monkeypatch.setattr(os, "write", three_bytes)
+    save_stage(tmp_path / "short", "d", series_list)
+    doc_path = write_document(tmp_path / "doc.json", {"k": NON_ASCII})
+    monkeypatch.undo()
+    assert len(calls) > 10 * (2 * len(series_list) + 1)
+    assert tree_bytes(tmp_path / "short") == tree_bytes(tmp_path / "oracle")
+    assert doc_path.read_bytes() == (json.dumps({"k": NON_ASCII}, indent=2) + "\n").encode()
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_a_failed_read_or_write_closes_its_file(tmp_path, monkeypatch):
+    series = TimeSeries("s", Source.SYNTHETIC, stamps(737425, 2), [1.0, 2.0], Stage.ORIGINAL)
+    path = save_series(series, tmp_path)
+    (tmp_path / "dir.csv").mkdir()  # os.open succeeds on a directory, os.read fails
+    before = open_fds()
+    with pytest.raises(IoFailureError, match="cannot read"):
+        load_series(tmp_path / "dir.csv")
+    assert open_fds() == before
+
+    def disk_full(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", disk_full)
+    with pytest.raises(IoFailureError, match="cannot write series under"):
+        save_series(series, tmp_path)
+    with pytest.raises(IoFailureError, match="cannot write .*doc.json"):
+        write_document(tmp_path / "doc.json", {"a": 1})
+    monkeypatch.undo()
+    assert open_fds() == before
+    assert path.read_bytes() == b""  # truncated on open, as a text-mode write would leave it
