@@ -25,11 +25,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from shiftminer.series import Source
 from shiftminer.sources import Request, Response, canonical_request_key, write_fixture
+from shiftminer.storage import read_file
 
 
 def read_envelope(path: Path) -> tuple[Request, Response]:
     """The exchange an old ``<source>/<key>.json`` envelope recorded."""
-    record = json.loads(path.read_bytes().decode("utf-8"))
+    record = json.loads(read_file(path))
     raw = record["request"]
     request = Request(path.parent.name, raw["method"], raw["url"], tuple(map(tuple, raw["params"])))
     status, body = record["status"], record["body"]

@@ -294,7 +294,6 @@ def build_demo_config(
         "transport_mode": "replay",
         "detector": {},
         "augment": {"factor": 30, "verify_shift": verify_shift},
-        "split_ratio": 0.8,
         "master_seed": master_seed,
         "output_dir": str(output_dir),
         "fixtures_dir": ".",

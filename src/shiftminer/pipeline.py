@@ -69,7 +69,6 @@ class PipelineConfig:
     transport_mode: str = "replay"
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    split_ratio: float = 0.8
     master_seed: int = 0
     output_dir: Path = Path("data")
     fixtures_dir: Path = Path("fixtures")
@@ -80,8 +79,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not self.dataset_name:
             raise ConfigError("dataset_name must be non-empty")
-        if not 0 < self.split_ratio < 1:
-            raise ConfigError("split_ratio must be in (0, 1)")
         if self.transport_mode not in ("live", "replay", "record"):
             raise ConfigError(f"unknown transport_mode {self.transport_mode!r}")
 
@@ -91,10 +88,10 @@ def load_config(path: str | Path) -> PipelineConfig:
     ``query_file`` or ``fixtures_dir`` is relative to the config file, and a
     relative ``output_dir`` to the working directory, as ``--output-dir`` is."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(storage.read_file(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -103,8 +100,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         kwargs["source"] = Source(raw["source"])
         if raw.get("query_file"):
             kwargs["query_file"] = Path(path).parent / raw["query_file"]
-        if "changepoint" in raw:  # accepted alias for the detector block
-            kwargs["detector"] = DetectorConfig(**kwargs.pop("changepoint"))
         if "detector" in raw:
             kwargs["detector"] = DetectorConfig(**raw["detector"])
         if "augment" in raw:

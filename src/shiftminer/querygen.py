@@ -33,7 +33,7 @@ from .sources import (
     known_fields,
     query_from_raw,
 )
-from .storage import IoFailureError, write_document
+from .storage import IoFailureError, read_file, write_document
 
 logger = logging.getLogger(__name__)
 
@@ -151,11 +151,10 @@ class ReplayBackend:
         return self.root / f"{prompt_fingerprint(prompt)}.txt"
 
     def complete(self, prompt: str) -> str:
-        """The completion as recorded: the bytes decoded as UTF-8, with no
-        newline translation, so a ``\\r\\n`` replays as it was."""
+        """The completion as recorded: read as stored, so a ``\\r\\n`` replays."""
         path = self.fixture_path(prompt)
         try:  # one open: no existence check that the read could race
-            return path.read_bytes().decode("utf-8")
+            return read_file(path)
         except (FileNotFoundError, NotADirectoryError):
             raise BackendFailureError(f"no completion fixture {path}") from None
 
@@ -414,7 +413,7 @@ def write_catalog(entries: Sequence[dict], path: str | Path) -> Path:
 def load_catalog(path: str | Path) -> list[dict]:
     """The catalog :func:`write_catalog` wrote; a file that is not a JSON
     list of objects raises ``ValueError``."""
-    catalog = json.loads(Path(path).read_text(encoding="utf-8"))
+    catalog = json.loads(read_file(path))
     if not isinstance(catalog, list) or not all(isinstance(e, dict) for e in catalog):
         raise ValueError(f"{path}: a catalog must be a JSON list of objects")
     return catalog

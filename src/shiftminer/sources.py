@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Protocol, Sequence
 import numpy as np
 
 from .series import NonMonotonicTimestampsError, Source, Stage, TimeSeries, make_series_id
-from .storage import write_document
+from .storage import read_file, write_document
 
 logger = logging.getLogger(__name__)
 
@@ -260,7 +260,10 @@ def save_queries(queries: Sequence[SourceQuery], path: str | Path) -> Path:
 
 def load_queries(path: str | Path, default_source: Source | None = None) -> list[SourceQuery]:
     """Strict loader for a query file; any invalid entry raises."""
-    raw_list = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw_list = json.loads(read_file(path))
+    except json.JSONDecodeError as exc:
+        raise QueryFieldError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw_list, list):
         raise QueryFieldError(f"{path}: expected a JSON array of query objects")
     out: list[SourceQuery] = []
@@ -424,11 +427,11 @@ class ReplayTransport:
 def read_fixture(path: str | Path) -> Response:
     """The response :func:`write_fixture` recorded at ``path``: a one-line JSON
     header holding the ``status``, a newline, then the body as received. The
-    bytes are decoded as strict UTF-8 with no newline translation, so a body's
+    file is read as stored (:func:`~shiftminer.storage.read_file`), so a body's
     ``\\r\\n`` comes back as it was. Raises :class:`FixtureMissingError` for a
     file of any other shape and :class:`FileNotFoundError` for a missing one."""
     try:
-        header, newline, body = Path(path).read_bytes().decode("utf-8").partition("\n")
+        header, newline, body = read_file(path).partition("\n")
         if not newline:
             raise ValueError("no header line")
         status = json.loads(header)["status"]  # a header that is no object: TypeError

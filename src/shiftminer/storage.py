@@ -25,14 +25,16 @@ Every file the package writes goes through this module: series through
 Reading has two halves, a CSV body reader and :func:`read_sidecar` (joined body
 first by :func:`load_series`); :func:`load_stage_meta` reads sidecars alone.
 
-Every file is read by ``_read_file`` and written by ``_write_file``, on ``str``
-paths through ``os.open``, ``os.read`` and ``os.write``, with no pathlib or
-text-mode ``io`` wrapping per file. A stage directory is listed once by name:
-its series are the entries ending ``.csv``, in name order, and a series'
-sidecar is its stem (as ``Path.stem`` has it) plus ``.meta.json``. A stage
-directory holds only its own stage: :func:`load_stage` and
-:func:`load_stage_meta` reject a series whose sidecar names another stage, or
-that has no sidecar outside ``original/`` (the default stage is
+Every file the package reads goes through :func:`read_file`, which returns it
+as stored: strict UTF-8 with no newline translation, and bytes that are not
+UTF-8 are a :class:`MalformedFileError` naming the file. Only CSV bodies take
+``\\r`` as a line end. It and ``_write_file`` use ``os.open``, ``os.read`` and
+``os.write``, with no pathlib or text-mode ``io`` wrapping. A stage directory
+is listed once by name: its series are the entries ending ``.csv``, in name
+order, and a series' sidecar is its stem (as ``Path.stem`` has it) plus
+``.meta.json``. A stage directory holds only its own stage: :func:`load_stage`
+and :func:`load_stage_meta` reject a series whose sidecar names another stage,
+or that has no sidecar outside ``original/`` (the default stage is
 ``original``), while a standalone :func:`load_series` keeps the defaults.
 """
 
@@ -59,7 +61,7 @@ _READ_CHUNK = 1 << 16  # one read takes any sidecar and most CSVs whole
 
 
 class MalformedFileError(ValueError):
-    """A series file has a bad header or an unparseable row."""
+    """A file is not UTF-8, or a stored file does not hold what its kind must."""
 
 
 class IoFailureError(Exception):
@@ -130,11 +132,12 @@ def load_series(path: str | Path) -> TimeSeries:
 
 def _read_body(path: str) -> tuple[list[date], list[float]]:
     try:
-        text = _read_file(path)
+        text = read_file(path)
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}") from exc
 
-    lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
+    # a CR or CRLF line end leaves a blank line more, and blank lines are dropped
+    lines = [ln for ln in map(str.strip, text.replace("\r", "\n").split("\n")) if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise MalformedFileError(f"{path}: expected header {CSV_HEADER!r}")
 
@@ -163,7 +166,7 @@ def read_sidecar(path: str | Path) -> SeriesMeta:
     stem = name[:dot] if 0 < dot < len(name) - 1 else name  # as Path.stem
     meta_path = f"{head}{sep}{stem}.meta.json"
     try:
-        meta = json.loads(_read_file(meta_path))
+        meta = json.loads(read_file(meta_path))
     except FileNotFoundError:
         meta = {}
     except (OSError, json.JSONDecodeError) as exc:
@@ -187,18 +190,18 @@ def save_series(series: TimeSeries, directory: str | Path) -> Path:
     Round trip holds: loading the written file reproduces timestamps
     exactly and values to 12 significant digits.
     """
-    return Path(_save_all([(series, os.fspath(directory))])[0])
+    _save_all([(series, os.fspath(directory))])
+    return Path(directory) / f"{series.id}.csv"
 
 
-def _save_all(items: Iterable[tuple[TimeSeries, str]]) -> list[str]:
-    """Write each series into its directory, creating each directory once;
-    returns the CSV paths.
+def _save_all(items: Iterable[tuple[TimeSeries, str]]) -> None:
+    """Write each series into its directory, creating each directory once.
 
     Each CSV body is one ``%`` of a row template over the series' values.
     The template is built again only when a series' tuple is not the
     previous series' one, from ISO strings memoized per date for this call
     (see the module docstring)."""
-    paths, made, isos, timestamps = [], set(), {}, None
+    made, isos, timestamps = set(), {}, None
     for series, directory in items:
         if series.timestamps is not timestamps:
             timestamps = series.timestamps
@@ -209,16 +212,14 @@ def _save_all(items: Iterable[tuple[TimeSeries, str]]) -> list[str]:
         meta = {"id": series.id, "source": series.source.value, "stage": series.stage.value,
                 "comment": series.comment, "provenance": _provenance_to_meta(series.provenance)}
         base = f"{directory}/{series.id}"
-        paths.append(f"{base}.csv")
         try:
             if directory not in made:
                 Path(directory).mkdir(parents=True, exist_ok=True)
                 made.add(directory)
-            _write_file(paths[-1], template % tuple(series.values.tolist()))
+            _write_file(f"{base}.csv", template % tuple(series.values.tolist()))
             _write_file(f"{base}.meta.json", _json_text(meta))
         except OSError as exc:
             raise IoFailureError(f"cannot write series under {directory}") from exc
-    return paths
 
 
 def write_document(path: str | Path, doc: object, *, sort_keys: bool = True) -> Path:
@@ -238,9 +239,10 @@ def _json_text(doc: object, sort_keys: bool = True) -> str:
     return json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
 
 
-def _read_file(path: str) -> str:
-    """The whole file at ``path`` as a text-mode read returns it: decoded as
-    strict UTF-8, with ``\\r\\n`` and ``\\r`` line ends turned into ``\\n``."""
+def read_file(path: str | Path) -> str:
+    """The whole file at ``path`` as stored, as strict UTF-8 with no newline
+    translation. Bytes that are not UTF-8 raise :class:`MalformedFileError`
+    naming the file; an :class:`OSError` passes through unchanged."""
     fd = os.open(path, os.O_RDONLY)
     try:
         chunks = []
@@ -248,8 +250,10 @@ def _read_file(path: str) -> str:
             chunks.append(chunk)
     finally:
         os.close(fd)
-    text = b"".join(chunks).decode("utf-8")
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    try:
+        return b"".join(chunks).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(f"{os.fspath(path)}: not UTF-8 at byte {exc.start}") from exc
 
 
 def _write_file(path: str, text: str) -> None:
@@ -290,14 +294,13 @@ def stage_dir(root: str | Path, name: str, stage: Stage) -> Path:
     return dataset_dir(root, name) / stage.value
 
 
-def save_stage(root: str | Path, name: str, series_list: Iterable[TimeSeries]) -> list[Path]:
+def save_stage(root: str | Path, name: str, series_list: Iterable[TimeSeries]) -> None:
     """Write each series under its stage's directory, in the bytes of
     :func:`save_series`, building one row template per run of series that
     share a timestamps tuple and formatting each distinct date once (see the
     module docstring)."""
     directories = {stage: str(stage_dir(root, name, stage)) for stage in Stage}
-    paths = _save_all((series, directories[series.stage]) for series in series_list)
-    return list(map(Path, paths))
+    _save_all((series, directories[series.stage]) for series in series_list)
 
 
 def _stage_files(root: str | Path, name: str, stage: Stage) -> list[str]:
@@ -348,7 +351,7 @@ def write_manifest(root: str | Path, manifest: DatasetManifest) -> Path:
 def load_manifest(root: str | Path, name: str) -> DatasetManifest:
     path = manifest_path(root, name)
     try:
-        raw = json.loads(_read_file(str(path)))
+        raw = json.loads(read_file(path))
     except OSError as exc:
         raise IoFailureError(f"cannot read manifest {path}") from exc
     except json.JSONDecodeError as exc:

@@ -1,6 +1,6 @@
 """Modules of the package use each other only through public names, and
 nothing outside the package but the standard library and numpy; only
-``storage`` writes files.
+``storage`` reads and writes files.
 
 A name with a leading underscore is private to the module that defines
 it; another module that imports it or reads it as an attribute couples
@@ -122,20 +122,27 @@ WRITING_METHODS = ("write_text", "write_bytes", "mkdir")
 OS_WRITES = ("open", "write", "mkdir", "makedirs", "replace", "rename")
 
 
+def calls(path: Path):
+    """``(node, name, module)`` for every call in ``path``: ``name`` is the
+    function or method called, ``module`` the name it is read from (the ``os``
+    of ``os.open``) or None."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            yield node, name, getattr(getattr(func, "value", None), "id", None)
+
+
 def file_writes(path: Path) -> list[str]:
     """Every call in ``path`` that writes a file or makes a directory: ``open``
     in a writing mode, ``.write_text``, ``.write_bytes``, ``json.dump``,
     ``.mkdir``, ``os.open`` (in any mode), ``os.write``, ``os.mkdir``,
     ``os.makedirs``, ``os.replace``, ``os.rename``, ``shutil.copy*`` and
     ``shutil.move``, in line order."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found: list[tuple[int, str]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node, name, module in calls(path):
         func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        module = getattr(getattr(func, "value", None), "id", None)  # the os of os.open
         if module == "os":
             writes = name in OS_WRITES
         elif module == "shutil":
@@ -209,4 +216,58 @@ def test_write_checker_sees_every_form(tmp_path):
         "probe.py:17 calls copyfile",
         "probe.py:18 calls copytree",
         "probe.py:19 calls move",
+    ]
+
+
+READING_METHODS = ("read_text", "read_bytes")
+MODULE_READS = (("os", "read"), ("json", "load"))
+
+
+def file_reads(path: Path) -> list[str]:
+    """Every call in ``path`` that opens or reads a file: ``open`` and
+    ``.open`` in any mode (``io.open`` and ``os.open`` among them),
+    ``.read_text``, ``.read_bytes``, ``os.read`` and ``json.load``, in line order."""
+    found: list[tuple[int, str]] = []
+    for node, name, module in calls(path):
+        if (name == "open" or (module, name) in MODULE_READS
+                or (isinstance(node.func, ast.Attribute) and name in READING_METHODS)):
+            found.append((node.lineno, f"{path.name}:{node.lineno} calls {name}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_only_storage_reads_files():
+    modules = [path for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "storage.py"]
+    assert len(modules) > 5
+    assert [call for path in modules for call in file_reads(path)] == []
+
+
+def test_read_checker_sees_every_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import io, json, os, urllib.request\n"
+        "from . import storage\n"
+        "def load(path, fh, url):\n"
+        "    open(path).read()\n"
+        "    io.open(path, 'rb')\n"
+        "    fd = os.open(path, os.O_RDONLY)\n"
+        "    os.read(fd, 1 << 16)\n"
+        "    json.load(fh)\n"
+        "    path.read_text(encoding='utf-8')\n"
+        "    path.read_bytes()\n"
+        "    path.open()\n"
+        "def fine(path, url):\n"
+        "    text = storage.read_file(path)\n"
+        "    json.loads(text)\n"
+        "    os.listdir(path)\n"
+        "    return urllib.request.urlopen(url).read()\n"
+    )
+    assert file_reads(path) == [
+        "probe.py:4 calls open",
+        "probe.py:5 calls open",
+        "probe.py:6 calls open",
+        "probe.py:7 calls read",
+        "probe.py:8 calls load",
+        "probe.py:9 calls read_text",
+        "probe.py:10 calls read_bytes",
+        "probe.py:11 calls open",
     ]

@@ -82,10 +82,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_bad_ratio(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [
+        ("split_ratio", 0.8),  # the split's ratio is `split --ratio`
+        ("changepoint", {"penalty_beta": 2.5}),  # the detector block is spelled "detector"
+    ])
+    def test_dropped_keys_are_unknown(self, tmp_path, key, value):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"dataset_name": "d", "source": "fred", "split_ratio": 2}))
-        with pytest.raises(ConfigError):
+        path.write_text(json.dumps({"dataset_name": "d", "source": "fred", key: value}))
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: .*{key}"):
             load_config(path)
 
     def test_unknown_key(self, tmp_path):
@@ -512,6 +516,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(stored) in err and "finite" in err
 
+    @pytest.mark.parametrize("command, stored, code", [
+        ("split", "data/mini/augmented/*.meta.json", 5),
+        ("prune", "data/mini/original/*.csv", 5),
+        ("report", "data/mini/manifest.json", 5),
+        ("run", "fixtures/mini-config.json", 2),
+    ])
+    def test_exit_code_file_not_utf8(self, mini_corpus, capsys, command, stored, code):
+        root, config_path = mini_corpus["root"], str(mini_corpus["config_path"])
+        assert main(["run", "--config", config_path]) == 0
+        path = sorted(root.glob(stored))[0]
+        data = path.read_bytes()
+        path.write_bytes(data[:8] + b"\xff" + data[8:])
+        capsys.readouterr()
+        flags = {"run": ["--config", config_path, "--force"],
+                 "prune": ["--dataset", "mini", "--config", config_path]}
+        args = flags.get(command, ["--dataset", "mini", "--output-dir", str(root / "data")])
+        assert main([command, *args]) == code
+        assert f"{path}: not UTF-8 at byte 8" in capsys.readouterr().err
+
+    def test_exit_code_query_file_not_json(self, mini_corpus, capsys):
+        query_file = load_config(mini_corpus["config_path"]).query_file
+        query_file.write_text("{not json")
+        assert main(["run", "--config", str(mini_corpus["config_path"])]) == 3
+        assert f"{query_file}: not valid JSON" in capsys.readouterr().err
+
     def test_exit_code_corrupt_manifest(self, mini_corpus, capsys):
         assert main(["run", "--config", str(mini_corpus["config_path"])]) == 0
         root = mini_corpus["root"] / "data"
@@ -554,17 +583,6 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["prune", "--dataset", "mini", "--transport", "live"])
         assert exc.value.code == 2
-
-
-def test_config_accepts_changepoint_alias(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({
-        "dataset_name": "d", "source": "fred",
-        "changepoint": {"penalty_beta": 2.5, "min_segment_size": 3},
-    }))
-    config = load_config(path)
-    assert config.detector.penalty_beta == 2.5
-    assert config.detector.min_segment_size == 3
 
 
 class TestStageLifecycle:

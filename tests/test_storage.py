@@ -1,7 +1,7 @@
 """``save_stage`` writes the bytes of ``save_series`` in fewer formatting passes,
-every other file of the package is written by ``write_document``, and the
+every other file of the package is written by ``write_document``, the
 ``os``-level reader, writer and stage listing match the pathlib ones they
-replaced."""
+replaced, and every reader names a file that is not UTF-8."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from shiftminer.series import AugmentMethod, Provenance, Source, Stage, TimeSeri
 from shiftminer.storage import (
     DatasetManifest,
     IoFailureError,
+    MalformedFileError,
     load_series,
     load_stage_meta,
     read_sidecar,
@@ -112,11 +113,10 @@ def families(draw):
 def test_save_stage_bytes_equal_save_series_loop(series_list):
     with tempfile.TemporaryDirectory() as tmp:
         batched, looped, oracle = (Path(tmp) / part for part in ("batched", "looped", "oracle"))
-        paths = save_stage(batched, "d", series_list)
+        save_stage(batched, "d", series_list)
         for series in series_list:
             save_series(series, stage_dir(looped, "d", series.stage))
             reference_save(series, stage_dir(oracle, "d", series.stage))
-        assert paths == [stage_dir(batched, "d", s.stage) / f"{s.id}.csv" for s in series_list]
         tree = tree_bytes(batched)
         assert len(tree) == 2 * len(series_list)
         assert tree == tree_bytes(looped) == tree_bytes(oracle)
@@ -231,7 +231,7 @@ def demo_config_case(root):
                                   verify_shift=False)
     doc = {"dataset_name": "demo", "source": "fred", "query_file": "q.json",
            "transport_mode": "replay", "detector": {},
-           "augment": {"factor": 30, "verify_shift": False}, "split_ratio": 0.8,
+           "augment": {"factor": 30, "verify_shift": False},
            "master_seed": 3, "output_dir": str(root / "data"), "fixtures_dir": ".",
            "domain": "Economics & Finance", "description": "Synthetic macro-style replay corpus"}
     return path, doc, True
@@ -271,17 +271,17 @@ def old_stage_files(directory: Path) -> list[Path]:
 
 
 def old_read(path: Path) -> tuple[str, object]:
-    """The pathlib text reader the ``os`` one replaced, as the oracle: the text,
-    or the class of the error it raised."""
+    """The file as stored, decoded by pathlib, as the oracle: the text, or the
+    class of the error it raised."""
     try:
-        return "text", path.read_text(encoding="utf-8")
+        return "text", path.read_bytes().decode("utf-8")
     except OSError as exc:
         return "error", type(exc)
 
 
 def new_read(path: str) -> tuple[str, object]:
     try:
-        return "text", storage._read_file(path)
+        return "text", storage.read_file(path)
     except OSError as exc:
         return "error", type(exc)
 
@@ -328,11 +328,56 @@ def test_stage_listing_and_reads_match_pathlib(tmp_path, layout):
     for path in directory.iterdir() if directory.is_dir() else []:
         assert new_read(str(path)) == old_read(path)
     if layout == "crowded":
-        # CRLF and CR line ends read as a text-mode read translates them
+        # the reader keeps CRLF and CR line ends; the CSV body reader translates them
         assert load_series(directory / "a.csv") == TimeSeries(
             "a", Source.SYNTHETIC, stamps(737425, 2), [1.0, 2.0], Stage.ORIGINAL)
         with pytest.raises(IoFailureError, match=re.escape(f"cannot read {directory}/sub.csv")):
             load_series(directory / "sub.csv")
+
+
+def test_read_file_returns_the_file_as_stored(tmp_path):
+    path = tmp_path / "doc.txt"
+    text = "a\r\nb\rc\n" + NON_ASCII
+    path.write_bytes(text.encode("utf-8"))
+    assert storage.read_file(path) == storage.read_file(str(path)) == text
+    with pytest.raises(FileNotFoundError):  # an OSError passes through as it is
+        storage.read_file(tmp_path / "missing.txt")
+
+
+def not_utf8(path: Path) -> Path:
+    """Write a JSON object to ``path`` with byte 0xff at offset 8."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b'{"id": "\xff"}')
+    return path
+
+
+READERS = {  # kind: (its file under the root, a call on the root that reads it)
+    "series": ("s.csv", lambda root: load_series(root / "s.csv")),
+    "sidecar": ("s.meta.json", lambda root: read_sidecar(root / "s.csv")),
+    "manifest": ("d/manifest.json", lambda root: storage.load_manifest(root, "d")),
+    "queries": ("q.json", lambda root: sources.load_queries(root / "q.json")),
+    "catalog": ("c.json", lambda root: querygen.load_catalog(root / "c.json")),
+    "completion": (querygen.ReplayBackend("").fixture_path("p").name,
+                   lambda root: querygen.ReplayBackend(root).complete("p")),
+}
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_every_reader_names_a_file_that_is_not_utf8(tmp_path, kind):
+    name, read = READERS[kind]
+    path = not_utf8(tmp_path / name)
+    with pytest.raises(MalformedFileError, match=f"^{re.escape(str(path))}: not UTF-8 at byte 8$"):
+        read(tmp_path)
+
+
+def test_fixture_and_config_readers_name_a_file_that_is_not_utf8(tmp_path):
+    fixture = not_utf8(tmp_path / "f.http")
+    with pytest.raises(sources.FixtureMissingError,
+                       match=re.escape(f"unreadable fixture {fixture}: MalformedFileError")):
+        sources.read_fixture(fixture)
+    config = not_utf8(tmp_path / "cfg.json")
+    with pytest.raises(pipeline.ConfigError, match=re.escape(f"{config}: not UTF-8 at byte 8")):
+        pipeline.load_config(config)
 
 
 def test_a_file_larger_than_one_read_round_trips(tmp_path):
