@@ -117,13 +117,6 @@ def render_text(text: str, bindings: dict[str, str]) -> str:
     return _PLACEHOLDER_RE.sub(substitute, text)
 
 
-def render_prompt(template: PromptTemplate, bindings: dict[str, str]) -> str:
-    """Body plus follow-ups rendered in order, blank-line separated."""
-    parts = [render_text(template.body, bindings)]
-    parts.extend(render_text(fu, bindings) for fu in template.followups)
-    return "\n\n".join(parts)
-
-
 # --- completion backends ----------------------------------------------------
 
 

@@ -25,7 +25,7 @@ import os
 import re
 import time
 import urllib.parse
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import date, datetime, timezone
 from itertools import compress, repeat
 from pathlib import Path
@@ -234,14 +234,44 @@ def _as_date(raw: dict, key: str) -> date:
         raise QueryFieldError(f"field {key} is not an ISO date: {value!r}") from exc
 
 
+def _bind_field(raw: dict, name: str, annotation: str) -> object:
+    """One payload field from a raw object, by its annotation (postponed: a string)."""
+    if annotation == "date":
+        return _as_date(raw, name)
+    value = _require(raw, name)
+    if annotation == "Interval":
+        try:
+            return Interval(str(value))
+        except ValueError as exc:
+            raise QueryFieldError(f"unknown interval {str(value)!r}") from exc
+    if annotation == "str | None":
+        return str(value) if value else None
+    if annotation.startswith("tuple"):
+        if not isinstance(value, dict):
+            raise QueryFieldError(f"field {name} must be an object")
+        return tuple((str(k), str(v)) for k, v in value.items())
+    return str(value)
+
+
+def _field_to_raw(value: object) -> object:
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, enum.Enum):
+        return value.value
+    return dict(value) if isinstance(value, tuple) else value
+
+
 def query_from_raw(raw: dict, source: Source) -> SourceQuery:
-    """Bind and validate one raw JSON object; raises
-    :class:`QueryFieldError` with the reason for a missing, malformed or
-    invalid field."""
+    """Bind and validate one raw JSON object by its payload type's fields (one
+    with a default may be absent); raises :class:`QueryFieldError` with the
+    reason for a missing, malformed or invalid field."""
     connector = CONNECTORS.get(source)
     if connector is None:
         raise QueryFieldError(f"source {source} does not accept queries")
-    query = SourceQuery(source, connector.from_raw(raw), str(raw.get("comment", "")))
+    raw = connector.unalias(raw)
+    bound = {f.name: _bind_field(raw, f.name, f.type) for f in fields(connector.payload_type)
+             if f.name in raw or f.default is MISSING}
+    query = SourceQuery(source, connector.payload_type(**bound), str(raw.get("comment", "")))
     reasons = validate_query(query)
     if reasons:
         raise QueryFieldError("; ".join(reasons))
@@ -250,8 +280,10 @@ def query_from_raw(raw: dict, source: Source) -> SourceQuery:
 
 def query_to_raw(query: SourceQuery) -> dict:
     """Serialize back to the JSON field spelling the binder accepts."""
-    payload_raw = CONNECTORS[query.source].to_raw(query.payload)
-    return {"source": query.source.value, **payload_raw, "comment": query.comment}
+    p = query.payload
+    payload_raw = {f.name: _field_to_raw(getattr(p, f.name)) for f in fields(p)}
+    return {"source": query.source.value, **CONNECTORS[query.source].alias(payload_raw),
+            "comment": query.comment}
 
 
 def save_queries(queries: Sequence[SourceQuery], path: str | Path) -> Path:
@@ -270,7 +302,10 @@ def load_queries(path: str | Path, default_source: Source | None = None) -> list
     for i, raw in enumerate(raw_list):
         if not isinstance(raw, dict):
             raise QueryFieldError(f"{path}[{i}]: expected an object")
-        source = Source(raw["source"]) if "source" in raw else (infer_source(raw) or default_source)
+        try:
+            source = Source(raw["source"]) if "source" in raw else infer_source(raw) or default_source
+        except ValueError:
+            raise QueryFieldError(f"{path}[{i}]: unknown source {raw['source']!r}") from None
         if source is None:
             raise QueryFieldError(f"{path}[{i}]: cannot determine source")
         try:
@@ -745,6 +780,7 @@ def trends_response_to_series(payload: TrendsQuery, comment: str, body: str) -> 
 # --- connector table --------------------------------------------------------
 
 Send = Callable[[Request], Response]
+Collect = Callable[[Payload, str, str | None, Send], list[TimeSeries]]
 
 
 @dataclass(frozen=True)
@@ -754,60 +790,34 @@ class Connector:
     The generic query functions read the rest off the payload type: its
     first field is the identifier, which must be non-empty and which marks
     a raw object as this source's; ``start_date``/``end_date`` fields get
-    the range check.
+    the range check. Every field binds and serializes by its annotation. Only
+    Trends spells a field its own way (``aliases``): ``unalias`` rewrites a raw
+    object into field names before binding, ``alias`` the fields back.
     """
 
     payload_type: type
-    from_raw: Callable[[dict], Payload]
-    to_raw: Callable[[Payload], dict]
-    collect: Callable[[Payload, str, str | None, Send], list[TimeSeries]]
+    collect: Collect
     check: Callable[[Payload], list[str]] = lambda payload: []
     api_key_env: str | None = None
     aliases: tuple[str, ...] = ()
+    unalias: Callable[[dict], dict] = lambda raw: raw
+    alias: Callable[[dict], dict] = lambda raw: raw
 
     @property
     def id_field(self) -> str:
         return fields(self.payload_type)[0].name
 
 
-def _fred_from_raw(raw: dict) -> FredQuery:
-    return FredQuery(
-        series_id=str(_require(raw, "series_id")),
-        start_date=_as_date(raw, "start_date"),
-        end_date=_as_date(raw, "end_date"),
-    )
-
-
-def _fred_to_raw(p: FredQuery) -> dict:
-    return {
-        "series_id": p.series_id,
-        "start_date": p.start_date.isoformat(),
-        "end_date": p.end_date.isoformat(),
-    }
+def _one_request(build: Callable[..., Request], parse: Callable[..., list[TimeSeries]]) -> Collect:
+    """The collect step of a source that answers a query with one response:
+    build the request, send it and parse its body."""
+    return lambda p, comment, api_key, send: parse(p, comment, send(build(p, api_key)).body)
 
 
 def _fred_check(p: FredQuery) -> list[str]:
     if p.series_id and not _FRED_ID_RE.match(p.series_id):
         return [f"series_id {p.series_id!r} must match [A-Z0-9_]+"]
     return []
-
-
-def _fred_collect(p: FredQuery, comment: str, api_key: str | None, send: Send) -> list[TimeSeries]:
-    return fred_response_to_series(p, comment, send(build_fred_request(p, api_key)).body)
-
-
-def _eia_from_raw(raw: dict) -> EiaQuery:
-    params = _require(raw, "params")
-    if not isinstance(params, dict):
-        raise QueryFieldError("field params must be an object")
-    return EiaQuery(
-        api_route=str(_require(raw, "api_route")),
-        params=tuple((str(k), str(v)) for k, v in params.items()),
-    )
-
-
-def _eia_to_raw(p: EiaQuery) -> dict:
-    return {"api_route": p.api_route, "params": dict(p.params)}
 
 
 def _eia_check(p: EiaQuery) -> list[str]:
@@ -842,84 +852,41 @@ def _eia_collect(p: EiaQuery, comment: str, api_key: str | None, send: Send) -> 
     return series
 
 
-def _yahoo_from_raw(raw: dict) -> YahooQuery:
-    interval_raw = str(raw.get("interval", Interval.DAILY.value))
+def _trends_unalias(raw: dict) -> dict:
+    """A ``timeframe`` of two ISO dates as ``start_date`` and ``end_date``."""
+    if "timeframe" not in raw:
+        return raw
+    parts = str(raw["timeframe"]).split()
+    if len(parts) != 2:
+        raise QueryFieldError(f"timeframe must be 'START END': {raw['timeframe']!r}")
     try:
-        interval = Interval(interval_raw)
+        start, end = map(date.fromisoformat, parts)
     except ValueError as exc:
-        raise QueryFieldError(f"unknown interval {interval_raw!r}") from exc
-    return YahooQuery(
-        ticker=str(_require(raw, "ticker")),
-        start_date=_as_date(raw, "start_date"),
-        end_date=_as_date(raw, "end_date"),
-        interval=interval,
-    )
+        raise QueryFieldError(f"bad timeframe dates: {raw['timeframe']!r}") from exc
+    return {**raw, "start_date": start, "end_date": end}
 
 
-def _yahoo_to_raw(p: YahooQuery) -> dict:
-    return {
-        "ticker": p.ticker,
-        "start_date": p.start_date.isoformat(),
-        "end_date": p.end_date.isoformat(),
-        "interval": p.interval.value,
-    }
-
-
-def _yahoo_collect(
-    p: YahooQuery, comment: str, api_key: str | None, send: Send
-) -> list[TimeSeries]:
-    return yahoo_response_to_series(p, comment, send(build_yahoo_request(p)).body)
-
-
-def _trends_from_raw(raw: dict) -> TrendsQuery:
-    if "timeframe" in raw:
-        parts = str(raw["timeframe"]).split()
-        if len(parts) != 2:
-            raise QueryFieldError(f"timeframe must be 'START END': {raw['timeframe']!r}")
-        try:
-            start, end = (date.fromisoformat(p) for p in parts)
-        except ValueError as exc:
-            raise QueryFieldError(f"bad timeframe dates: {raw['timeframe']!r}") from exc
-    else:
-        start, end = _as_date(raw, "start_date"), _as_date(raw, "end_date")
-    geo = raw.get("geo")
-    return TrendsQuery(
-        keyword=str(_require(raw, "keyword")),
-        start_date=start,
-        end_date=end,
-        geo=str(geo) if geo else None,
-    )
-
-
-def _trends_to_raw(p: TrendsQuery) -> dict:
-    raw = {
-        "keyword": p.keyword,
-        "timeframe": f"{p.start_date.isoformat()} {p.end_date.isoformat()}",
-    }
-    if p.geo:
-        raw["geo"] = p.geo
-    return raw
-
-
-def _trends_collect(
-    p: TrendsQuery, comment: str, api_key: str | None, send: Send
-) -> list[TimeSeries]:
-    return trends_response_to_series(p, comment, send(build_trends_request(p)).body)
+def _trends_alias(raw: dict) -> dict:
+    """The dates as one ``timeframe``; ``geo`` only when set."""
+    timeframe = f"{raw['start_date']} {raw['end_date']}"
+    return {"keyword": raw["keyword"], "timeframe": timeframe,
+            **({"geo": raw["geo"]} if raw["geo"] else {})}
 
 
 # Insertion order is the order in which ``infer_source`` tries the identifier fields.
 CONNECTORS: dict[Source, Connector] = {
     Source.FRED: Connector(
-        FredQuery, _fred_from_raw, _fred_to_raw, _fred_collect, _fred_check,
+        FredQuery, _one_request(build_fred_request, fred_response_to_series), _fred_check,
         api_key_env="FRED_API_KEY",
     ),
-    Source.EIA: Connector(
-        EiaQuery, _eia_from_raw, _eia_to_raw, _eia_collect, _eia_check,
-        api_key_env="EIA_API_KEY",
+    Source.EIA: Connector(EiaQuery, _eia_collect, _eia_check, api_key_env="EIA_API_KEY"),
+    Source.YAHOO: Connector(
+        YahooQuery, _one_request(lambda p, _: build_yahoo_request(p), yahoo_response_to_series)
     ),
-    Source.YAHOO: Connector(YahooQuery, _yahoo_from_raw, _yahoo_to_raw, _yahoo_collect),
     Source.TRENDS: Connector(
-        TrendsQuery, _trends_from_raw, _trends_to_raw, _trends_collect, aliases=("timeframe",)
+        TrendsQuery,
+        _one_request(lambda p, _: build_trends_request(p), trends_response_to_series),
+        aliases=("timeframe",), unalias=_trends_unalias, alias=_trends_alias,
     ),
 }
 

@@ -541,6 +541,15 @@ class TestCli:
         assert main(["run", "--config", str(mini_corpus["config_path"])]) == 3
         assert f"{query_file}: not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, shown", [("nope", "'nope'"), (5, "5"), (None, "None")])
+    def test_exit_code_query_file_unknown_source(self, mini_corpus, capsys, source, shown):
+        query_file = load_config(mini_corpus["config_path"]).query_file
+        entries = json.loads(query_file.read_text())
+        entries[1]["source"] = source
+        query_file.write_text(json.dumps(entries))
+        assert main(["run", "--config", str(mini_corpus["config_path"])]) == 3
+        assert f"{query_file}[1]: unknown source {shown}" in capsys.readouterr().err
+
     def test_exit_code_corrupt_manifest(self, mini_corpus, capsys):
         assert main(["run", "--config", str(mini_corpus["config_path"])]) == 0
         root = mini_corpus["root"] / "data"

@@ -14,7 +14,6 @@ from shiftminer.querygen import (
     HttpBackend,
     MissingBindingError,
     NoQueriesFoundError,
-    PromptTemplate,
     QUERY_TEMPLATE,
     RecordBackend,
     ReplayBackend,
@@ -23,7 +22,6 @@ from shiftminer.querygen import (
     extract_query_objects,
     generate_queries,
     parse_source_table,
-    render_prompt,
     render_text,
     write_completion_fixture,
 )
@@ -43,24 +41,20 @@ Query example for EIA API:
 """
 
 
-class TestRenderPrompt:
+class TestRenderText:
     def test_query_template_binds_source_and_count(self):
-        text = render_prompt(QUERY_TEMPLATE, {"source_name": "FRED", "query_count": "50"})
+        bindings = {"source_name": "FRED", "query_count": "50"}
+        text = render_text(QUERY_TEMPLATE.followups[0], bindings)
         assert "50 queries for the FRED dataset" in text
         assert "{" not in text.replace("{}", "")
 
     def test_missing_binding(self):
         with pytest.raises(MissingBindingError):
-            render_prompt(QUERY_TEMPLATE, {"source_name": "FRED"})
-
-    def test_empty_followups_renders_body_only(self):
-        template = PromptTemplate("t", "ask about {source_name}", ())
-        assert render_prompt(template, {"source_name": "EIA"}) == "ask about EIA"
+            render_text(QUERY_TEMPLATE.followups[0], {"source_name": "FRED"})
 
     def test_unrelated_braces_preserved(self):
-        template = PromptTemplate("t", 'emit {"a": 1} for {source_name}', ())
-        out = render_prompt(template, {"source_name": "X"})
-        assert '{"a": 1}' in out and "for X" in out
+        out = render_text('emit {"a": 1} for {source_name}', {"source_name": "X"})
+        assert out == 'emit {"a": 1} for X'
 
 
 class TestExtract:

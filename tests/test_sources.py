@@ -677,19 +677,74 @@ GOLDEN_QUERIES = [
 ]
 
 
+def _ranged(source, payload_type, ids, *rest):
+    """Queries of ``source`` whose payload is ``payload_type(id, start, end, *rest)``."""
+    spans = st.lists(st.dates(), min_size=2, max_size=2, unique=True).map(sorted)
+    return st.builds(
+        lambda id_, span, comment, *more: SourceQuery(source, payload_type(id_, *span, *more),
+                                                      comment),
+        ids, spans, TEXT, *rest,
+    )
+
+
+# Identifiers, keys and values are any text the checks accept: spaces, brackets,
+# non-ASCII, and EIA parameter names the request builder also sets.
+EIA_KEYS = st.one_of(
+    st.sampled_from(["offset", "length", "data[0]", "facets[respondent][]", " ", "ключ"]),
+    TEXT.filter(bool),
+)
+ANY_QUERY = st.one_of(
+    st.sampled_from(GOLDEN_QUERIES),
+    _ranged(Source.FRED, FredQuery, st.from_regex(r"[A-Z0-9_]+", fullmatch=True)),
+    st.builds(
+        lambda route, params, comment: SourceQuery(
+            Source.EIA, EiaQuery(route, tuple(params.items())), comment),
+        TEXT.filter(lambda r: r and not r.startswith("/") and "://" not in r),
+        st.dictionaries(EIA_KEYS, TEXT, max_size=4),
+        TEXT,
+    ),
+    _ranged(Source.YAHOO, YahooQuery, TEXT.filter(bool), st.sampled_from(Interval)),
+    _ranged(Source.TRENDS, TrendsQuery, TEXT.filter(bool), st.sampled_from([None, "", "US"])),
+)
+
+
 class TestConnectorTable:
     def test_one_connector_per_source(self):
         assert set(CONNECTORS) == {s for s in Source if s is not Source.SYNTHETIC}
         payload_types = [c.payload_type for c in CONNECTORS.values()]
         assert len(set(payload_types)) == len(payload_types)
 
-    @pytest.mark.parametrize("query", GOLDEN_QUERIES, ids=lambda q: q.source.value)
+    @settings(max_examples=300, deadline=None)
+    @given(ANY_QUERY)
     def test_raw_round_trip(self, query):
         raw = query_to_raw(query)
         again = query_from_raw(raw, query.source)
+        if query.source is Source.TRENDS:  # an empty geo is written, and read back, as none
+            query = dataclasses.replace(
+                query, payload=dataclasses.replace(query.payload, geo=query.payload.geo or None)
+            )
         assert again == query
         assert query_to_raw(again) == raw
         assert set(raw) <= known_fields(query.source)
+
+    @pytest.mark.parametrize("raw, geo", [
+        ({"timeframe": "2020-01-01 2021-01-01", "geo": ""}, None),
+        ({"start_date": "2020-01-01", "end_date": "2021-01-01", "geo": None}, None),
+        ({"timeframe": "2020-01-01 2021-01-01", "start_date": "1999-01-01",
+          "end_date": "1999-02-01", "geo": "US"}, "US"),
+    ])
+    def test_trends_binds_timeframe_first_and_empty_geo_as_none(self, raw, geo):
+        query = query_from_raw({"keyword": "flu", **raw}, Source.TRENDS)
+        assert query.payload == TrendsQuery("flu", date(2020, 1, 1), date(2021, 1, 1), geo)
+
+    @pytest.mark.parametrize("raw, source, reason", [
+        ({"start_date": "2020-01-01", "end_date": "2021-01-01", "interval": "hourly"},
+         Source.YAHOO, "missing field ticker"),
+        ({"params": ["a"]}, Source.EIA, "missing field api_route"),
+    ])
+    def test_first_fault_follows_field_order(self, raw, source, reason):
+        with pytest.raises(QueryFieldError, match=f"^{reason}$"):
+            query_from_raw(raw, source)
 
     @pytest.mark.parametrize("raw, source", [
         ({"series_id": "X", "start_date": "2020-01-01"}, Source.FRED),
@@ -703,6 +758,16 @@ class TestConnectorTable:
           "interval": "hourly"}, Source.YAHOO),
         ({"keyword": "flu", "timeframe": "2020-01-01"}, Source.TRENDS),
         ({"keyword": "", "timeframe": "2020-01-01 2021-01-01"}, Source.TRENDS),
+        ({"ticker": "SPY", "end_date": "2021-01-01"}, Source.YAHOO),
+        ({"keyword": "flu", "start_date": "2020-01-01"}, Source.TRENDS),
+        ({"series_id": "X", "start_date": "01/02/2020", "end_date": "2021-01-01"}, Source.FRED),
+        ({"api_route": "r/data", "params": "frequency=daily"}, Source.EIA),
+        ({"api_route": "r/data", "params": None}, Source.EIA),
+        ({"keyword": "flu", "timeframe": "2020-01-01 to 2021-01-01"}, Source.TRENDS),
+        ({"keyword": "flu", "timeframe": "2020-13-01 2021-01-01"}, Source.TRENDS),
+        ({"keyword": "flu", "timeframe": "today 12-m"}, Source.TRENDS),
+        ({"ticker": "SPY", "interval": "hourly"}, Source.YAHOO),
+        ({"params": {"a": "1"}}, Source.EIA),
     ])
     def test_load_and_bind_reject_with_same_reason(self, raw, source, tmp_path):
         from shiftminer.querygen import bind_queries
