@@ -16,7 +16,13 @@ It ends by printing one summary line per workload and end-to-end metric:
 parent -> change median, the change's wins, the parent's IQR and
 ``digests_equal``. Only the standard library is used.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+Bench two fresh copies made the same way, side by side: a working checkout
+differs from a fresh one in where its files lie, and on a workload that creates
+thousands of files that alone can move ``run_s`` by more than its bound. The
+script warns when either side is the checkout it runs from.
+
+    git clone -q . ../change && git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
+    python3 scripts/bench_pairs.py --parent ../parent --change ../change \\
         --seeds 701-710 --seconds 30 --out BENCH_7.json --note "what the change does"
 """
 
@@ -138,6 +144,10 @@ def main(argv: list[str] | None = None) -> int:
     if len(args.seeds) < 2:
         sys.exit("quartiles need at least two seeds")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, checkout in checkouts.items():
+        if checkout == Path(__file__).resolve().parent.parent:
+            print(f"warning: --{side} {checkout} is the checkout this script runs from; "
+                  "bench two fresh copies made the same way", file=sys.stderr)
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
     layer_better = {metric["name"]: metric["better"] for metric in declared["per_layer"]}

@@ -46,34 +46,30 @@ logger = logging.getLogger(__name__)
 # spline overshoots or a knot draw comes out negative.
 SPEED_FLOOR = 0.1
 
+KNOT_MU = 1.0
+WINDOW_WARP_FRACTION = 0.10
+WARP_SCALES = (0.5, 2.0)
+SLICE_FRACTION = 0.90
+
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """Hyperparameters for the three transforms and the expansion loop."""
+    """Hyperparameters for the three transforms and the expansion loop. The paper
+    fixes the transforms' shapes: KNOT_MU, WINDOW_WARP_FRACTION, WARP_SCALES and
+    SLICE_FRACTION are module constants."""
 
     knot_count: int = 3
-    knot_mu: float = 1.0
     knot_sigma: float = 0.2
-    window_warp_fraction: float = 0.10
-    warp_scales: tuple[float, ...] = (0.5, 2.0)
-    slice_fraction: float = 0.90
     factor: int = 30
     verify_shift: bool = True
     max_retries: int = 10
     master_seed: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "warp_scales", tuple(sorted(self.warp_scales)))
         if self.knot_count < 1:
             raise ValueError("knot_count must be >= 1")
         if self.knot_sigma < 0:
             raise ValueError("knot_sigma must be >= 0")
-        if not 0 < self.window_warp_fraction < 1:
-            raise ValueError("window_warp_fraction must be in (0, 1)")
-        if not self.warp_scales or any(s <= 0 for s in self.warp_scales):
-            raise ValueError("warp_scales must be positive")
-        if not 0 < self.slice_fraction < 1:
-            raise ValueError("slice_fraction must be in (0, 1)")
         if self.factor < 1:
             raise ValueError("factor must be >= 1")
         if self.factor % 3 != 0:
@@ -113,7 +109,7 @@ def gen_warp_path(n: int, config: AugmentConfig, rng: int | np.random.Generator)
     """Random smooth monotone warp path of length ``n``.
 
     Speeds are drawn at ``knot_count`` evenly spaced interior knots from
-    Normal(knot_mu, knot_sigma), clamped to the speed floor, with the two
+    Normal(KNOT_MU, knot_sigma), clamped to the speed floor, with the two
     boundary speeds fixed at 1. A natural cubic spline through the knots
     gives a per-index speed curve; its clamped cumulative sum, rescaled to
     end exactly at ``n - 1``, is the path. All speeds equal means the
@@ -129,7 +125,7 @@ def _warp_positions(n: int, config: AugmentConfig, gen: np.random.Generator) -> 
     speeds = np.empty(config.knot_count + 2)
     speeds[0] = speeds[-1] = 1.0
     speeds[1:-1] = np.maximum(
-        SPEED_FLOOR, gen.normal(config.knot_mu, config.knot_sigma, config.knot_count)
+        SPEED_FLOOR, gen.normal(KNOT_MU, config.knot_sigma, config.knot_count)
     )
     # Natural cubic spline through the knots: second derivatives M of 0 at the
     # ends, and M[i-1] + 4 M[i] + M[i+1] = 6 (y[i-1] - 2 y[i] + y[i+1]) / h**2.
@@ -218,9 +214,9 @@ def window_warp_values(values: np.ndarray, config: AugmentConfig, seed: int) -> 
     if n < 10:
         raise SeriesTooShortError(f"window warp needs length >= 10, got {n}")
     gen = np.random.default_rng(seed)
-    width = max(1, round(config.window_warp_fraction * n))
+    width = max(1, round(WINDOW_WARP_FRACTION * n))
     start = int(gen.integers(0, n - width + 1))
-    scale = float(gen.choice(config.warp_scales))
+    scale = float(gen.choice(WARP_SCALES))
     return apply_window_warp(values, start, width, scale)
 
 
@@ -246,7 +242,7 @@ def window_slice_values(values: np.ndarray, config: AugmentConfig, seed: int) ->
     if n < 10:
         raise SeriesTooShortError(f"window slice needs length >= 10, got {n}")
     gen = np.random.default_rng(seed)
-    length = max(2, round(config.slice_fraction * n))
+    length = max(2, round(SLICE_FRACTION * n))
     start = int(gen.integers(0, n - length + 1))
     return apply_window_slice(values, start, length)
 

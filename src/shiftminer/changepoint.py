@@ -83,7 +83,6 @@ class DetectorConfig:
 
     penalty_beta: float | None = None
     min_segment_size: int = 2
-    max_changepoints: int | None = None
     known_k: int | None = None
 
     def __post_init__(self) -> None:
@@ -91,8 +90,6 @@ class DetectorConfig:
             raise ValueError("penalty_beta must be >= 0")
         if self.min_segment_size < 1:
             raise ValueError("min_segment_size must be >= 1")
-        if self.max_changepoints is not None and self.max_changepoints < 1:
-            raise ValueError("max_changepoints must be >= 1")
         if self.known_k is not None and self.known_k < 0:
             raise ValueError("known_k must be >= 0")
 
@@ -240,11 +237,8 @@ def binary_segmentation(values: Sequence[float], config: DetectorConfig) -> Chan
 
     boundaries = [n]
     target = config.known_k
-    limit = config.max_changepoints
     while True:
         if target is not None and len(boundaries) - 1 >= target:
-            break
-        if limit is not None and len(boundaries) - 1 >= limit:
             break
         best: tuple[float, int] | None = None
         prev = 0

@@ -224,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc.cause, pipeline.PruningEmptyError):
             return EXIT_EMPTY_PRUNE
-        if isinstance(exc.cause, (storage.IoFailureError, OSError)):
+        if isinstance(exc.cause, OSError):
             return EXIT_IO
         if exc.stage in ("queries", "collect"):
             return EXIT_COLLECT
@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     except (querygen.BackendFailureError, querygen.NoQueriesFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLLECT
-    except (storage.IoFailureError, OSError, storage.MalformedFileError, SeriesError) as exc:
+    except (OSError, storage.MalformedFileError, SeriesError) as exc:
         # stage errors arrive wrapped, so a bare series error comes from a stored file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

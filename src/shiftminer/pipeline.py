@@ -48,10 +48,6 @@ class PruningEmptyError(Exception):
     """Pruning left no series with a detected shift."""
 
 
-class EmptyInputError(ConfigError):
-    """An operation that needs data received none."""
-
-
 class StageError(Exception):
     """A pipeline stage failed; :class:`Stages` says what it left on disk."""
 
@@ -320,7 +316,7 @@ def split_train_test(
     externally fixed splits). It reads only ``id`` and ``provenance``.
     """
     if not series_list:
-        raise EmptyInputError("cannot split an empty series list")
+        raise ConfigError("cannot split an empty series list")
     _check_ratio(ratio)
 
     # a parent and its augmented children form one unit, named by the parent
@@ -360,7 +356,7 @@ def split_dataset(
     _check_ratio(ratio)
     pruned = storage.load_stage_meta(output_dir, name, Stage.PRUNED)
     if not pruned:
-        raise EmptyInputError(f"dataset {name!r} has no pruned series to split")
+        raise ConfigError(f"dataset {name!r} has no pruned series to split")
     augmented = storage.load_stage_meta(output_dir, name, Stage.AUGMENTED)
     train, test = split_train_test(pruned + augmented, ratio, seed, train_parent_count)
 

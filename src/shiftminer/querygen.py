@@ -33,11 +33,11 @@ from .sources import (
     known_fields,
     query_from_raw,
 )
-from .storage import IoFailureError, read_file, write_document
+from .storage import read_file, write_document
 
 logger = logging.getLogger(__name__)
 
-PLACEHOLDER_NAMES = ("source_name", "api_docs_summary", "rate_limit_note", "query_count")
+PLACEHOLDER_NAMES = ("source_name", "query_count")
 _PLACEHOLDER_RE = re.compile(r"\{(" + "|".join(PLACEHOLDER_NAMES) + r")\}")
 
 SOURCE_DISPLAY_NAMES = {
@@ -64,13 +64,11 @@ class BackendFailureError(Exception):
 class PromptTemplate:
     """A prompt body plus ordered follow-up texts, with named placeholders."""
 
-    name: str
     body: str
     followups: tuple[str, ...] = ()
 
 
 DISCOVERY_TEMPLATE = PromptTemplate(
-    name="discover_sources",
     body=(
         "I want to use general-purpose LLMs such as GPT4 to assist in constructing "
         "time series datasets, with a focus on datasets that suffer from distribution "
@@ -91,7 +89,6 @@ DISCOVERY_TEMPLATE = PromptTemplate(
 )
 
 QUERY_TEMPLATE = PromptTemplate(
-    name="generate_queries",
     body=(
         "Let's focus on {source_name}. Please provide Python code to query the API to "
         "download data that might exhibit distribution shifts. I will do statistical "
@@ -292,8 +289,8 @@ def _rounds(
     every round's prompt, and therefore its fixture key, is distinct. A first
     prompt over the backend's ``max_prompt_chars`` raises
     :class:`BackendFailureError`, a later one ends the rounds, and any other
-    backend error but an :class:`~shiftminer.storage.IoFailureError` (a
-    recording backend that cannot write) is raised as a :class:`BackendFailureError`.
+    backend error but an ``OSError`` (a replay fixture that cannot be read, or a
+    recording that cannot be written) is raised as a :class:`BackendFailureError`.
     """
     limit = getattr(backend, "max_prompt_chars", None)
     followups = [render_text(fu, bindings) for fu in template.followups]
@@ -309,7 +306,7 @@ def _rounds(
             return
         try:
             completion = backend.complete(transcript)
-        except (BackendFailureError, IoFailureError):
+        except (BackendFailureError, OSError):
             raise
         except Exception as exc:
             raise BackendFailureError(f"backend {backend.name} failed: {exc}") from exc

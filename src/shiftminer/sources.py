@@ -226,19 +226,22 @@ def _require(raw: dict, key: str) -> object:
     return raw[key]
 
 
-def _as_date(raw: dict, key: str) -> date:
-    value = _require(raw, key)
+def _iso_date(value: object, error: str) -> date:
+    """``value`` as a date if it is a ``YYYY-MM-DD`` string, the one form that every
+    supported Python's ``date.fromisoformat`` reads; else ``QueryFieldError(error)``."""
     try:
-        return date.fromisoformat(str(value))
-    except ValueError as exc:
-        raise QueryFieldError(f"field {key} is not an ISO date: {value!r}") from exc
+        if isinstance(value, str) and len(value) == 10 and value[4] == value[7] == "-":
+            return date.fromisoformat(value)
+    except ValueError:
+        pass
+    raise QueryFieldError(error)
 
 
 def _bind_field(raw: dict, name: str, annotation: str) -> object:
     """One payload field from a raw object, by its annotation (postponed: a string)."""
-    if annotation == "date":
-        return _as_date(raw, name)
     value = _require(raw, name)
+    if annotation == "date":
+        return _iso_date(value, f"field {name} is not an ISO date: {value!r}")
     if annotation == "Interval":
         try:
             return Interval(str(value))
@@ -859,11 +862,8 @@ def _trends_unalias(raw: dict) -> dict:
     parts = str(raw["timeframe"]).split()
     if len(parts) != 2:
         raise QueryFieldError(f"timeframe must be 'START END': {raw['timeframe']!r}")
-    try:
-        start, end = map(date.fromisoformat, parts)
-    except ValueError as exc:
-        raise QueryFieldError(f"bad timeframe dates: {raw['timeframe']!r}") from exc
-    return {**raw, "start_date": start, "end_date": end}
+    start, end = (_iso_date(part, f"bad timeframe dates: {raw['timeframe']!r}") for part in parts)
+    return {**raw, "start_date": start.isoformat(), "end_date": end.isoformat()}
 
 
 def _trends_alias(raw: dict) -> dict:

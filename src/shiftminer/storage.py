@@ -29,7 +29,8 @@ Every file the package reads goes through :func:`read_file`, which returns it
 as stored: strict UTF-8 with no newline translation, and bytes that are not
 UTF-8 are a :class:`MalformedFileError` naming the file. Only CSV bodies take
 ``\\r`` as a line end. It and ``_write_file`` use ``os.open``, ``os.read`` and
-``os.write``, with no pathlib or text-mode ``io`` wrapping. A stage directory
+``os.write``, with no pathlib or text-mode ``io`` wrapping, and an ``OSError``
+from either is raised as it is with its path in ``filename``. A stage directory
 is listed once by name: its series are the entries ending ``.csv``, in name
 order, and a series' sidecar is its stem (as ``Path.stem`` has it) plus
 ``.meta.json``. A stage directory holds only its own stage: :func:`load_stage`
@@ -62,10 +63,6 @@ _READ_CHUNK = 1 << 16  # one read takes any sidecar and most CSVs whole
 
 class MalformedFileError(ValueError):
     """A file is not UTF-8, or a stored file does not hold what its kind must."""
-
-
-class IoFailureError(Exception):
-    """Filesystem operation failed."""
 
 
 class ManifestError(ValueError):
@@ -116,9 +113,9 @@ def load_series(path: str | Path) -> TimeSeries:
     """Read one series file (plus sidecar metadata when present).
 
     Raises :class:`MalformedFileError` naming the file for a bad header, row
-    or sidecar, and re-raises the :class:`SeriesError` of the
-    :class:`TimeSeries` checks (too short, unordered, a NaN or infinite
-    value) naming the file.
+    or sidecar, an ``OSError`` naming it when it cannot be read, and re-raises
+    the :class:`SeriesError` of the :class:`TimeSeries` checks (too short,
+    unordered, a NaN or infinite value) naming the file.
     """
     path = os.fspath(path)
     timestamps, values = _read_body(path)
@@ -131,11 +128,7 @@ def load_series(path: str | Path) -> TimeSeries:
 
 
 def _read_body(path: str) -> tuple[list[date], list[float]]:
-    try:
-        text = read_file(path)
-    except OSError as exc:
-        raise IoFailureError(f"cannot read {path}") from exc
-
+    text = read_file(path)
     # a CR or CRLF line end leaves a blank line more, and blank lines are dropped
     lines = [ln for ln in map(str.strip, text.replace("\r", "\n").split("\n")) if ln]
     if not lines or lines[0] != CSV_HEADER:
@@ -160,7 +153,7 @@ def _read_body(path: str) -> tuple[list[date], list[float]]:
 def read_sidecar(path: str | Path) -> SeriesMeta:
     """The sidecar of series file ``path``, or the defaults below without one; a
     sidecar that is not a JSON object of known fields, or whose id or comment
-    is not a string, is a MalformedFileError."""
+    is not a string, is a MalformedFileError (an unreadable one, its OSError)."""
     head, sep, name = os.fspath(path).rpartition("/")
     dot = name.rfind(".")
     stem = name[:dot] if 0 < dot < len(name) - 1 else name  # as Path.stem
@@ -169,7 +162,7 @@ def read_sidecar(path: str | Path) -> SeriesMeta:
         meta = json.loads(read_file(meta_path))
     except FileNotFoundError:
         meta = {}
-    except (OSError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise MalformedFileError(f"{meta_path}: bad sidecar") from exc
     try:
         if not isinstance(meta, dict):
@@ -211,27 +204,20 @@ def _save_all(items: Iterable[tuple[TimeSeries, str]]) -> None:
                         + ",%.12g\n")
         meta = {"id": series.id, "source": series.source.value, "stage": series.stage.value,
                 "comment": series.comment, "provenance": _provenance_to_meta(series.provenance)}
-        base = f"{directory}/{series.id}"
-        try:
-            if directory not in made:
-                Path(directory).mkdir(parents=True, exist_ok=True)
-                made.add(directory)
-            _write_file(f"{base}.csv", template % tuple(series.values.tolist()))
-            _write_file(f"{base}.meta.json", _json_text(meta))
-        except OSError as exc:
-            raise IoFailureError(f"cannot write series under {directory}") from exc
+        if directory not in made:
+            Path(directory).mkdir(parents=True, exist_ok=True)
+            made.add(directory)
+        _write_file(f"{directory}/{series.id}.csv", template % tuple(series.values.tolist()))
+        _write_file(f"{directory}/{series.id}.meta.json", _json_text(meta))
 
 
 def write_document(path: str | Path, doc: object, *, sort_keys: bool = True) -> Path:
     """Write ``doc`` to ``path`` as UTF-8, creating the parent directory: a
     ``str`` as it is, anything else as JSON indented by 2 with a final newline.
-    Raises :class:`IoFailureError` when the file cannot be written."""
+    A file that cannot be written raises an ``OSError`` naming its path."""
     path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_file(str(path), doc if isinstance(doc, str) else _json_text(doc, sort_keys))
-    except OSError as exc:
-        raise IoFailureError(f"cannot write {path}") from exc
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_file(str(path), doc if isinstance(doc, str) else _json_text(doc, sort_keys))
     return path
 
 
@@ -242,12 +228,15 @@ def _json_text(doc: object, sort_keys: bool = True) -> str:
 def read_file(path: str | Path) -> str:
     """The whole file at ``path`` as stored, as strict UTF-8 with no newline
     translation. Bytes that are not UTF-8 raise :class:`MalformedFileError`
-    naming the file; an :class:`OSError` passes through unchanged."""
+    naming the file; an :class:`OSError` is raised naming it in ``filename``."""
     fd = os.open(path, os.O_RDONLY)
     try:
         chunks = []
         while chunk := os.read(fd, _READ_CHUNK):
             chunks.append(chunk)
+    except OSError as exc:  # unlike os.open's, os.read's error names no file
+        exc.filename = exc.filename or os.fspath(path)
+        raise
     finally:
         os.close(fd)
     try:
@@ -264,6 +253,9 @@ def _write_file(path: str, text: str) -> None:
     try:
         while data:
             data = data[os.write(fd, data):]
+    except OSError as exc:  # unlike os.open's, os.write's error names no file
+        exc.filename = exc.filename or path
+        raise
     finally:
         os.close(fd)
 
@@ -352,8 +344,6 @@ def load_manifest(root: str | Path, name: str) -> DatasetManifest:
     path = manifest_path(root, name)
     try:
         raw = json.loads(read_file(path))
-    except OSError as exc:
-        raise IoFailureError(f"cannot read manifest {path}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedFileError(f"{path}: bad manifest") from exc
     try:

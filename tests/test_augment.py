@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftminer.augment import (
+    KNOT_MU,
     SPEED_FLOOR,
+    WARP_SCALES,
     AugmentConfig,
     apply_window_slice,
     apply_window_warp,
@@ -85,7 +87,7 @@ class TestWarpPath:
             config = AugmentConfig(knot_count=knot_count, knot_sigma=sigma, master_seed=0)
             seed = derive_seed(knot_count, sigma, n)
             speeds = np.ones(knot_count + 2)
-            draws = np.random.default_rng(seed).normal(config.knot_mu, sigma, knot_count)
+            draws = np.random.default_rng(seed).normal(KNOT_MU, sigma, knot_count)
             speeds[1:-1] = np.maximum(SPEED_FLOOR, draws)
             anchors = np.linspace(0.0, n - 1.0, knot_count + 2)
             spline = interpolate.CubicSpline(anchors, speeds, bc_type="natural")
@@ -148,7 +150,7 @@ class TestWindowWarp:
             gen = np.random.default_rng(seed)
             width = round(0.10 * 100)
             start = int(gen.integers(0, 100 - width + 1))
-            scale = float(gen.choice(config.warp_scales))
+            scale = float(gen.choice(WARP_SCALES))
             expect = oracle_window_warp(values, start, width, scale)
             assert np.allclose(out.values, expect, atol=1e-9)
 

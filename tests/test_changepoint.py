@@ -176,11 +176,6 @@ class TestBinarySegmentation:
         with pytest.raises(SeriesTooShortError):
             binary_segmentation([1.0], DetectorConfig())
 
-    def test_max_changepoints_cap(self):
-        values = [0.0] * 20 + [10.0] * 20 + [0.0] * 20
-        result = binary_segmentation(values, DetectorConfig(penalty_beta=0.5, max_changepoints=1))
-        assert result.n_internal == 1
-
     def test_boundary_count_monotone_in_beta(self):
         rng = np.random.default_rng(3)
         values = np.concatenate([rng.normal(m, 0.5, 30) for m in (0, 4, -2, 6)])
@@ -332,8 +327,6 @@ SHIFT_CONFIGS = [
     DetectorConfig(min_segment_size=30),
     DetectorConfig(penalty_beta=0.0),
     DetectorConfig(penalty_beta=4.0, min_segment_size=3),
-    DetectorConfig(max_changepoints=1),
-    DetectorConfig(max_changepoints=1, min_segment_size=8),
     DetectorConfig(known_k=0),
     DetectorConfig(known_k=1),
     DetectorConfig(known_k=2, min_segment_size=4),

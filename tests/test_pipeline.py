@@ -13,7 +13,6 @@ from shiftminer.changepoint import DetectorConfig
 from shiftminer.cli import main
 from shiftminer.pipeline import (
     ConfigError,
-    EmptyInputError,
     PipelineConfig,
     PruningEmptyError,
     StageError,
@@ -25,6 +24,7 @@ from shiftminer.pipeline import (
 )
 from shiftminer.querygen import RecordBackend
 from shiftminer.series import Source, Stage
+from shiftminer.sources import load_queries
 from shiftminer.storage import DatasetManifest, load_stage
 
 from conftest import make_series, step_values
@@ -82,15 +82,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    @pytest.mark.parametrize("key, value", [
-        ("split_ratio", 0.8),  # the split's ratio is `split --ratio`
-        ("changepoint", {"penalty_beta": 2.5}),  # the detector block is spelled "detector"
+    @pytest.mark.parametrize("key, value, block", [
+        ("split_ratio", 0.8, None),  # the split's ratio is `split --ratio`
+        ("changepoint", {"penalty_beta": 2.5}, None),  # the detector block is spelled "detector"
+        # the transforms' shapes are constants of the augment module
+        ("knot_mu", 1.0, "augment"),
+        ("window_warp_fraction", 0.1, "augment"),
+        ("warp_scales", [0.5, 2.0], "augment"),
+        ("slice_fraction", 0.9, "augment"),
+        ("max_changepoints", 1, "detector"),  # no stage read it
     ])
-    def test_dropped_keys_are_unknown(self, tmp_path, key, value):
+    def test_dropped_keys_are_unknown(self, tmp_path, key, value, block):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"dataset_name": "d", "source": "fred", key: value}))
+        entry = {key: value} if block is None else {block: {key: value}}
+        path.write_text(json.dumps({"dataset_name": "d", "source": "fred", **entry}))
         with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: .*{key}"):
             load_config(path)
+        assert main(["run", "--config", str(path)]) == 2
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -169,8 +177,6 @@ class TestRun:
     def test_generated_queries_via_llm_fixture(self, tmp_path):
         fixtures = tmp_path / "fx"
         query_file = demo.build_fred_corpus(fixtures, count=12, seed=9)
-        from shiftminer.sources import load_queries
-
         queries = load_queries(query_file)
         demo.build_llm_fixture(fixtures, queries, query_count=12)
         config = PipelineConfig(
@@ -271,7 +277,7 @@ class TestSplit:
         assert len(test_parents) == 15
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ConfigError, match="cannot split an empty series list"):
             split_train_test([], 0.8, seed=0)
 
     def test_split_dataset_files(self, mini_corpus):
@@ -335,8 +341,6 @@ class TestCli:
     def test_generate_queries_cli(self, tmp_path, capsys):
         fixtures = tmp_path / "fx"
         query_file = demo.build_fred_corpus(fixtures, count=10, seed=3)
-        from shiftminer.sources import load_queries
-
         demo.build_llm_fixture(fixtures, load_queries(query_file), query_count=10)
         out_path = tmp_path / "queries.json"
         code = main([
@@ -377,6 +381,24 @@ class TestCli:
         assert main(["run", "--config", str(mini_corpus["config_path"])]) == 3
         assert f"unreadable fixture {fixture}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fixture", ["response", "completion"])
+    def test_exit_code_fixture_that_is_a_directory(self, mini_corpus, capsys, fixture):
+        """A fixture that cannot be read is an I/O error naming it, whichever kind it is."""
+        fixtures = mini_corpus["root"] / "fixtures"
+        config = json.loads(mini_corpus["config_path"].read_text())
+        if fixture == "completion":
+            queries = load_queries(fixtures / config.pop("query_file"))
+            path = demo.build_llm_fixture(fixtures, queries, query_count=16)
+            config["query_count"] = 16
+        else:
+            path = sorted((fixtures / "fred").glob("*.http"))[0]
+        path.unlink()
+        path.mkdir()
+        config_path = mini_corpus["config_path"].with_name("cfg.json")
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 5
+        assert str(path) in capsys.readouterr().err
+
     def test_exit_code_empty_prune(self, tmp_path, capsys):
         fixtures = tmp_path / "fx"
         query_file = demo.build_fred_corpus(fixtures, count=5, seed=6, shifted_share=0.0)
@@ -408,7 +430,8 @@ class TestCli:
         with pytest.raises(StageError) as err:
             run(config, backend=RecordBackend(blocker / "fx" / "llm", CannedBackend()))
         assert err.value.stage == "queries"
-        assert isinstance(err.value.cause, storage.IoFailureError)
+        assert isinstance(err.value.cause, OSError)
+        assert err.value.cause.filename == str(blocker / "fx" / "llm")
 
     @pytest.mark.parametrize("reply, code", [(TWO_QUERY_TEXT, 5), (ValueError("bad reply"), 3)],
                              ids=["unwritable-recording", "backend-error"])

@@ -27,7 +27,6 @@ from shiftminer.querygen import (
 )
 from shiftminer.series import Source
 from shiftminer.sources import EiaQuery, FredQuery
-from shiftminer.storage import IoFailureError
 
 from conftest import Reply
 
@@ -326,8 +325,9 @@ def test_a_recording_that_cannot_be_written_is_an_io_failure(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
     backend = RecordBackend(blocker / "llm", CannedBackend())
-    with pytest.raises(IoFailureError, match="cannot write"):
+    with pytest.raises(NotADirectoryError) as err:
         generate_queries(Source.FRED, backend, query_count=2, max_rounds=1)
+    assert err.value.filename == str(blocker / "llm")
 
 
 class TestHttpBackend:

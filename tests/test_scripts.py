@@ -153,6 +153,29 @@ def test_bench_pairs_traced_compares_every_layer_metric_over_every_seed(tmp_path
     assert per_layer["sources.retries"]["change_over_parent"] is None
 
 
+def test_bench_pairs_warns_when_a_side_is_the_checkout_it_runs_from(tmp_path, monkeypatch,
+                                                                    capsys):
+    bench_pairs = load_bench_pairs()
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        return {"attempted": 1, "failed": 0, "digest": "d",
+                "metrics": {"run_s": 1.0, "split_s": 1.0, "peak_rss_mb": 1.0, "setup_s": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        shutil.copy(SCRIPTS.parent / "BENCHMARK.json", tmp_path / side)
+    rest = ["--seeds", "1-2", "--workload", "wide-collect", "--out", str(tmp_path / "bench.json")]
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(SCRIPTS.parent), *rest]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert warnings == [f"warning: --change {SCRIPTS.parent} is the checkout this script runs "
+                        "from; bench two fresh copies made the same way"]
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), *rest]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def old_write_fixture(root, request, response):
     """The writer of the old ``<source>/<key>.json`` envelopes, kept as the oracle."""
     record = {

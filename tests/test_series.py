@@ -22,7 +22,6 @@ from shiftminer.series import (
 )
 from shiftminer.storage import (
     DatasetManifest,
-    IoFailureError,
     MalformedFileError,
     ManifestError,
     load_manifest,
@@ -205,8 +204,9 @@ class TestStorage:
     def test_unwritable_dir(self, tmp_path):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("file in the way")
-        with pytest.raises(IoFailureError):
+        with pytest.raises(FileExistsError) as err:
             save_series(make_series([1.0, 2.0]), blocker)
+        assert err.value.filename == str(blocker)
 
     def test_roundtrip_random_series(self, tmp_path):
         rng = np.random.default_rng(7)

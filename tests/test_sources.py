@@ -768,6 +768,11 @@ class TestConnectorTable:
         ({"keyword": "flu", "timeframe": "today 12-m"}, Source.TRENDS),
         ({"ticker": "SPY", "interval": "hourly"}, Source.YAHOO),
         ({"params": {"a": "1"}}, Source.EIA),
+        # only YYYY-MM-DD binds, as on every supported Python: not the basic or week form
+        ({"ticker": "SPY", "start_date": 20200101, "end_date": "2021-01-01"}, Source.YAHOO),
+        ({"ticker": "SPY", "start_date": "20200101", "end_date": "2021-01-01"}, Source.YAHOO),
+        ({"series_id": "X", "start_date": "2020-W01-1", "end_date": "2021-01-01"}, Source.FRED),
+        ({"keyword": "flu", "timeframe": "20200101 2021-01-01"}, Source.TRENDS),
     ])
     def test_load_and_bind_reject_with_same_reason(self, raw, source, tmp_path):
         from shiftminer.querygen import bind_queries

@@ -22,7 +22,6 @@ from shiftminer import demo, pipeline, querygen, sources, storage
 from shiftminer.series import AugmentMethod, Provenance, Source, Stage, TimeSeries
 from shiftminer.storage import (
     DatasetManifest,
-    IoFailureError,
     MalformedFileError,
     load_series,
     load_stage_meta,
@@ -177,8 +176,9 @@ def test_children_reuse_the_parents_formatted_timestamps(tmp_path, monkeypatch):
 def test_unwritable_stage_names_its_directory(tmp_path):
     (tmp_path / "d").write_text("a file where the dataset directory belongs")
     series = TimeSeries("s", Source.SYNTHETIC, stamps(737425, 2), [1.0, 2.0], Stage.ORIGINAL)
-    with pytest.raises(IoFailureError, match="cannot write series under .*original"):
+    with pytest.raises(NotADirectoryError) as err:
         save_stage(tmp_path, "d", [series])
+    assert err.value.filename == str(stage_dir(tmp_path, "d", Stage.ORIGINAL))
 
 
 # --- the one writer of every other file -------------------------------------
@@ -258,8 +258,9 @@ def test_write_document_makes_parents_and_names_a_failed_file(tmp_path):
     path = write_document(tmp_path / "a" / "b" / "doc.json", {"b": 1, "a": [1, 2]})
     assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
     (tmp_path / "blocked").write_text("a file where a directory belongs")
-    with pytest.raises(IoFailureError, match="cannot write .*blocked/doc.txt"):
+    with pytest.raises(FileExistsError) as err:
         write_document(tmp_path / "blocked" / "doc.txt", "text")
+    assert err.value.filename == str(tmp_path / "blocked")
 
 
 # --- the os-level reader, writer and stage listing --------------------------
@@ -331,7 +332,8 @@ def test_stage_listing_and_reads_match_pathlib(tmp_path, layout):
         # the reader keeps CRLF and CR line ends; the CSV body reader translates them
         assert load_series(directory / "a.csv") == TimeSeries(
             "a", Source.SYNTHETIC, stamps(737425, 2), [1.0, 2.0], Stage.ORIGINAL)
-        with pytest.raises(IoFailureError, match=re.escape(f"cannot read {directory}/sub.csv")):
+        with pytest.raises(IsADirectoryError,
+                           match=re.escape(f"Is a directory: '{directory}/sub.csv'")):
             load_series(directory / "sub.csv")
 
 
@@ -419,18 +421,20 @@ def test_a_failed_read_or_write_closes_its_file(tmp_path, monkeypatch):
     path = save_series(series, tmp_path)
     (tmp_path / "dir.csv").mkdir()  # os.open succeeds on a directory, os.read fails
     before = open_fds()
-    with pytest.raises(IoFailureError, match="cannot read"):
+    with pytest.raises(IsADirectoryError) as err:
         load_series(tmp_path / "dir.csv")
+    assert err.value.filename == str(tmp_path / "dir.csv")
     assert open_fds() == before
 
     def disk_full(fd, data):
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(os, "write", disk_full)
-    with pytest.raises(IoFailureError, match="cannot write series under"):
+    with pytest.raises(OSError, match=re.escape(f"No space left on device: '{tmp_path}/s.csv'")):
         save_series(series, tmp_path)
-    with pytest.raises(IoFailureError, match="cannot write .*doc.json"):
+    with pytest.raises(OSError) as err:
         write_document(tmp_path / "doc.json", {"a": 1})
+    assert (err.value.errno, err.value.filename) == (errno.ENOSPC, str(tmp_path / "doc.json"))
     monkeypatch.undo()
     assert open_fds() == before
     assert path.read_bytes() == b""  # truncated on open, as a text-mode write would leave it
