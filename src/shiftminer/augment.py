@@ -38,7 +38,7 @@ from .changepoint import DetectorConfig, SeriesTooShortError
 # Shift verification of a batch of candidates. ``augment_set`` reaches it
 # through this module name, which perfbench's tracer wraps to time it.
 from .changepoint import classify_rows as classify
-from .series import AugmentMethod, MAX_SEED, Provenance, Stage, TimeSeries
+from .series import AugmentMethod, Provenance, Stage, TimeSeries, is_int
 
 logger = logging.getLogger(__name__)
 
@@ -66,18 +66,13 @@ class AugmentConfig:
     master_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.knot_count < 1:
-            raise ValueError("knot_count must be >= 1")
+        for key in ("knot_count", "factor", "max_retries"):
+            if not is_int(getattr(self, key)) or getattr(self, key) < 1:
+                raise ValueError(f"{key} must be an int >= 1: {getattr(self, key)!r}")
         if self.knot_sigma < 0:
             raise ValueError("knot_sigma must be >= 0")
-        if self.factor < 1:
-            raise ValueError("factor must be >= 1")
         if self.factor % 3 != 0:
             raise ValueError("factor must be divisible by 3 for round-robin allocation")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
-        if self.master_seed is not None and not 0 <= self.master_seed <= MAX_SEED:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)

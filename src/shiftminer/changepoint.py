@@ -11,8 +11,8 @@ where ``cost`` is the squared distance of a segment from its own mean
 boundary. The end sentinel is free, so a constant series scores 0 with
 the single-segment solution regardless of ``beta``.
 
-Two solvers are provided: greedy binary segmentation (penalized or fixed
-split count) and an exact dynamic program over (position, segments used)
+Two solvers are provided: greedy binary segmentation (penalized, or with
+a fixed split count ``k``) and an exact dynamic program over (position, segments used)
 for a fixed split count, which serves as the quality oracle for the greedy
 search. All tie-breaks prefer the smallest index so results are
 deterministic across platforms and thread schedules.
@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import Stage, TimeSeries
+from .series import Stage, TimeSeries, is_int
 
 logger = logging.getLogger(__name__)
 
@@ -78,20 +78,16 @@ class DetectorConfig:
 
     ``penalty_beta=None`` selects the adaptive default
     ``PENALTY_SCALE * sigma2_hat * log(n)`` computed per series.
-    ``known_k`` switches binary segmentation to fixed split count mode.
     """
 
     penalty_beta: float | None = None
     min_segment_size: int = 2
-    known_k: int | None = None
 
     def __post_init__(self) -> None:
         if self.penalty_beta is not None and self.penalty_beta < 0:
             raise ValueError("penalty_beta must be >= 0")
-        if self.min_segment_size < 1:
-            raise ValueError("min_segment_size must be >= 1")
-        if self.known_k is not None and self.known_k < 0:
-            raise ValueError("known_k must be >= 0")
+        if not is_int(self.min_segment_size) or self.min_segment_size < 1:
+            raise ValueError(f"min_segment_size must be an int >= 1: {self.min_segment_size!r}")
 
 
 @dataclass(frozen=True)
@@ -144,23 +140,20 @@ class _PrefixCost:
         return np.maximum(0.0, total - lin * lin / (np.asarray(ends) - starts))
 
 
-def default_penalty(
-    values: Sequence[float] | np.ndarray, scale: float | None = None
-) -> float | np.ndarray:
-    """Adaptive boundary charge ``scale * sigma2_hat * log(n)``.
+def default_penalty(values: Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """Adaptive boundary charge ``PENALTY_SCALE * sigma2_hat * log(n)``.
 
     ``sigma2_hat = mean(diff(x)^2) / 2`` estimates the noise variance from
     first differences, which a small number of level shifts barely moves.
     Computed along the last axis, so a 2-D input gives one charge per row.
+    ``PENALTY_SCALE`` is read at each call, so a calibration sweep can set it.
     """
-    if scale is None:
-        scale = PENALTY_SCALE
     x = np.asarray(values, dtype=float)
     n = x.shape[-1] if x.ndim else 0
     if n < 2:
         raise SeriesTooShortError("need >= 2 values to estimate a penalty")
     sigma2 = 0.5 * np.mean(np.diff(x) ** 2, axis=-1)
-    return scale * sigma2 * math.log(n)
+    return PENALTY_SCALE * sigma2 * math.log(n)
 
 
 def _resolve_penalty(values: np.ndarray, config: DetectorConfig) -> float | np.ndarray:
@@ -219,15 +212,19 @@ def _best_split(
     return float(gains[idx]), int(candidates[idx])
 
 
-def binary_segmentation(values: Sequence[float], config: DetectorConfig) -> ChangePointSet:
+def binary_segmentation(
+    values: Sequence[float], config: DetectorConfig, k: int | None = None
+) -> ChangePointSet:
     """Greedy recursive splitting.
 
     Each round evaluates the best single split of every current segment
-    and applies the globally best one. In penalized mode a split is kept
-    only while its cost reduction strictly exceeds ``beta``; in fixed
-    count mode (``known_k``) exactly that many splits are made, stopping
-    early only when no admissible split remains.
+    and applies the globally best one. Without ``k`` (penalized search) a
+    split is kept only while its cost reduction strictly exceeds ``beta``;
+    with ``k`` exactly that many splits are made, stopping early only when
+    no admissible split remains.
     """
+    if k is not None and k < 0:
+        raise InfeasibleKError(f"split count must be >= 0, got {k}")
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < max(2, config.min_segment_size):
@@ -236,10 +233,7 @@ def binary_segmentation(values: Sequence[float], config: DetectorConfig) -> Chan
     beta = _resolve_penalty(x, config)
 
     boundaries = [n]
-    target = config.known_k
-    while True:
-        if target is not None and len(boundaries) - 1 >= target:
-            break
+    while k is None or len(boundaries) - 1 < k:
         best: tuple[float, int] | None = None
         prev = 0
         for b in boundaries:
@@ -250,7 +244,7 @@ def binary_segmentation(values: Sequence[float], config: DetectorConfig) -> Chan
         if best is None:
             break
         gain, split = best
-        if target is None and gain <= beta:
+        if k is None and gain <= beta:
             break
         boundaries = sorted(boundaries + [split])
 
@@ -309,11 +303,10 @@ def classify_rows(values: np.ndarray, config: DetectorConfig) -> np.ndarray:
 
     Row ``i`` is True exactly when :func:`binary_segmentation` of its
     z-scored values (as in :func:`classify`) keeps an internal boundary.
-    That is decided by the first greedy split alone: with ``known_k`` it is
-    made whenever ``known_k >= 1`` and a split fits, and in penalized mode
-    it is kept exactly when the best single split's cost reduction exceeds
-    ``beta``. Only that split is computed, for all rows in one prefix-sum
-    pass with the same floating-point operations as the full search.
+    That is decided by the first greedy split alone, kept exactly when its
+    cost reduction exceeds ``beta``. Only that split is computed, for all rows
+    in one prefix-sum pass with the same floating-point operations as the full
+    search.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 2:
@@ -322,10 +315,8 @@ def classify_rows(values: np.ndarray, config: DetectorConfig) -> np.ndarray:
     m = config.min_segment_size
     if n < max(2, m):
         raise SeriesTooShortError(f"series of length {n} cannot be segmented")
-    if n < 2 * m or config.known_k == 0:
+    if n < 2 * m:
         return np.zeros(rows, dtype=bool)
-    if config.known_k is not None:
-        return np.ones(rows, dtype=bool)
 
     std = x.std(axis=1, keepdims=True)
     flat = std[:, 0] == 0
@@ -350,7 +341,7 @@ def classify(series: TimeSeries, config: DetectorConfig) -> ShiftCategory:
 
     Values are z-scored first so the penalty is comparable across sources
     with different units; a constant series standardizes to zeros and is
-    shift-free in penalized mode. The series has a shift exactly when the
+    shift-free. The series has a shift exactly when the
     first greedy split of binary segmentation is kept (see
     :func:`classify_rows`, of which this is the one-series form).
     """

@@ -283,7 +283,6 @@ def build_demo_config(
     query_file: Path,
     dataset_name: str = "fred-demo",
     master_seed: int = 7,
-    verify_shift: bool = True,
 ) -> Path:
     """Write ``<fixtures_root>/<dataset_name>-config.json``, its input paths
     relative to that file, and return its path."""
@@ -293,7 +292,7 @@ def build_demo_config(
         "query_file": os.path.relpath(query_file, fixtures_root),
         "transport_mode": "replay",
         "detector": {},
-        "augment": {"factor": 30, "verify_shift": verify_shift},
+        "augment": {"factor": 30, "verify_shift": True},
         "master_seed": master_seed,
         "output_dir": str(output_dir),
         "fixtures_dir": ".",

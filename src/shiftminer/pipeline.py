@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import shutil
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 from . import querygen, sources, storage
 from .augment import AugmentConfig, augment_set
 from .changepoint import DetectorConfig, prune
-from .series import Source, Stage, TimeSeries
+from .series import MAX_SEED, Source, Stage, TimeSeries, is_int
 from .storage import DatasetManifest, SeriesMeta
 
 __all__ = [
@@ -73,16 +72,24 @@ class PipelineConfig:
     query_count: int = 50
 
     def __post_init__(self) -> None:
+        for key in ("dataset_name", "domain", "description"):
+            if not isinstance(getattr(self, key), str):
+                raise ConfigError(f"{key} must be a string: {getattr(self, key)!r}")
         if not self.dataset_name:
             raise ConfigError("dataset_name must be non-empty")
         if self.transport_mode not in ("live", "replay", "record"):
             raise ConfigError(f"unknown transport_mode {self.transport_mode!r}")
+        if not is_int(self.query_count):
+            raise ConfigError(f"query_count must be an int: {self.query_count!r}")
+        if not is_int(self.master_seed) or not 0 <= self.master_seed <= MAX_SEED:
+            raise ConfigError(f"master_seed must be an int in [0, 2**64): {self.master_seed!r}")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a config file whose keys mirror :class:`PipelineConfig`. A relative
     ``query_file`` or ``fixtures_dir`` is relative to the config file, and a
-    relative ``output_dir`` to the working directory, as ``--output-dir`` is."""
+    relative ``output_dir`` to the working directory, as ``--output-dir`` is.
+    ``augment.master_seed`` is refused: the seed is ``master_seed`` alone."""
     try:
         raw = json.loads(storage.read_file(path))
     except OSError as exc:
@@ -96,6 +103,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         kwargs["source"] = Source(raw["source"])
         if raw.get("query_file"):
             kwargs["query_file"] = Path(path).parent / raw["query_file"]
+        if "master_seed" in raw.get("augment", {}):
+            raise ValueError("augment.master_seed is not a setting: master_seed is the seed")
         if "detector" in raw:
             kwargs["detector"] = DetectorConfig(**raw["detector"])
         if "augment" in raw:
@@ -142,18 +151,13 @@ class Stages:
     def _stage(self, label: str, stage: Stage | None = None):
         try:
             if stage is not None:
-                later = list(Stage)[list(Stage).index(stage):]
-                outdated = [storage.stage_dir(self.root, self.name, s) for s in later]
-                for path in [*outdated, storage.dataset_dir(self.root, self.name) / "splits"]:
-                    if path.exists():
-                        shutil.rmtree(path)
-                storage.manifest_path(self.root, self.name).unlink(missing_ok=True)
+                storage.clear_from_stage(self.root, self.name, stage)
             yield
             if stage is not None:
                 storage.write_manifest(self.root, self.manifest)
         except Exception as exc:
             if stage is not None:
-                shutil.rmtree(storage.stage_dir(self.root, self.name, stage), ignore_errors=True)
+                storage.remove_stage(self.root, self.name, stage)
             raise StageError(label, exc) from exc
 
     def _start_manifest(self, originals: list[TimeSeries], notes: dict[str, str]) -> None:
@@ -189,7 +193,7 @@ class Stages:
         ``force=True``; the collection stage then clears the old stages."""
         config = self.config
         dataset_root = storage.dataset_dir(self.root, self.name)
-        if not force and dataset_root.exists() and any(dataset_root.iterdir()):
+        if not force and storage.holds_files(dataset_root):
             raise ConfigError(
                 f"dataset directory {dataset_root} already exists; "
                 "only a forced run overwrites it"
@@ -225,15 +229,13 @@ class Stages:
         return pruned
 
     def augment(self, pruned: list[TimeSeries]) -> list[TimeSeries]:
-        augment_config = self.config.augment
-        if augment_config.master_seed is None:
-            augment_config = dc_replace(augment_config, master_seed=self.config.master_seed)
+        seed = self.config.master_seed
+        augment_config = dc_replace(self.config.augment, master_seed=seed)
         with self._stage("augment", Stage.AUGMENTED):
             augmented = augment_set(pruned, augment_config, self.config.detector)
             storage.save_stage(self.root, self.name, augmented)
             unverified = sum(not s.provenance.shift_verified for s in augmented)
-            self._record(unverified, count_augmented=len(augmented),
-                         seed=augment_config.master_seed)
+            self._record(unverified, count_augmented=len(augmented), seed=seed)
         return augmented
 
     def _stored(self, stage: Stage) -> list[TimeSeries]:
@@ -251,13 +253,14 @@ class Stages:
             Stage.AUGMENTED: (Stage.PRUNED, self.augment),
         }[stage]
         inputs = self._stored(previous)
-        if storage.manifest_path(self.root, self.name).exists():
+        try:
             self.manifest = dc_replace(storage.load_manifest(self.root, self.name), name=self.name)
-        elif previous is Stage.ORIGINAL:
-            self._start_manifest(inputs, {})
-        else:
-            self._start_manifest(self._stored(Stage.ORIGINAL), {})
-            self._record(0, count_pruned=len(inputs))
+        except FileNotFoundError:
+            if previous is Stage.ORIGINAL:
+                self._start_manifest(inputs, {})
+            else:
+                self._start_manifest(self._stored(Stage.ORIGINAL), {})
+                self._record(0, count_pruned=len(inputs))
         return inputs, step(inputs)
 
 

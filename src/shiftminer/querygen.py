@@ -119,7 +119,6 @@ def render_text(text: str, bindings: dict[str, str]) -> str:
 
 class CompletionBackend(Protocol):
     name: str
-    max_prompt_chars: int
 
     def complete(self, prompt: str) -> str: ...
 
@@ -132,7 +131,6 @@ class ReplayBackend:
     """Answers prompts from ``<root>/<sha256(prompt)>.txt``; deterministic."""
 
     name = "replay"
-    max_prompt_chars = 1_000_000
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -161,7 +159,6 @@ class RecordBackend:
     def __init__(self, root: str | Path, inner: CompletionBackend) -> None:
         self.root = Path(root)
         self.inner = inner
-        self.max_prompt_chars = inner.max_prompt_chars
 
     def complete(self, prompt: str) -> str:
         completion = self.inner.complete(prompt)
@@ -174,7 +171,6 @@ class HttpBackend:
     ``LLM_ENDPOINT``, ``LLM_MODEL``, and optionally ``LLM_API_KEY``."""
 
     name = "http"
-    max_prompt_chars = 200_000
 
     def __init__(self) -> None:
         self.endpoint = os.environ.get("LLM_ENDPOINT")
@@ -286,24 +282,15 @@ def _rounds(
 
     The first prompt is the rendered body; each later round appends a blank
     line and the next follow-up (the last one repeats) to the transcript, so
-    every round's prompt, and therefore its fixture key, is distinct. A first
-    prompt over the backend's ``max_prompt_chars`` raises
-    :class:`BackendFailureError`, a later one ends the rounds, and any other
+    every round's prompt, and therefore its fixture key, is distinct. Any
     backend error but an ``OSError`` (a replay fixture that cannot be read, or a
     recording that cannot be written) is raised as a :class:`BackendFailureError`.
     """
-    limit = getattr(backend, "max_prompt_chars", None)
     followups = [render_text(fu, bindings) for fu in template.followups]
     transcript = render_text(template.body, bindings)
     for round_no in range(1, max_rounds + 1):
         if round_no > 1:
             transcript += "\n\n" + followups[min(round_no - 2, len(followups) - 1)]
-        if limit is not None and len(transcript) > limit:
-            if round_no == 1:
-                raise BackendFailureError(f"prompt of {len(transcript)} chars exceeds "
-                                          f"backend {backend.name} limit {limit}")
-            logger.info("stopping at round %d: prompt would exceed backend limit", round_no)
-            return
         try:
             completion = backend.complete(transcript)
         except (BackendFailureError, OSError):

@@ -13,6 +13,7 @@ import enum
 import operator
 from dataclasses import dataclass, fields, replace
 from datetime import date
+from typing import Sequence
 
 import numpy as np
 
@@ -140,6 +141,22 @@ def make_series_id(source: Source, native_id: str, start: date, end: date) -> st
     """Stable storage key: ``<source>-<native id>-<start>-<end>``."""
     safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in native_id)
     return f"{source.value}-{safe}-{start.isoformat()}-{end.isoformat()}"
+
+
+def is_int(value: object) -> bool:
+    """Whether ``value`` is an ``int`` that is not a ``bool``: a JSON ``30.0`` is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def iso_dates(texts: Sequence[str]) -> list[date]:
+    """Each text as a date, if all are ``YYYY-MM-DD`` (checked over the column:
+    ten characters, dashes at 4 and 7), the one form every supported Python's
+    ``date.fromisoformat`` reads; else a ``ValueError`` naming the first that is not."""
+    joined = "".join(texts)  # the dashes of every text, as two strided slices
+    if set(map(len, texts)) - {10} or joined[4::10].strip("-") or joined[7::10].strip("-"):
+        bad = next(t for t in texts if len(t) != 10 or t[4] + t[7] != "--")
+        raise ValueError(f"not a YYYY-MM-DD date: {bad!r}")
+    return list(map(date.fromisoformat, texts))
 
 
 def min_max_normalize(series: TimeSeries) -> TimeSeries:

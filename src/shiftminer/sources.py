@@ -33,7 +33,9 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .series import NonMonotonicTimestampsError, Source, Stage, TimeSeries, make_series_id
+from .series import (
+    NonMonotonicTimestampsError, Source, Stage, TimeSeries, iso_dates, make_series_id,
+)
 from .storage import read_file, write_document
 
 logger = logging.getLogger(__name__)
@@ -226,22 +228,14 @@ def _require(raw: dict, key: str) -> object:
     return raw[key]
 
 
-def _iso_date(value: object, error: str) -> date:
-    """``value`` as a date if it is a ``YYYY-MM-DD`` string, the one form that every
-    supported Python's ``date.fromisoformat`` reads; else ``QueryFieldError(error)``."""
-    try:
-        if isinstance(value, str) and len(value) == 10 and value[4] == value[7] == "-":
-            return date.fromisoformat(value)
-    except ValueError:
-        pass
-    raise QueryFieldError(error)
-
-
 def _bind_field(raw: dict, name: str, annotation: str) -> object:
     """One payload field from a raw object, by its annotation (postponed: a string)."""
     value = _require(raw, name)
-    if annotation == "date":
-        return _iso_date(value, f"field {name} is not an ISO date: {value!r}")
+    if annotation == "date":  # a YYYY-MM-DD string
+        try:
+            return iso_dates([value])[0]
+        except (TypeError, ValueError):
+            raise QueryFieldError(f"field {name} is not an ISO date: {value!r}") from None
     if annotation == "Interval":
         try:
             return Interval(str(value))
@@ -601,27 +595,23 @@ _LAST_DAY = date(9999, 12, 31).toordinal() - date(1970, 1, 1).toordinal()
 
 def _parse_period(raw: str) -> date:
     """An EIA period: ``YYYY``, ``YYYY-MM``, or a string whose first ten
-    characters are an ISO date (a day, or an hour after it)."""
-    raw = str(raw)
+    characters are a ``YYYY-MM-DD`` date (a day, or an hour after it)."""
     if len(raw) < 10:  # neither short form can match a longer string
         if _YEAR_RE.fullmatch(raw):
             return date(int(raw), 1, 1)
         if _MONTH_RE.fullmatch(raw):
             year, month = raw.split("-")
             return date(int(year), int(month), 1)
-    return date.fromisoformat(raw[:10])
+    return iso_dates([raw[:10]])[0]
 
 
 def _parse_periods(periods: list) -> list[date]:
-    """:func:`_parse_period` of each period: ``date.fromisoformat`` of the
-    first ten characters, mapped over the column, when all are strings that
-    long; otherwise, or on a bad date, period by period (the same error)."""
-    if set(map(type, periods)) == {str} and min(map(len, periods)) >= 10:
-        try:
-            return list(map(date.fromisoformat, map(operator.getitem, periods, repeat(slice(10)))))
-        except ValueError:
-            pass
-    return list(map(_parse_period, periods))
+    """:func:`_parse_period` of the ``str`` of each period; one :func:`iso_dates`
+    over the column of first ten characters when every period is that long."""
+    texts = list(map(str, periods))
+    if min(map(len, texts), default=0) >= 10:
+        return iso_dates(list(map(operator.getitem, texts, repeat(slice(10)))))
+    return list(map(_parse_period, texts))
 
 
 def _utc_days(stamps: Iterable) -> list[date]:
@@ -663,7 +653,7 @@ def fred_response_to_series(payload: FredQuery, comment: str, body: str) -> list
     try:
         rows = [row for row in json.loads(body)["observations"]
                 if row["value"] not in (".", "", None)]
-        timestamps = list(map(date.fromisoformat, [row["date"] for row in rows]))
+        timestamps = iso_dates([row["date"] for row in rows])
         values = list(map(float, [row["value"] for row in rows]))
     except Exception as exc:
         raise ParseError(f"bad FRED body: {exc}") from exc
@@ -856,14 +846,13 @@ def _eia_collect(p: EiaQuery, comment: str, api_key: str | None, send: Send) -> 
 
 
 def _trends_unalias(raw: dict) -> dict:
-    """A ``timeframe`` of two ISO dates as ``start_date`` and ``end_date``."""
+    """A ``timeframe`` of two dates as ``start_date`` and ``end_date``, bound as any date is."""
     if "timeframe" not in raw:
         return raw
     parts = str(raw["timeframe"]).split()
     if len(parts) != 2:
         raise QueryFieldError(f"timeframe must be 'START END': {raw['timeframe']!r}")
-    start, end = (_iso_date(part, f"bad timeframe dates: {raw['timeframe']!r}") for part in parts)
-    return {**raw, "start_date": start.isoformat(), "end_date": end.isoformat()}
+    return {**raw, "start_date": parts[0], "end_date": parts[1]}
 
 
 def _trends_alias(raw: dict) -> dict:

@@ -19,8 +19,9 @@ one call: each distinct date of the stage is formatted once, and the memo
 holds one ten-character string per distinct date (not one formatted column
 per tuple) and is freed when the call returns.
 
-Every file the package writes goes through this module: series through
-:func:`save_stage` and :func:`save_series`, every other file through :func:`write_document`.
+Every file the package writes or removes goes through this module: series through
+:func:`save_stage` and :func:`save_series`, every other file through :func:`write_document`,
+a stage's outdated files through :func:`clear_from_stage` and :func:`remove_stage`.
 
 Reading has two halves, a CSV body reader and :func:`read_sidecar` (joined body
 first by :func:`load_series`); :func:`load_stage_meta` reads sidecars alone.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -55,6 +57,7 @@ from .series import (
     Source,
     Stage,
     TimeSeries,
+    iso_dates,
 )
 
 CSV_HEADER = "timestamp,value"
@@ -134,20 +137,15 @@ def _read_body(path: str) -> tuple[list[date], list[float]]:
     if not lines or lines[0] != CSV_HEADER:
         raise MalformedFileError(f"{path}: expected header {CSV_HEADER!r}")
 
-    timestamps: list[date] = []
-    values: list[float] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise MalformedFileError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-        try:
-            ts = date.fromisoformat(parts[0])
-            value = float(parts[1])
-        except ValueError as exc:
-            raise MalformedFileError(f"{path}:{lineno}: {exc}") from exc
-        timestamps.append(ts)
-        values.append(value)
-    return timestamps, values
+        if (fields := line.count(",") + 1) != 2:
+            raise MalformedFileError(f"{path}:{lineno}: expected 2 fields, got {fields}")
+    # the columns as two strided slices of one split: no list per row for the GC to track
+    cells = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
+    try:
+        return iso_dates(cells[0::2]), list(map(float, cells[1::2]))
+    except ValueError as exc:
+        raise MalformedFileError(f"{path}: {exc}") from exc
 
 
 def read_sidecar(path: str | Path) -> SeriesMeta:
@@ -293,6 +291,26 @@ def save_stage(root: str | Path, name: str, series_list: Iterable[TimeSeries]) -
     module docstring)."""
     directories = {stage: str(stage_dir(root, name, stage)) for stage in Stage}
     _save_all((series, directories[series.stage]) for series in series_list)
+
+
+def clear_from_stage(root: str | Path, name: str, stage: Stage) -> None:
+    """Delete what a run of ``stage`` makes outdated, where it exists: its
+    directory, every later stage's, ``splits/`` and the manifest."""
+    later = list(Stage)[list(Stage).index(stage):]
+    for path in [*(stage_dir(root, name, s) for s in later), dataset_dir(root, name) / "splits"]:
+        if path.exists():
+            shutil.rmtree(path)
+    manifest_path(root, name).unlink(missing_ok=True)
+
+
+def remove_stage(root: str | Path, name: str, stage: Stage) -> None:
+    """Delete a failed stage's partial output as far as it can, ignoring errors."""
+    shutil.rmtree(stage_dir(root, name, stage), ignore_errors=True)
+
+
+def holds_files(directory: str | Path) -> bool:
+    """Whether ``directory`` exists and holds any entry."""
+    return os.path.exists(directory) and bool(os.listdir(directory))
 
 
 def _stage_files(root: str | Path, name: str, stage: Stage) -> list[str]:

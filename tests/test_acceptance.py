@@ -93,7 +93,7 @@ def test_criterion_2_binary_segmentation_quality(capsys):
         values = rng.normal(0.0, 1.0, n)
         values[int(rng.integers(1, n)):] += rng.normal(0.0, 2.0)
         exact = exact_segmentation(values, k, config)
-        greedy = binary_segmentation(values, DetectorConfig(penalty_beta=0.0, known_k=k))
+        greedy = binary_segmentation(values, config, k=k)
         exact_cost = total_objective(values, exact, config)
         greedy_cost = total_objective(values, greedy, config)
         assert greedy_cost >= exact_cost - 1e-9
@@ -110,7 +110,7 @@ def test_criterion_2_binary_segmentation_quality(capsys):
         values = rng.normal(0.0, sigma, n)
         values[split:] += float(rng.choice([-1.0, 1.0])) * rng.uniform(3.0, 6.0) * sigma
         exact = exact_segmentation(values, k, config)
-        greedy = binary_segmentation(values, DetectorConfig(penalty_beta=0.0, known_k=k))
+        greedy = binary_segmentation(values, config, k=k)
         if greedy.n_internal == k:
             e = total_objective(values, exact, config)
             g = total_objective(values, greedy, config)

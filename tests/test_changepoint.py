@@ -166,11 +166,13 @@ class TestBinarySegmentation:
 
     def test_known_k_single_split(self):
         values = [0.0, 0.0, 0.0, 9.0, 9.0, 9.0]
-        config = DetectorConfig(known_k=1, min_segment_size=1)
+        config = DetectorConfig(min_segment_size=1)
         gain, split = oracle_best_single_split(values, min_seg=1)
         assert split == 3
-        result = binary_segmentation(values, config)
-        assert result.boundaries == (3, 6)
+        assert binary_segmentation(values, config, k=1).boundaries == (3, 6)
+        assert binary_segmentation(values, config, k=0).boundaries == (6,)
+        with pytest.raises(InfeasibleKError):
+            binary_segmentation(values, config, k=-1)
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShortError):
@@ -245,7 +247,7 @@ class TestExactSegmentation:
         values[n // 2:] += rng.normal(0, 2)
         config = DetectorConfig(penalty_beta=0.0)
         exact = exact_segmentation(values, k, config)
-        greedy = binary_segmentation(values, DetectorConfig(penalty_beta=0.0, known_k=k))
+        greedy = binary_segmentation(values, config, k=k)
         if greedy.n_internal == k:
             exact_cost = total_objective(values, exact, config)
             greedy_cost = total_objective(values, greedy, config)
@@ -327,10 +329,6 @@ SHIFT_CONFIGS = [
     DetectorConfig(min_segment_size=30),
     DetectorConfig(penalty_beta=0.0),
     DetectorConfig(penalty_beta=4.0, min_segment_size=3),
-    DetectorConfig(known_k=0),
-    DetectorConfig(known_k=1),
-    DetectorConfig(known_k=2, min_segment_size=4),
-    DetectorConfig(known_k=1, min_segment_size=25),
 ]
 
 

@@ -1,6 +1,6 @@
 """Modules of the package use each other only through public names, and
 nothing outside the package but the standard library and numpy; only
-``storage`` reads and writes files.
+``storage`` reads, writes and removes files.
 
 A name with a leading underscore is private to the module that defines
 it; another module that imports it or reads it as an attribute couples
@@ -118,8 +118,8 @@ def test_dependency_checker_sees_every_form(tmp_path):
     ]
 
 
-WRITING_METHODS = ("write_text", "write_bytes", "mkdir")
-OS_WRITES = ("open", "write", "mkdir", "makedirs", "replace", "rename")
+WRITING_METHODS = ("write_text", "write_bytes", "mkdir", "unlink", "rmdir")
+OS_WRITES = ("open", "write", "mkdir", "makedirs", "replace", "rename", "remove", "unlink", "rmdir")
 
 
 def calls(path: Path):
@@ -135,18 +135,19 @@ def calls(path: Path):
 
 
 def file_writes(path: Path) -> list[str]:
-    """Every call in ``path`` that writes a file or makes a directory: ``open``
-    in a writing mode, ``.write_text``, ``.write_bytes``, ``json.dump``,
-    ``.mkdir``, ``os.open`` (in any mode), ``os.write``, ``os.mkdir``,
-    ``os.makedirs``, ``os.replace``, ``os.rename``, ``shutil.copy*`` and
-    ``shutil.move``, in line order."""
+    """Every call in ``path`` that writes, makes or removes a file or a
+    directory: ``open`` in a writing mode, ``.write_text``, ``.write_bytes``,
+    ``json.dump``, ``.mkdir``, ``.unlink``, ``.rmdir``, ``os.open`` (in any
+    mode), ``os.write``, ``os.mkdir``, ``os.makedirs``, ``os.replace``,
+    ``os.rename``, ``os.remove``, ``os.unlink``, ``os.rmdir``, ``shutil.copy*``,
+    ``shutil.move`` and ``shutil.rmtree``, in line order."""
     found: list[tuple[int, str]] = []
     for node, name, module in calls(path):
         func = node.func
         if module == "os":
             writes = name in OS_WRITES
         elif module == "shutil":
-            writes = name == "move" or name.startswith("copy")
+            writes = name in ("move", "rmtree") or name.startswith("copy")
         elif name == "open":
             # open(file, mode) or path.open(mode)
             at = 1 if isinstance(func, ast.Name) else 0
@@ -190,12 +191,19 @@ def test_write_checker_sees_every_form(tmp_path):
         "    shutil.copyfile(path, path)\n"
         "    shutil.copytree(path, path)\n"
         "    shutil.move(path, path)\n"
+        "def remove(path):\n"
+        "    shutil.rmtree(path, ignore_errors=True)\n"
+        "    os.remove(path)\n"
+        "    os.unlink(path)\n"
+        "    os.rmdir(path)\n"
+        "    path.unlink(missing_ok=True)\n"
+        "    path.rmdir()\n"
         "def load(path):\n"
         "    open(path).read()\n"
         "    open(path, 'rb').read()\n"
         "    path.open().read()\n"
         "    os.listdir(os.path.dirname(path))\n"
-        "    shutil.rmtree(path)\n"
+        "    path.exists()\n"
         "    return json.dumps(json.loads(path.read_text()))\n"
     )
     assert file_writes(path) == [
@@ -216,6 +224,12 @@ def test_write_checker_sees_every_form(tmp_path):
         "probe.py:17 calls copyfile",
         "probe.py:18 calls copytree",
         "probe.py:19 calls move",
+        "probe.py:21 calls rmtree",
+        "probe.py:22 calls remove",
+        "probe.py:23 calls unlink",
+        "probe.py:24 calls rmdir",
+        "probe.py:25 calls unlink",
+        "probe.py:26 calls rmdir",
     ]
 
 

@@ -1,9 +1,11 @@
 """The response parsers against a pinned output tree and against the
 row-wise parsers they replaced.
 
-``Oracle*`` below are those row-wise parsers, kept verbatim: one
-``(date, float)`` tuple per row, ``datetime.fromtimestamp`` per stamp, two
-regex matches per EIA period, and a sort by date. For any body, the
+``Oracle*`` below are those row-wise parsers, kept verbatim but for one rule
+they now share: a day is read only from ``YYYY-MM-DD``, checked text by text
+(:func:`oracle_iso_date`). One ``(date, float)`` tuple per row,
+``datetime.fromtimestamp`` per stamp, two regex matches per EIA period, and a
+sort by date. For any body, the
 columnar parsers in ``shiftminer.sources`` must return equal series, bit
 for bit, or raise the same exception class.
 """
@@ -109,6 +111,12 @@ def test_long_four_connector_original_tree_pinned(tmp_path):
 # --- the row-wise parsers, as they were -------------------------------------
 
 
+def oracle_iso_date(text: str) -> date:
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
+
+
 def oracle_parse_period(raw: str) -> date:
     raw = str(raw)
     if re.fullmatch(r"\d{4}", raw):
@@ -116,7 +124,7 @@ def oracle_parse_period(raw: str) -> date:
     if re.fullmatch(r"\d{4}-\d{2}", raw):
         year, month = raw.split("-")
         return date(int(year), int(month), 1)
-    return date.fromisoformat(raw[:10])
+    return oracle_iso_date(raw[:10])
 
 
 def oracle_series_or_parse_error(
@@ -144,7 +152,7 @@ def oracle_fred(payload: FredQuery, comment: str, body: str) -> list[TimeSeries]
             raw_value = row["value"]
             if raw_value in (".", "", None):
                 continue
-            observations.append((date.fromisoformat(row["date"]), float(raw_value)))
+            observations.append((oracle_iso_date(row["date"]), float(raw_value)))
     except Exception as exc:
         raise ParseError(f"bad FRED body: {exc}") from exc
     if not observations:
@@ -562,8 +570,14 @@ def test_eia_column_order_and_column_sets():
                                           {"date": "2000-01-02", "value": "2"}]}),
      "fred response for 'X1': series 'fred-X1-2000-01-02-2000-01-02' timestamps must be "
      "strictly increasing"),
+    # a day is YYYY-MM-DD only, though Python 3.11's fromisoformat reads these too
+    ("fred", json.dumps({"observations": [{"date": "2000-01-01", "value": "1"},
+                                          {"date": "20000102", "value": "2"}]}),
+     "bad FRED body: not a YYYY-MM-DD date: '20000102'"),
+    ("eia", [{"period": "2000-01-01", "value": 1.0}, {"period": "2000-W01-3", "value": 2.0}],
+     "bad EIA rows: not a YYYY-MM-DD date: '2000-W01-3'"),
     ("eia", [{"period": "2000-01-01", "value": 1.0}, {"period": "2000-1", "value": 2.0}],
-     "bad EIA rows: Invalid isoformat string: '2000-1'"),
+     "bad EIA rows: not a YYYY-MM-DD date: '2000-1'"),
     ("eia", [{"period": "2000-01-01", "value": 1.0}, {"value": 2.0}],
      "bad EIA rows: row without period: {'value': 2.0}"),
     ("yahoo", yahoo_body([0, "x"], [1.0, 2.0]),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import shutil
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftminer import demo, storage
+from shiftminer import demo, sources, storage
 from shiftminer.augment import AugmentConfig, augment_set
 from shiftminer.changepoint import DetectorConfig
 from shiftminer.cli import main
@@ -91,6 +92,8 @@ class TestConfig:
         ("warp_scales", [0.5, 2.0], "augment"),
         ("slice_fraction", 0.9, "augment"),
         ("max_changepoints", 1, "detector"),  # no stage read it
+        ("known_k", 1, "detector"),  # fixed-count search is binary_segmentation's k
+        ("master_seed", 5, "augment"),  # the one seed is master_seed
     ])
     def test_dropped_keys_are_unknown(self, tmp_path, key, value, block):
         path = tmp_path / "cfg.json"
@@ -105,6 +108,33 @@ class TestConfig:
         path.write_text(json.dumps({"dataset_name": "d", "source": "fred", "bogus": 1}))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("block, key, value", [
+        (None, "dataset_name", 5),
+        (None, "domain", ["a"]),
+        ("detector", "min_segment_size", 2.5),
+        ("augment", "factor", 30.0),
+        ("augment", "knot_count", 3.0),
+        (None, "master_seed", -1),
+        (None, "master_seed", 2**64),
+        (None, "master_seed", "7"),
+        (None, "master_seed", True),
+    ])
+    def test_a_bad_setting_exits_2_naming_it_before_any_write(
+        self, mini_corpus, capsys, block, key, value
+    ):
+        raw = json.loads(mini_corpus["config_path"].read_text())
+        (raw if block is None else raw[block])[key] = value
+        path = mini_corpus["config_path"].with_name("bad.json")
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (mini_corpus["root"] / "data").exists()
+
+    def test_a_negative_seed_flag_exits_2_before_any_write(self, mini_corpus, capsys):
+        assert main(["run", "--config", str(mini_corpus["config_path"]), "--seed", "-1"]) == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not (mini_corpus["root"] / "data").exists()
 
 
 class TestRun:
@@ -144,8 +174,6 @@ class TestRun:
         assert first == second
 
     def test_missing_fixtures_fail_collect_stage(self, mini_corpus, tmp_path):
-        import dataclasses
-
         config = load_config(mini_corpus["config_path"])
         config = dataclasses.replace(config, fixtures_dir=tmp_path / "empty",
                                      output_dir=tmp_path / "out")
@@ -192,6 +220,43 @@ class TestRun:
         manifest = run(config, now=NOW)
         assert manifest.notes["queries"] == "generated"
         assert manifest.count_original == 12
+
+
+class TestPerSeriesIndependence:
+    """A series' files are a function of that series and the seed alone, not
+    of the order of the queries or of which other series were collected."""
+
+    def _run(self, config, queries, out: Path) -> dict[str, bytes]:
+        query_file = sources.save_queries(queries, out.with_suffix(".queries.json"))
+        run(dataclasses.replace(config, query_file=query_file, output_dir=out), now=NOW)
+        return tree_bytes(out / "mini")
+
+    def test_reversed_queries_leave_the_tree_byte_identical(self, mini_corpus, tmp_path):
+        config = load_config(mini_corpus["config_path"])
+        queries = load_queries(config.query_file)
+        assert (self._run(config, queries[::-1], tmp_path / "reversed")
+                == self._run(config, queries, tmp_path / "forward"))
+
+    def test_dropping_a_pruned_query_removes_exactly_its_files(self, mini_corpus, tmp_path):
+        config = load_config(mini_corpus["config_path"])
+        queries = load_queries(config.query_file)
+        before = self._run(config, queries, tmp_path / "all")
+        parent = load_stage(tmp_path / "all", "mini", Stage.PRUNED)[0].id
+        transport = sources.make_transport("replay", config.fixtures_dir)
+        kept = [q for q in queries if [s.id for s in sources.fetch(q, transport)] != [parent]]
+        assert len(kept) == len(queries) - 1
+        after = self._run(config, kept, tmp_path / "kept")
+
+        gone = {p for p in before if Path(p).name.startswith((f"{parent}.", f"{parent}-aug"))}
+        assert len(gone) == 64  # csv and sidecar: original, pruned and 30 children
+        assert set(after) == set(before) - gone
+        assert all(after[p] == before[p] for p in after if p != "manifest.json")
+        old, new = (json.loads(tree["manifest.json"]) for tree in (before, after))
+        assert [new.pop(k) - old.pop(k) for k in ("count_original", "count_pruned",
+                                                  "count_augmented")] == [-1, -1, -30]
+        for key in ("length_min", "length_max"):
+            old.pop(key), new.pop(key)
+        assert new == old
 
 
 class TestCatalogDefaults:
@@ -666,19 +731,17 @@ class TestStageLifecycle:
                            AugmentConfig(factor=30, master_seed=3), config.detector)
         assert seeds == {s.provenance.seed for s in redo}
 
-    def test_run_records_the_augment_seed(self, mini_corpus):
-        raw = json.loads(Path(mini_corpus["config_path"]).read_text())
-        raw["master_seed"] = 7
-        raw["augment"]["master_seed"] = 5
-        path = mini_corpus["config_path"].with_name("seeded.json")
-        path.write_text(json.dumps(raw))
-        manifest = run(load_config(path), now=NOW)
-        assert manifest.seed == 5
-        assert self._manifest(mini_corpus["root"] / "data")["seed"] == 5
+    def test_run_seed_flag_seeds_every_child(self, mini_corpus):
+        config_path = str(mini_corpus["config_path"])
+        root = mini_corpus["root"] / "data"
+        assert main(["run", "--config", config_path, "--seed", "9"]) == 0
+        assert self._manifest(root)["seed"] == 9
+        seeds = {s.provenance.seed for s in load_stage(root, "mini", Stage.AUGMENTED)}
+        redo = augment_set(load_stage(root, "mini", Stage.PRUNED),
+                           AugmentConfig(factor=30, master_seed=9), DetectorConfig())
+        assert seeds == {s.provenance.seed for s in redo}
 
     def test_failed_queries_under_force_keep_the_dataset(self, mini_corpus, tmp_path):
-        import dataclasses
-
         config = load_config(mini_corpus["config_path"])
         run(config, now=NOW)
         dataset = mini_corpus["root"] / "data" / "mini"

@@ -270,10 +270,6 @@ Search & Google Trends & Search interest over time & No &  &  \\
         assert entries[0]["description"] == "Macroeconomic series"
         assert entries[0]["has_api"] is True
 
-    def test_discover_prompt_over_the_limit(self):
-        with pytest.raises(BackendFailureError, match="exceeds backend tiny limit 10"):
-            discover_sources(TinyBackend())
-
 
 def test_replay_backend_deterministic(tmp_path):
     prompt = render_text(QUERY_TEMPLATE.body, {"source_name": "FRED", "query_count": "3"})
@@ -293,24 +289,10 @@ def test_replay_backend_returns_the_completion_as_recorded(tmp_path):
         backend.complete("another prompt")
 
 
-class TinyBackend:
-    name = "tiny"
-    max_prompt_chars = 10
-
-    def complete(self, prompt):
-        raise AssertionError("should not be called")
-
-
-def test_backend_prompt_limit_enforced(tmp_path):
-    with pytest.raises(BackendFailureError):
-        generate_queries(Source.FRED, TinyBackend(), query_count=5, max_rounds=1)
-
-
 class CannedBackend:
     """A live backend's stand-in: answers every prompt with ``reply``, or raises it."""
 
     name = "canned"
-    max_prompt_chars = 200_000
 
     def __init__(self, reply: str | Exception = TWO_QUERY_TEXT) -> None:
         self.reply = reply

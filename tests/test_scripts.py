@@ -38,6 +38,22 @@ def test_make_fixtures_runs_from_any_directory(tmp_path, monkeypatch, capsys):
     assert not (made / "data").exists()
 
 
+def test_calibrate_penalty_sweeps_the_scale_it_sets():
+    # the script sets changepoint.PENALTY_SCALE per row; at 0.1 noise splits,
+    # so a row equal to the 3.0 one would mean the setting was not read
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "calibrate_penalty.py"), "--scales", "0.1", "3.0",
+         "--seeds", "5"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        " scale  noise H0  1-sigma H1  strong H1  near +-3",
+        "  0.10      0.00        1.00       1.00      1.00",
+        "  3.00      1.00        1.00       1.00      1.00",
+    ]
+
+
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)

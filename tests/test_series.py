@@ -171,6 +171,14 @@ class TestStorage:
         with pytest.raises(MalformedFileError):
             load_series(path)
 
+    @pytest.mark.parametrize("day", ["20200102", "2020-W01-4"])
+    def test_a_day_is_yyyy_mm_dd_only(self, tmp_path, day):
+        # Python 3.11's fromisoformat reads both, 3.10's neither
+        path = tmp_path / "s.csv"
+        path.write_text(f"timestamp,value\n2020-01-01,1.0\n{day},2.0\n")
+        with pytest.raises(MalformedFileError, match=re.escape(f"{path}: not a YYYY-MM-DD date: {day!r}")):
+            load_series(path)
+
     def test_infinite_row_is_not_dropped(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("timestamp,value\n2020-01-01,1.0\n2020-01-02,-inf\n")

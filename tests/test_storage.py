@@ -227,11 +227,10 @@ def catalog_case(root):
 
 
 def demo_config_case(root):
-    path = demo.build_demo_config(root / "fx", root / "data", root / "fx" / "q.json", "demo", 3,
-                                  verify_shift=False)
+    path = demo.build_demo_config(root / "fx", root / "data", root / "fx" / "q.json", "demo", 3)
     doc = {"dataset_name": "demo", "source": "fred", "query_file": "q.json",
            "transport_mode": "replay", "detector": {},
-           "augment": {"factor": 30, "verify_shift": False},
+           "augment": {"factor": 30, "verify_shift": True},
            "master_seed": 3, "output_dir": str(root / "data"), "fixtures_dir": ".",
            "domain": "Economics & Finance", "description": "Synthetic macro-style replay corpus"}
     return path, doc, True
