@@ -16,19 +16,28 @@ index-space operations and inventing warped calendar dates would corrupt
 source semantics. Outputs carry a provenance record naming the parent,
 the method, and the seed that produced them.
 
-Each transform is a values kernel (``*_values``: array in, array out) plus
-a wrapper that builds the output :class:`TimeSeries`. ``augment_set``
-works on the kernels so it can test a parent's candidates as one batch
-and build each output series once. The wrappers take an integer seed
-(anything ``operator.index`` accepts, numpy integers included) and record
-it; a ``Generator`` raises ``TypeError``, since no recorded seed could
-reproduce its draws.
+Each transform is one row-batched kernel (``*_rows``: one parent's values
+and a list of seeds in, one row per seed out), and each seed draws from its
+own generator, as it would alone. Time warp computes every row's path in one
+stacked spline pass (a stacked solve with one right-hand side per row, which
+unlike one solve with many right-hand sides is bit-identical to solving each
+row alone) and resamples them in one ``np.interp``. The window transforms
+interpolate each row's own window with ``np.interp`` (``apply_window_*``):
+a gathered 2-D form was slower for one row and for long series. Every row is
+bit-identical to the same seed drawn alone. The one-row transforms
+(``time_warp`` and the rest) are one-row calls of the row kernels that build
+the output :class:`TimeSeries`. ``augment_set`` draws each round of a
+parent's candidates as one batch per method, tests the round with one
+``classify`` call, and builds each output series once. The one-row
+transforms take an integer seed (anything ``operator.index`` accepts, numpy
+integers included) and record it; a ``Generator`` raises ``TypeError``,
+since no recorded seed could reproduce its draws.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
+import math
 import operator
 from dataclasses import dataclass
 
@@ -38,9 +47,7 @@ from .changepoint import DetectorConfig, SeriesTooShortError
 # Shift verification of a batch of candidates. ``augment_set`` reaches it
 # through this module name, which perfbench's tracer wraps to time it.
 from .changepoint import classify_rows as classify
-from .series import AugmentMethod, Provenance, Stage, TimeSeries, is_int
-
-logger = logging.getLogger(__name__)
+from .series import AugmentMethod, Provenance, Stage, TimeSeries, is_int, is_real
 
 # Lower bound on warp speeds; keeps the path strictly increasing when the
 # spline overshoots or a knot draw comes out negative.
@@ -69,8 +76,10 @@ class AugmentConfig:
         for key in ("knot_count", "factor", "max_retries"):
             if not is_int(getattr(self, key)) or getattr(self, key) < 1:
                 raise ValueError(f"{key} must be an int >= 1: {getattr(self, key)!r}")
-        if self.knot_sigma < 0:
-            raise ValueError("knot_sigma must be >= 0")
+        if not is_real(self.knot_sigma) or not 0 <= self.knot_sigma < math.inf:
+            raise ValueError(f"knot_sigma must be a finite real number >= 0: {self.knot_sigma!r}")
+        if not isinstance(self.verify_shift, bool):
+            raise ValueError(f"verify_shift must be true or false: {self.verify_shift!r}")
         if self.factor % 3 != 0:
             raise ValueError("factor must be divisible by 3 for round-robin allocation")
 
@@ -112,37 +121,45 @@ def gen_warp_path(n: int, config: AugmentConfig, rng: int | np.random.Generator)
     """
     if n < 4:
         raise SeriesTooShortError(f"warp path needs length >= 4, got {n}")
-    return WarpPath(mapping=tuple(_warp_positions(n, config, np.random.default_rng(rng))))
+    return WarpPath(mapping=tuple(_warp_paths(n, config, [rng])[0]))
 
 
-def _warp_positions(n: int, config: AugmentConfig, gen: np.random.Generator) -> np.ndarray:
-    anchors = np.linspace(0.0, n - 1.0, config.knot_count + 2)
-    speeds = np.empty(config.knot_count + 2)
-    speeds[0] = speeds[-1] = 1.0
-    speeds[1:-1] = np.maximum(
-        SPEED_FLOOR, gen.normal(KNOT_MU, config.knot_sigma, config.knot_count)
-    )
+def _warp_paths(n: int, config: AugmentConfig, seeds: list) -> np.ndarray:
+    """One warp path per seed (or ``Generator``), a row each."""
+    rows, inner = len(seeds), config.knot_count
+    anchors = np.linspace(0.0, n - 1.0, inner + 2)
+    speeds = np.ones((rows, inner + 2))
+    draws = [np.random.default_rng(seed).normal(KNOT_MU, config.knot_sigma, inner)
+             for seed in seeds]
+    speeds[:, 1:-1] = np.maximum(SPEED_FLOOR, draws)
     # Natural cubic spline through the knots: second derivatives M of 0 at the
-    # ends, and M[i-1] + 4 M[i] + M[i+1] = 6 (y[i-1] - 2 y[i] + y[i+1]) / h**2.
-    inner, h = config.knot_count, anchors[1]
+    # ends, and M[i-1] + 4 M[i] + M[i+1] = 6 (y[i-1] - 2 y[i] + y[i+1]) / h**2,
+    # in one stacked solve with one right-hand side per row (see above).
+    h = anchors[1]
     tridiagonal = 4.0 * np.eye(inner) + np.eye(inner, k=1) + np.eye(inner, k=-1)
-    curv = np.zeros(inner + 2)
-    curv[1:-1] = np.linalg.solve(tridiagonal, 6.0 / (h * h) * np.diff(speeds, 2))
-    # each index is a cubic in its offset t from its interval's left knot
+    rhs = 6.0 / (h * h) * np.diff(speeds, 2, axis=1)
+    curv = np.zeros((rows, inner + 2))
+    curv[:, 1:-1] = np.linalg.solve(tridiagonal, rhs[..., np.newaxis])[..., 0]
+    # each index is a cubic in its offset t from its interval's left knot,
+    # with coefficients computed once per interval
+    lo, hi = curv[:, :-1], curv[:, 1:]
+    cubic, square = (hi - lo) / (6.0 * h), lo / 2.0
+    linear = (speeds[:, 1:] - speeds[:, :-1]) / h - h * (2.0 * lo + hi) / 6.0
     x = np.arange(n, dtype=float)
     seg = np.minimum((x / h).astype(np.intp), inner)
-    t, lo, hi = x - anchors[seg], curv[seg], curv[seg + 1]
-    linear = (speeds[seg + 1] - speeds[seg]) / h - h * (2.0 * lo + hi) / 6.0
-    spline = (((hi - lo) / (6.0 * h) * t + lo / 2.0) * t + linear) * t + speeds[seg]
+    t = x - anchors[seg]
+    spline = ((cubic[:, seg] * t + square[:, seg]) * t + linear[:, seg]) * t + speeds[:, seg]
     per_index = np.maximum(SPEED_FLOOR, spline)
-    cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (per_index[:-1] + per_index[1:]))))
-    path = cumulative * ((n - 1.0) / cumulative[-1])
-    path[0] = 0.0
-    path[-1] = float(n - 1)
+    cumulative = np.zeros((rows, n))
+    cumulative[:, 1:] = np.cumsum(0.5 * (per_index[:, :-1] + per_index[:, 1:]), axis=1)
+    path = cumulative * ((n - 1.0) / cumulative[:, -1:])
+    path[:, 0] = 0.0
+    path[:, -1] = float(n - 1)
     return path
 
 
 def _resample(values: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``values`` linearly interpolated at ``positions`` (any shape)."""
     out = np.interp(positions, np.arange(values.size, dtype=float), values)
     # linear interpolation is a convex combination; clip only mops up
     # last-ulp rounding so the range-preservation contract is exact
@@ -170,12 +187,12 @@ def _augmented(
     )
 
 
-def time_warp_values(values: np.ndarray, config: AugmentConfig, seed: int) -> np.ndarray:
-    """``values`` resampled along the warp path that ``seed`` draws."""
+def time_warp_rows(values: np.ndarray, config: AugmentConfig, seeds: list[int]) -> np.ndarray:
+    """``values`` resampled along the warp path each seed draws, a row per seed."""
     n = values.size
     if n < 4:
         raise SeriesTooShortError(f"time warp needs length >= 4, got {n}")
-    return _resample(values, _warp_positions(n, config, np.random.default_rng(seed)))
+    return _resample(values, _warp_paths(n, config, seeds))
 
 
 def time_warp(
@@ -183,7 +200,7 @@ def time_warp(
 ) -> TimeSeries:
     """Resample the values along a random smooth monotone warp path."""
     seed = operator.index(seed)
-    warped = time_warp_values(series.values, config, seed)
+    warped = time_warp_rows(series.values, config, [seed])[0]
     return _augmented(series, warped, AugmentMethod.TIME_WARP, seed, out_id)
 
 
@@ -203,16 +220,19 @@ def apply_window_warp(
     return _resample(combined, np.linspace(0.0, combined.size - 1.0, n))
 
 
-def window_warp_values(values: np.ndarray, config: AugmentConfig, seed: int) -> np.ndarray:
-    """Warp one random window by a random scale; draws start then scale."""
+def window_warp_rows(values: np.ndarray, config: AugmentConfig, seeds: list[int]) -> np.ndarray:
+    """One random window warped by a random scale, a row per seed; each seed
+    draws start then scale."""
     n = values.size
     if n < 10:
         raise SeriesTooShortError(f"window warp needs length >= 10, got {n}")
-    gen = np.random.default_rng(seed)
     width = max(1, round(WINDOW_WARP_FRACTION * n))
-    start = int(gen.integers(0, n - width + 1))
-    scale = float(gen.choice(WARP_SCALES))
-    return apply_window_warp(values, start, width, scale)
+    rows = np.empty((len(seeds), n))
+    for row, seed in zip(rows, seeds):
+        gen = np.random.default_rng(seed)
+        start = int(gen.integers(0, n - width + 1))
+        row[:] = apply_window_warp(values, start, width, float(gen.choice(WARP_SCALES)))
+    return rows
 
 
 def window_warp(
@@ -220,7 +240,7 @@ def window_warp(
 ) -> TimeSeries:
     """Warp one random window by a random scale; draws start then scale."""
     seed = operator.index(seed)
-    warped = window_warp_values(series.values, config, seed)
+    warped = window_warp_rows(series.values, config, [seed])[0]
     return _augmented(series, warped, AugmentMethod.WINDOW_WARP, seed, out_id)
 
 
@@ -231,15 +251,17 @@ def apply_window_slice(values: np.ndarray, start: int, length: int) -> np.ndarra
     return _resample(window, np.linspace(0.0, length - 1.0, values.size))
 
 
-def window_slice_values(values: np.ndarray, config: AugmentConfig, seed: int) -> np.ndarray:
-    """Interpolate a random contiguous slice back to full length."""
+def window_slice_rows(values: np.ndarray, config: AugmentConfig, seeds: list[int]) -> np.ndarray:
+    """A random contiguous slice interpolated back to full length, a row per seed."""
     n = values.size
     if n < 10:
         raise SeriesTooShortError(f"window slice needs length >= 10, got {n}")
-    gen = np.random.default_rng(seed)
     length = max(2, round(SLICE_FRACTION * n))
-    start = int(gen.integers(0, n - length + 1))
-    return apply_window_slice(values, start, length)
+    rows = np.empty((len(seeds), n))
+    for row, seed in zip(rows, seeds):
+        start = int(np.random.default_rng(seed).integers(0, n - length + 1))
+        row[:] = apply_window_slice(values, start, length)
+    return rows
 
 
 def window_slice(
@@ -247,14 +269,14 @@ def window_slice(
 ) -> TimeSeries:
     """Interpolate a random contiguous slice back to full length."""
     seed = operator.index(seed)
-    sliced = window_slice_values(series.values, config, seed)
+    sliced = window_slice_rows(series.values, config, [seed])[0]
     return _augmented(series, sliced, AugmentMethod.WINDOW_SLICE, seed, out_id)
 
 
 _METHOD_CYCLE = (
-    (AugmentMethod.TIME_WARP, time_warp_values),
-    (AugmentMethod.WINDOW_WARP, window_warp_values),
-    (AugmentMethod.WINDOW_SLICE, window_slice_values),
+    (AugmentMethod.TIME_WARP, time_warp_rows),
+    (AugmentMethod.WINDOW_WARP, window_warp_rows),
+    (AugmentMethod.WINDOW_SLICE, window_slice_rows),
 )
 
 
@@ -264,32 +286,37 @@ def _draws(
     """Method, seed, values and verified flag of each of one parent's
     ``factor`` outputs, in ordinal order.
 
-    Each round draws every pending ordinal at the round's attempt number
-    and tests the whole batch with one ``classify`` call; the candidates
-    that lost their shift are redrawn in the next round.
+    Each round draws every pending ordinal at the round's attempt number, one
+    row batch per method, and tests the whole round with one ``classify``
+    call; the candidates that lost their shift are redrawn in the next round.
     """
     values = parent.values
-    draws: list[tuple[AugmentMethod, int, np.ndarray]] = [None] * config.factor
-    verified: set[int] = set()
+    rows = np.empty((config.factor, values.size))
+    methods = [method for method, _ in _METHOD_CYCLE] * (config.factor // 3)
+    seeds = [0] * config.factor
+    verified = [False] * config.factor
     pending = list(range(config.factor))
     for attempt in range(config.max_retries):
-        for ordinal in pending:
-            seed = derive_seed(config.master_seed, parent.id, ordinal, attempt)
-            method, kernel = _METHOD_CYCLE[ordinal % 3]
-            draws[ordinal] = (method, seed, kernel(values, config, seed))
+        for offset, (_, kernel) in enumerate(_METHOD_CYCLE):
+            batch = [ordinal for ordinal in pending if ordinal % 3 == offset]
+            for ordinal in batch:
+                seeds[ordinal] = derive_seed(config.master_seed, parent.id, ordinal, attempt)
+            if batch:
+                rows[batch] = kernel(values, config, [seeds[ordinal] for ordinal in batch])
         if not config.verify_shift:
             pending = []
             break
-        shifted = classify(np.stack([draws[ordinal][2] for ordinal in pending]), detector)
-        verified.update(ordinal for ordinal, ok in zip(pending, shifted) if ok)
+        shifted = classify(rows[pending], detector).tolist()
+        for ordinal, ok in zip(pending, shifted):
+            verified[ordinal] = ok
         pending = [ordinal for ordinal, ok in zip(pending, shifted) if not ok]
         if not pending:
             break
-    for ordinal in pending:  # every attempt failed: window-slice the last seed
-        seed = draws[ordinal][1]
-        sliced = window_slice_values(values, config, seed)
-        draws[ordinal] = (AugmentMethod.WINDOW_SLICE, seed, sliced)
-    return [(*draw, ordinal in verified) for ordinal, draw in enumerate(draws)]
+    if pending:  # every attempt failed: window-slice the last seeds
+        rows[pending] = window_slice_rows(values, config, [seeds[o] for o in pending])
+        for ordinal in pending:
+            methods[ordinal] = AugmentMethod.WINDOW_SLICE
+    return list(zip(methods, seeds, rows, verified))
 
 
 def augment_set(
@@ -314,21 +341,10 @@ def augment_set(
         if series.stage is not Stage.PRUNED:
             raise ValueError(f"augment_set input {series.id!r} is not in the pruned stage")
 
-    out: list[TimeSeries] = []
-    unverified = 0
-    for series in pruned:
+    return [
+        _augmented(series, values, method, seed, f"{series.id}-aug{ordinal}", verified)
+        for series in pruned
         for ordinal, (method, seed, values, verified) in enumerate(
             _draws(series, config, detector)
-        ):
-            out.append(
-                _augmented(series, values, method, seed, f"{series.id}-aug{ordinal}", verified)
-            )
-            unverified += not verified
-
-    if out and config.verify_shift:
-        share = unverified / len(out)
-        logger.info(
-            "augmented %d series from %d parents; %d (%.1f%%) unverified",
-            len(out), len(pruned), unverified, 100.0 * share,
         )
-    return out
+    ]

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import Stage, TimeSeries, is_int
+from .series import Stage, TimeSeries, is_int, is_real
 
 logger = logging.getLogger(__name__)
 
@@ -84,8 +84,9 @@ class DetectorConfig:
     min_segment_size: int = 2
 
     def __post_init__(self) -> None:
-        if self.penalty_beta is not None and self.penalty_beta < 0:
-            raise ValueError("penalty_beta must be >= 0")
+        beta = self.penalty_beta
+        if beta is not None and (not is_real(beta) or not 0 <= beta < math.inf):
+            raise ValueError(f"penalty_beta must be null or a finite real number >= 0: {beta!r}")
         if not is_int(self.min_segment_size) or self.min_segment_size < 1:
             raise ValueError(f"min_segment_size must be an int >= 1: {self.min_segment_size!r}")
 
@@ -364,16 +365,24 @@ def detect(series: TimeSeries, config: DetectorConfig) -> ChangePointSet:
 def prune(dataset: list[TimeSeries], config: DetectorConfig) -> list[TimeSeries]:
     """Keep only series with a detected shift, restamped to the pruned stage.
 
-    A series too short to classify is logged and skipped; any other error
-    propagates. Order is preserved.
+    The series of each length are classified together, in one
+    :func:`classify_rows` call, with the decisions :func:`classify` makes one
+    at a time. A series too short to classify is logged and skipped; any other
+    error propagates. Order is preserved.
     """
+    by_length: dict[int, list[int]] = {}
+    for index, series in enumerate(dataset):
+        by_length.setdefault(len(series), []).append(index)
+    shifted: list[bool | None] = [None] * len(dataset)  # None: too short
+    for n, indices in by_length.items():
+        if n >= max(2, config.min_segment_size):
+            flags = classify_rows(np.stack([dataset[i].values for i in indices]), config)
+            for index, flag in zip(indices, flags.tolist()):
+                shifted[index] = flag
     kept: list[TimeSeries] = []
-    for series in dataset:
-        try:
-            category = classify(series, config)
-        except SeriesTooShortError as exc:
-            logger.warning("skipping %s: %s", series.id, exc)
-            continue
-        if category is ShiftCategory.SHIFT:
+    for series, flag in zip(dataset, shifted):
+        if flag is None:
+            logger.warning("skipping %s: series %r too short to classify", series.id, series.id)
+        elif flag:
             kept.append(series.with_stage(Stage.PRUNED))
     return kept

@@ -157,14 +157,16 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    originals, pruned = pipeline.Stages(_load_config(args), _fixed_now()).rerun(Stage.PRUNED)
-    print(f"kept {len(pruned)} of {len(originals)} series")
+    stages = pipeline.Stages(_load_config(args), _fixed_now())
+    originals = stages.rerun(Stage.PRUNED)
+    print(f"kept {stages.manifest.count_pruned} of {len(originals)} series")
     return EXIT_OK
 
 
 def _cmd_augment(args) -> int:
-    _, augmented = pipeline.Stages(_load_config(args), _fixed_now()).rerun(Stage.AUGMENTED)
-    print(f"wrote {len(augmented)} augmented series")
+    stages = pipeline.Stages(_load_config(args), _fixed_now())
+    stages.rerun(Stage.AUGMENTED)
+    print(f"wrote {stages.manifest.count_augmented} augmented series")
     return EXIT_OK
 
 

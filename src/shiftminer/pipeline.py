@@ -79,8 +79,8 @@ class PipelineConfig:
             raise ConfigError("dataset_name must be non-empty")
         if self.transport_mode not in ("live", "replay", "record"):
             raise ConfigError(f"unknown transport_mode {self.transport_mode!r}")
-        if not is_int(self.query_count):
-            raise ConfigError(f"query_count must be an int: {self.query_count!r}")
+        if not is_int(self.query_count) or self.query_count < 1:
+            raise ConfigError(f"query_count must be an int >= 1: {self.query_count!r}")
         if not is_int(self.master_seed) or not 0 <= self.master_seed <= MAX_SEED:
             raise ConfigError(f"master_seed must be an int in [0, 2**64): {self.master_seed!r}")
 
@@ -228,15 +228,23 @@ class Stages:
             self._record(0, count_pruned=len(pruned), count_augmented=0)
         return pruned
 
-    def augment(self, pruned: list[TimeSeries]) -> list[TimeSeries]:
+    def augment(self, pruned: list[TimeSeries]) -> None:
+        """Augment one parent at a time: its children are written before the
+        next parent's are drawn, so the stage holds one parent's children."""
         seed = self.config.master_seed
         augment_config = dc_replace(self.config.augment, master_seed=seed)
         with self._stage("augment", Stage.AUGMENTED):
-            augmented = augment_set(pruned, augment_config, self.config.detector)
-            storage.save_stage(self.root, self.name, augmented)
-            unverified = sum(not s.provenance.shift_verified for s in augmented)
-            self._record(unverified, count_augmented=len(augmented), seed=seed)
-        return augmented
+            memo, count, unverified = storage.WriteMemo(), 0, 0
+            for parent in pruned:
+                children = augment_set([parent], augment_config, self.config.detector)
+                storage.save_stage(self.root, self.name, children, memo=memo)
+                count += len(children)
+                unverified += sum(not child.provenance.shift_verified for child in children)
+                del children  # dropped before the next parent's children are drawn
+            if count and augment_config.verify_shift:
+                logger.info("augmented %d series from %d parents; %d (%.1f%%) unverified",
+                            count, len(pruned), unverified, 100.0 * unverified / count)
+            self._record(unverified, count_augmented=count, seed=seed)
 
     def _stored(self, stage: Stage) -> list[TimeSeries]:
         series = storage.load_stage(self.root, self.name, stage)
@@ -244,10 +252,11 @@ class Stages:
             raise ConfigError(f"dataset {self.name!r} has no {stage.value} stage under {self.root}")
         return series
 
-    def rerun(self, stage: Stage) -> tuple[list[TimeSeries], list[TimeSeries]]:
-        """Rerun prune or augment on the stored stage before it; returns its
-        series and the new ones. The stored manifest takes this dataset's name
-        (it may be a copy); without one, a manifest is started from disk."""
+    def rerun(self, stage: Stage) -> list[TimeSeries]:
+        """Rerun prune or augment on the stored stage before it, and return
+        that stage's series; ``manifest`` has the new counts. The stored
+        manifest takes this dataset's name (it may be a copy); without one, a
+        manifest is started from disk."""
         previous, step = {
             Stage.PRUNED: (Stage.ORIGINAL, self.prune),
             Stage.AUGMENTED: (Stage.PRUNED, self.augment),
@@ -261,7 +270,8 @@ class Stages:
             else:
                 self._start_manifest(self._stored(Stage.ORIGINAL), {})
                 self._record(0, count_pruned=len(inputs))
-        return inputs, step(inputs)
+        step(inputs)
+        return inputs
 
 
 def run(

@@ -10,6 +10,7 @@ eagerly, so a constructed value is always safe to share across threads.
 from __future__ import annotations
 
 import enum
+import numbers
 import operator
 from dataclasses import dataclass, fields, replace
 from datetime import date
@@ -146,6 +147,11 @@ def make_series_id(source: Source, native_id: str, start: date, end: date) -> st
 def is_int(value: object) -> bool:
     """Whether ``value`` is an ``int`` that is not a ``bool``: a JSON ``30.0`` is not."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value: object) -> bool:
+    """Whether ``value`` is a real number that is not a ``bool``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def iso_dates(texts: Sequence[str]) -> list[date]:

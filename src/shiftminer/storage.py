@@ -14,10 +14,13 @@ tree is byte-stable across runs with the same inputs.
 the header and ``<iso date>,%.12g`` per row is filled with the series'
 values. A series whose tuple is the previous series' one reuses the
 template; augmented children follow their parent and share its tuple. A
-new tuple builds a new template, from ISO strings memoized per date for the
-one call: each distinct date of the stage is formatted once, and the memo
-holds one ten-character string per distinct date (not one formatted column
-per tuple) and is freed when the call returns.
+new tuple builds a new template, from ISO strings memoized per date: each
+distinct date of the stage is formatted once, and the memo holds one
+ten-character string per distinct date (not one formatted column per tuple).
+The memo and the set of directories made live for one call or, when a stage
+is written in several calls (the augmented stage is written one parent's
+children at a time), in one :class:`WriteMemo` that the caller passes to each
+call and drops when the stage is written.
 
 Every file the package writes or removes goes through this module: series through
 :func:`save_stage` and :func:`save_series`, every other file through :func:`write_document`,
@@ -185,14 +188,24 @@ def save_series(series: TimeSeries, directory: str | Path) -> Path:
     return Path(directory) / f"{series.id}.csv"
 
 
-def _save_all(items: Iterable[tuple[TimeSeries, str]]) -> None:
+@dataclass
+class WriteMemo:
+    """What one stage write keeps across its calls to :func:`save_stage`: the
+    ISO string of each date it has formatted and the directories it has made."""
+
+    isos: dict[date, str] = field(default_factory=dict)
+    made: set[str] = field(default_factory=set)
+
+
+def _save_all(items: Iterable[tuple[TimeSeries, str]], memo: WriteMemo | None = None) -> None:
     """Write each series into its directory, creating each directory once.
 
     Each CSV body is one ``%`` of a row template over the series' values.
     The template is built again only when a series' tuple is not the
-    previous series' one, from ISO strings memoized per date for this call
-    (see the module docstring)."""
-    made, isos, timestamps = set(), {}, None
+    previous series' one, from ISO strings memoized per date in ``memo``,
+    a new one per call by default (see the module docstring)."""
+    memo = WriteMemo() if memo is None else memo
+    made, isos, timestamps = memo.made, memo.isos, None
     for series, directory in items:
         if series.timestamps is not timestamps:
             timestamps = series.timestamps
@@ -284,13 +297,15 @@ def stage_dir(root: str | Path, name: str, stage: Stage) -> Path:
     return dataset_dir(root, name) / stage.value
 
 
-def save_stage(root: str | Path, name: str, series_list: Iterable[TimeSeries]) -> None:
+def save_stage(root: str | Path, name: str, series_list: Iterable[TimeSeries], *,
+               memo: WriteMemo | None = None) -> None:
     """Write each series under its stage's directory, in the bytes of
     :func:`save_series`, building one row template per run of series that
     share a timestamps tuple and formatting each distinct date once (see the
-    module docstring)."""
+    module docstring). A stage written in several calls passes each the same
+    :class:`WriteMemo`, so each date is formatted once per stage, not per call."""
     directories = {stage: str(stage_dir(root, name, stage)) for stage in Stage}
-    _save_all((series, directories[series.stage]) for series in series_list)
+    _save_all(((series, directories[series.stage]) for series in series_list), memo)
 
 
 def clear_from_stage(root: str | Path, name: str, stage: Stage) -> None:

@@ -19,8 +19,11 @@ from shiftminer.augment import (
     derive_seed,
     gen_warp_path,
     time_warp,
+    time_warp_rows,
     window_slice,
+    window_slice_rows,
     window_warp,
+    window_warp_rows,
 )
 from shiftminer.changepoint import DetectorConfig, SeriesTooShortError, ShiftCategory, classify
 from shiftminer.series import AugmentMethod, Stage
@@ -57,6 +60,89 @@ def oracle_window_warp(values, start, width, scale):
     m = len(combined)
     out_grid = [i * (m - 1) / (n - 1) for i in range(n)]
     return oracle_linear_interp(out_grid, list(range(m)), combined)
+
+
+# One-row reference kernels: one numpy pass per candidate, with np.interp over
+# the whole series and a 1-D spline solve. The row-batched kernels must match
+# them bit for bit.
+
+
+def one_row_warp_positions(n, config, seed):
+    gen = np.random.default_rng(seed)
+    anchors = np.linspace(0.0, n - 1.0, config.knot_count + 2)
+    speeds = np.empty(config.knot_count + 2)
+    speeds[0] = speeds[-1] = 1.0
+    draws = gen.normal(KNOT_MU, config.knot_sigma, config.knot_count)
+    speeds[1:-1] = np.maximum(SPEED_FLOOR, draws)
+    inner, h = config.knot_count, anchors[1]
+    tridiagonal = 4.0 * np.eye(inner) + np.eye(inner, k=1) + np.eye(inner, k=-1)
+    curv = np.zeros(inner + 2)
+    curv[1:-1] = np.linalg.solve(tridiagonal, 6.0 / (h * h) * np.diff(speeds, 2))
+    x = np.arange(n, dtype=float)
+    seg = np.minimum((x / h).astype(np.intp), inner)
+    t, lo, hi = x - anchors[seg], curv[seg], curv[seg + 1]
+    linear = (speeds[seg + 1] - speeds[seg]) / h - h * (2.0 * lo + hi) / 6.0
+    spline = (((hi - lo) / (6.0 * h) * t + lo / 2.0) * t + linear) * t + speeds[seg]
+    per_index = np.maximum(SPEED_FLOOR, spline)
+    cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (per_index[:-1] + per_index[1:]))))
+    path = cumulative * ((n - 1.0) / cumulative[-1])
+    path[0], path[-1] = 0.0, float(n - 1)
+    return path
+
+
+def one_row_resample(values, positions):
+    out = np.interp(positions, np.arange(values.size, dtype=float), values)
+    return np.clip(out, values.min(), values.max())
+
+
+def one_row_window_warp(values, start, width, scale):
+    window = values[start : start + width]
+    target = max(1, round(scale * width))
+    stretched = np.interp(
+        np.linspace(0.0, width - 1.0, target), np.arange(width, dtype=float), window
+    )
+    combined = np.concatenate((values[:start], stretched, values[start + width :]))
+    return one_row_resample(combined, np.linspace(0.0, combined.size - 1.0, values.size))
+
+
+def one_row_window_slice(values, start, length):
+    window = values[start : start + length]
+    return one_row_resample(window, np.linspace(0.0, length - 1.0, values.size))
+
+
+def one_row_kernels(values, config, seed):
+    """Time warp, window warp and window slice of ``values`` for one seed."""
+    n = values.size
+    warped = one_row_resample(values, one_row_warp_positions(n, config, seed))
+    gen = np.random.default_rng(seed)
+    width = max(1, round(0.10 * n))
+    start = int(gen.integers(0, n - width + 1))
+    window_warped = one_row_window_warp(values, start, width, float(gen.choice(WARP_SCALES)))
+    length = max(2, round(0.90 * n))
+    start = int(np.random.default_rng(seed).integers(0, n - length + 1))
+    return warped, window_warped, one_row_window_slice(values, start, length)
+
+
+class TestRowBatches:
+    """Each row of a batch is bit-identical to the one-row reference kernels."""
+
+    @given(st.integers(10, 4000), st.integers(1, 8), st.sampled_from([0.0, 0.2, 1.0]),
+           st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
+           st.integers(0, 2**32 - 1), st.floats(-6, 6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_one_row_kernels_bit_for_bit(self, n, knot_count, sigma, seeds,
+                                                    data_seed, log_scale, signed_zeros):
+        rng = np.random.default_rng(data_seed)
+        if signed_zeros:  # ties of 0.0 and -0.0 in interpolation and clipping
+            values = rng.choice([-0.0, 0.0, 1.0], n)
+        else:
+            values = rng.normal(0, 10.0**log_scale, n)
+        config = AugmentConfig(knot_count=knot_count, knot_sigma=sigma, master_seed=0)
+        batches = [kernel(values, config, seeds)
+                   for kernel in (time_warp_rows, window_warp_rows, window_slice_rows)]
+        for row, seed in enumerate(seeds):
+            for batch, expect in zip(batches, one_row_kernels(values, config, seed)):
+                assert batch[row].tobytes() == expect.tobytes()
 
 
 def linspace_positions(n, seed):

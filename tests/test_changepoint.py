@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftminer import changepoint
 from shiftminer.changepoint import (
     ChangePointSet,
     DetectorConfig,
@@ -413,13 +416,29 @@ class TestPrune:
         assert "short" in caplog.text
 
     def test_other_errors_propagate(self, monkeypatch):
-        def broken(series, config):
+        def broken(values, config):
             raise RuntimeError("detector broke")
 
-        monkeypatch.setattr("shiftminer.changepoint.classify", broken)
+        monkeypatch.setattr("shiftminer.changepoint.classify_rows", broken)
         with pytest.raises(RuntimeError, match="detector broke"):
             prune([make_series(step_values(60, 5.0))], DetectorConfig())
 
+    @given(st.lists(st.tuples(st.sampled_from([8, 20, 33]), st.floats(0.0, 3.0)), max_size=12),
+           st.integers(0, 1000), st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_length_batches_decide_as_one_series_at_a_time(self, shapes, seed, m):
+        dataset = [make_series(step_values(n, shift, 1.0, seed=seed + i), sid=f"s{i}")
+                   for i, (n, shift) in enumerate(shapes)]
+        config = DetectorConfig(min_segment_size=m)
+        expect = []
+        for series in dataset:
+            with contextlib.suppress(SeriesTooShortError):
+                if classify(series, config) is ShiftCategory.SHIFT:
+                    expect.append(series.with_stage(Stage.PRUNED))
+        with mock.patch.object(changepoint, "classify_rows", wraps=classify_rows) as spy:
+            assert prune(dataset, config) == expect
+        lengths = {len(s) for s in dataset if len(s) >= max(2, m)}
+        assert sorted(len(c.args[0][0]) for c in spy.call_args_list) == sorted(lengths)
 
 def test_exact_segmentation_handles_long_series():
     rng = np.random.default_rng(42)

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import re
 import shutil
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shiftminer import demo, sources, storage
 from shiftminer.augment import AugmentConfig, augment_set
@@ -17,6 +22,7 @@ from shiftminer.pipeline import (
     PipelineConfig,
     PruningEmptyError,
     StageError,
+    Stages,
     load_config,
     report,
     run,
@@ -119,6 +125,13 @@ class TestConfig:
         (None, "master_seed", 2**64),
         (None, "master_seed", "7"),
         (None, "master_seed", True),
+        ("augment", "verify_shift", "false"),
+        ("detector", "penalty_beta", True),
+        ("detector", "penalty_beta", "3"),
+        ("augment", "knot_sigma", "0.2"),
+        ("augment", "knot_sigma", False),
+        (None, "query_count", -5),
+        (None, "query_count", 0),
     ])
     def test_a_bad_setting_exits_2_naming_it_before_any_write(
         self, mini_corpus, capsys, block, key, value
@@ -158,6 +171,16 @@ class TestRun:
         assert manifest.length_min == min(lengths)
         assert manifest.length_max == max(lengths)
 
+    def test_augment_logs_one_summary_line(self, mini_corpus, caplog):
+        with caplog.at_level(logging.INFO, logger="shiftminer.pipeline"):
+            manifest = run(load_config(mini_corpus["config_path"]), now=NOW)
+        unverified = int(manifest.notes["unverified_augmented"])
+        share = 100.0 * unverified / manifest.count_augmented
+        assert [r.getMessage() for r in caplog.records if "augmented" in r.getMessage()] == [
+            f"augmented {manifest.count_augmented} series from {manifest.count_pruned} parents; "
+            f"{unverified} ({share:.1f}%) unverified"
+        ]
+
     def test_rerun_requires_force(self, mini_corpus):
         config = load_config(mini_corpus["config_path"])
         run(config, now=NOW)
@@ -193,10 +216,10 @@ class TestRun:
         assert isinstance(err.value.cause, PruningEmptyError)
 
     def test_prune_error_becomes_stage_error(self, mini_corpus, monkeypatch):
-        def broken(series, config):
+        def broken(values, config):
             raise RuntimeError("detector broke")
 
-        monkeypatch.setattr("shiftminer.changepoint.classify", broken)
+        monkeypatch.setattr("shiftminer.changepoint.classify_rows", broken)
         with pytest.raises(StageError) as err:
             run(load_config(mini_corpus["config_path"]), now=NOW)
         assert err.value.stage == "prune"
@@ -222,14 +245,88 @@ class TestRun:
         assert manifest.count_original == 12
 
 
+def run_queries(config, queries, out: Path) -> dict[str, bytes]:
+    """The dataset tree of a run of ``config`` on ``queries`` under ``out``."""
+    query_file = sources.save_queries(queries, out.with_suffix(".queries.json"))
+    run(dataclasses.replace(config, query_file=query_file, output_dir=out), now=NOW)
+    return tree_bytes(out / "mini")
+
+
+@pytest.fixture(scope="module")
+def mini_full_run(tmp_path_factory):
+    """The mini corpus's config and queries, the series ids each query
+    fetches, and the tree of a run on every query (under ``<root>/all``)."""
+    root = tmp_path_factory.mktemp("mini")
+    query_file = demo.build_fred_corpus(root / "fixtures", count=16, seed=2)
+    config = load_config(demo.build_demo_config(root / "fixtures", root / "data", query_file,
+                                                dataset_name="mini", master_seed=11))
+    queries = load_queries(config.query_file)
+    transport = sources.make_transport("replay", config.fixtures_dir)
+    ids = [[s.id for s in sources.fetch(q, transport)] for q in queries]
+    return config, queries, ids, run_queries(config, queries, root / "all"), root
+
+
+def descendants(tree: dict[str, bytes], ids) -> dict[str, bytes]:
+    """The files of ``tree`` of the series ``ids`` and their augmented children."""
+    prefixes = tuple(f"{sid}{end}" for sid in ids for end in (".", "-aug"))
+    return {path: data for path, data in tree.items() if Path(path).name.startswith(prefixes)}
+
+
 class TestPerSeriesIndependence:
     """A series' files are a function of that series and the seed alone, not
     of the order of the queries or of which other series were collected."""
 
     def _run(self, config, queries, out: Path) -> dict[str, bytes]:
-        query_file = sources.save_queries(queries, out.with_suffix(".queries.json"))
-        run(dataclasses.replace(config, query_file=query_file, output_dir=out), now=NOW)
-        return tree_bytes(out / "mini")
+        return run_queries(config, queries, out)
+
+    @given(st.data())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_a_drawn_order_and_subset_of_queries_keep_their_series_bytes(
+        self, mini_full_run, data
+    ):
+        config, queries, ids, full, root = mini_full_run
+        # queries that dedup merges are kept or dropped together, in file order,
+        # since dedup keeps the first one's comment
+        groups: dict[str, list[int]] = {}
+        for index, query in enumerate(queries):
+            groups.setdefault(sources.canonical_query_key(query), []).append(index)
+        order = data.draw(st.permutations(sorted(groups)))
+        kept = order[: data.draw(st.integers(1, len(order)))]
+        kept_ids = [sid for key in kept for index in groups[key] for sid in ids[index]]
+        assume(any(path.startswith("pruned/") for path in descendants(full, kept_ids)))
+        with tempfile.TemporaryDirectory(dir=root) as out:
+            after = self._run(config, [queries[i] for key in kept for i in groups[key]],
+                              Path(out) / "kept")
+        manifests = [json.loads(tree.pop("manifest.json")) for tree in (after, dict(full))]
+        assert after == descendants(full, kept_ids)
+        for manifest in manifests:
+            for key in ("count_original", "count_pruned", "count_augmented",
+                        "length_min", "length_max"):
+                del manifest[key]
+        assert manifests[0] == manifests[1]
+
+    @given(st.data())
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_augmenting_a_subset_of_parents_writes_their_children_of_the_full_run(
+        self, mini_full_run, data
+    ):
+        config, _, _, full, root = mini_full_run
+        parents = sorted(Path(path).name.removesuffix(".csv") for path in full
+                         if path.startswith("pruned/") and path.endswith(".csv"))
+        subset = data.draw(st.sets(st.sampled_from(parents), min_size=1))
+        with tempfile.TemporaryDirectory(dir=root) as out:
+            dataset = Path(out) / "mini"
+            shutil.copytree(root / "all" / "mini", dataset,
+                            ignore=shutil.ignore_patterns("augmented"))
+            for path in (dataset / "pruned").iterdir():
+                if path.name.split(".")[0] not in subset:
+                    path.unlink()
+            Stages(dataclasses.replace(config, output_dir=Path(out)), NOW).rerun(Stage.AUGMENTED)
+            after = tree_bytes(dataset / "augmented")
+        expect = descendants(full, subset)
+        assert {f"augmented/{path}": data for path, data in after.items()} == {
+            path: data for path, data in expect.items() if path.startswith("augmented/")
+        }
 
     def test_reversed_queries_leave_the_tree_byte_identical(self, mini_corpus, tmp_path):
         config = load_config(mini_corpus["config_path"])
@@ -257,6 +354,35 @@ class TestPerSeriesIndependence:
         for key in ("length_min", "length_max"):
             old.pop(key), new.pop(key)
         assert new == old
+
+
+class TestAugmentMemory:
+    """The augment stage writes each parent's children before it draws the
+    next parent's, so its peak does not grow with the number of parents."""
+
+    FACTOR, LENGTH, N = 30, 100, 8
+
+    @classmethod
+    def _peak(cls, root: Path, parents: int) -> int:
+        config = PipelineConfig(dataset_name="mem", source=Source.SYNTHETIC, output_dir=root,
+                                augment=AugmentConfig(factor=cls.FACTOR), master_seed=3)
+        pruned = [make_series(step_values(cls.LENGTH, 5.0, 0.3, seed=i), sid=f"p{i:03d}",
+                              stage=Stage.PRUNED) for i in range(parents)]
+        stages = Stages(config, NOW)
+        stages.manifest = DatasetManifest("mem", "", "", cls.LENGTH, cls.LENGTH, parents,
+                                          parents, 0, 3, NOW)
+        tracemalloc.start()
+        try:
+            stages.augment(pruned)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_on_four_times_the_parents_stays_within_one_and_a_half_times(self, tmp_path):
+        self._peak(tmp_path / "warm", 1)  # first-call allocations count in neither run
+        few = self._peak(tmp_path / "few", self.N)
+        many = self._peak(tmp_path / "many", 4 * self.N)
+        assert many <= 1.5 * few, (few, many)
 
 
 class TestCatalogDefaults:
@@ -696,7 +822,7 @@ class TestStageLifecycle:
         assert main(["prune", "--dataset", "mini", "--config", config_path]) == 0
         kept = int(re.search(r"kept (\d+) of 16 series", capsys.readouterr().out).group(1))
         assert main(["augment", "--dataset", "mini", "--config", config_path]) == 0
-        capsys.readouterr()
+        assert capsys.readouterr().out == f"wrote {30 * kept} augmented series\n"
         assert main(["report", "--dataset", "mini", "--output-dir", str(root)]) == 0
         out = capsys.readouterr().out
         assert f"original: 16 | pruned: {kept} | augmented: {30 * kept}" in out

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from shiftminer import demo, sources
 from shiftminer.cli import main
 from shiftminer.sources import Request, Response
@@ -253,3 +255,17 @@ def test_convert_fixtures_names_a_file_whose_key_differs(tmp_path):
     assert result.returncode == 1
     assert f"cannot convert {moved}" in result.stderr
     assert list(tmp_path.glob("*/*.http")) == []  # checked before anything is written
+
+
+def test_a_traced_bench_run_checks_out():
+    """perfbench's tracer wraps ``save_stage``, ``augment_set`` and the shift
+    tests by name and reads their arguments and results, so a traced run that
+    checks every job says the package still fits it."""
+    pytest.importorskip("scipy")  # the bench records scipy's version
+    result = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "walk-verify", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=SCRIPTS.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1])["correct"] is True

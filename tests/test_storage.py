@@ -173,6 +173,34 @@ def test_children_reuse_the_parents_formatted_timestamps(tmp_path, monkeypatch):
     assert CountingDate.calls == n
 
 
+def test_a_stage_written_in_calls_shares_one_memo(tmp_path, monkeypatch):
+    """The augmented stage is written one parent's children at a time, passing
+    each call one WriteMemo: each date of the stage is formatted once and its
+    directory made once, and the bytes are those of one call."""
+    n = 40
+    families = []
+    for first in (737425, 737425 + n - 10):  # two parents whose dates overlap by ten
+        timestamps = stamps(first, n, CountingDate)
+        families.append([
+            TimeSeries(f"fred-P{first}-aug{i:02d}", Source.FRED, timestamps,
+                       [0.5 * i + j for j in range(n)], Stage.AUGMENTED,
+                       Provenance(f"fred-P{first}", AugmentMethod.TIME_WARP, i, True))
+            for i in range(3)
+        ])
+    (tmp_path / "parts" / "d").mkdir(parents=True)
+    mkdir, made = Path.mkdir, []
+    monkeypatch.setattr(Path, "mkdir",
+                        lambda path, *a, **k: made.append(path) or mkdir(path, *a, **k))
+    CountingDate.calls = 0
+    memo = storage.WriteMemo()
+    for children in families:
+        save_stage(tmp_path / "parts", "d", children, memo=memo)
+    assert CountingDate.calls == len(memo.isos) == 2 * n - 10
+    assert made == [stage_dir(tmp_path / "parts", "d", Stage.AUGMENTED)]
+    save_stage(tmp_path / "whole", "d", [s for children in families for s in children])
+    assert tree_bytes(tmp_path / "parts") == tree_bytes(tmp_path / "whole")
+
+
 def test_unwritable_stage_names_its_directory(tmp_path):
     (tmp_path / "d").write_text("a file where the dataset directory belongs")
     series = TimeSeries("s", Source.SYNTHETIC, stamps(737425, 2), [1.0, 2.0], Stage.ORIGINAL)
