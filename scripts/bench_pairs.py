@@ -5,15 +5,15 @@ For every workload and seed, runs ``perfbench/run.py --trace 0`` once in
 each checkout, alternating which of the two runs first, and writes one
 JSON file: per workload and end-to-end metric, each side's runs, median
 and inclusive quartiles, the change's wins out of the pairs (in the
-direction ``BENCHMARK.json`` declares better) and the ratio of the
-medians; the jobs attempted and failed; each run's tree digest, and
-``digests_equal``, true when both sides wrote the same digest on every
+direction ``BENCHMARK.json`` declares better), the ratio of the medians and
+a ``verdict`` against the metric's ``bound``; the jobs attempted and failed;
+each run's tree digest, and ``digests_equal``, true when both sides wrote the same digest on every
 seed (each seed where they differ is also warned about on stderr).
 With ``--traced``, every seed also gets a pair of ``--trace 1`` runs, in the
 same alternating order, and each per-layer metric is compared like an
 end-to-end one (``per_layer``: both sides' runs, medians, quartiles, wins).
 It ends by printing one summary line per workload and end-to-end metric:
-parent -> change median, the change's wins, the parent's IQR and
+parent -> change median, the change's wins, the parent's IQR, the verdict and
 ``digests_equal``. Only the standard library is used.
 
 Bench two fresh copies made the same way, side by side: a working checkout
@@ -87,6 +87,27 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def verdict(result: dict, better: str, bound: float) -> str:
+    """What a compared end-to-end metric shows, with ``bound`` the share of the
+    parent's median by which it may worsen: ``gain`` when the change wins at
+    least 9/10 of the pairs and its median is better by more than the parent's
+    IQR; else ``worse`` when its median is worse by more than the bound;
+    ``unresolved`` when the parent's IQR is wider than the bound, so that no
+    difference within it can be told from spread; ``within bound`` otherwise."""
+    parent, change = result["parent"], result["change"]
+    wins, pairs = (int(part) for part in result["change_wins"].split("/"))
+    gain = parent["median"] - change["median"]
+    gain = gain if better == "lower" else -gain
+    iqr, allowed = parent["q3"] - parent["q1"], bound * abs(parent["median"])
+    if 10 * wins >= 9 * pairs and gain > iqr:
+        return "gain"
+    if -gain > allowed:
+        return "worse"
+    if iqr > allowed:
+        return "unresolved"
+    return "within bound"
+
+
 def digests_equal(workload: str, seeds: list[int], digests: dict[str, list]) -> bool:
     """Whether parent and change wrote one tree digest on every seed; warns on
     stderr for each seed where they differ or a run printed none."""
@@ -101,7 +122,8 @@ def digests_equal(workload: str, seeds: list[int], digests: dict[str, list]) -> 
 
 def summary_lines(end_to_end: dict, metrics: list[str]) -> list[str]:
     """One line per workload and metric: parent -> change median with the
-    relative change, the change's wins, the parent's IQR and ``digests_equal``."""
+    relative change, the change's wins, the parent's IQR, the verdict and
+    ``digests_equal``."""
     lines = []
     for workload, entry in end_to_end.items():
         for metric in metrics:
@@ -110,7 +132,7 @@ def summary_lines(end_to_end: dict, metrics: list[str]) -> list[str]:
             lines.append(
                 f"{workload} {metric}: {parent['median']:g} -> {change['median']:g} "
                 f"({result['change_over_parent'] - 1:+.1%}), change wins {result['change_wins']}, "
-                f"parent IQR {parent['q1']:g}-{parent['q3']:g}, "
+                f"parent IQR {parent['q1']:g}-{parent['q3']:g}, verdict {result['verdict']}, "
                 f"digests_equal {str(entry['digests_equal']).lower()}")
     return lines
 
@@ -150,6 +172,7 @@ def main(argv: list[str] | None = None) -> int:
                   "bench two fresh copies made the same way", file=sys.stderr)
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in declared["end_to_end"]}
     layer_better = {metric["name"]: metric["better"] for metric in declared["per_layer"]}
     workloads = args.workload or [workload["name"] for workload in declared["workloads"]]
     report = {
@@ -182,8 +205,9 @@ def main(argv: list[str] | None = None) -> int:
                      for side, side_runs in runs.items()},
         }
         for metric, direction in better.items():
-            entry[metric] = compare(*([r["metrics"][metric] for r in runs[side]]
-                                      for side in ("parent", "change")), direction)
+            result = compare(*([r["metrics"][metric] for r in runs[side]]
+                               for side in ("parent", "change")), direction)
+            entry[metric] = {**result, "verdict": verdict(result, direction, bounds[metric])}
         entry["digests"] = {side: [r["digest"] for r in side_runs]
                             for side, side_runs in runs.items()}
         entry["digests_equal"] = digests_equal(workload, args.seeds, entry["digests"])

@@ -231,7 +231,7 @@ def window_warp_rows(values: np.ndarray, config: AugmentConfig, seeds: list[int]
     for row, seed in zip(rows, seeds):
         gen = np.random.default_rng(seed)
         start = int(gen.integers(0, n - width + 1))
-        row[:] = apply_window_warp(values, start, width, float(gen.choice(WARP_SCALES)))
+        row[:] = apply_window_warp(values, start, width, WARP_SCALES[gen.integers(0, 2)])
     return rows
 
 

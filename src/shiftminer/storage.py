@@ -28,6 +28,12 @@ a stage's outdated files through :func:`clear_from_stage` and :func:`remove_stag
 
 Reading has two halves, a CSV body reader and :func:`read_sidecar` (joined body
 first by :func:`load_series`); :func:`load_stage_meta` reads sidecars alone.
+A sidecar's fields are read as the types the writer gives them, never coerced:
+``id`` and ``comment`` strings, ``source``, ``stage`` and the provenance
+``method`` values of their enums (found in tables keyed by value), the
+provenance ``parent_id`` a non-empty string, ``seed`` an int that is not a bool
+in [0, 2**64) and ``shift_verified`` a bool. Anything else is a
+:class:`MalformedFileError` naming the sidecar.
 
 Every file the package reads goes through :func:`read_file`, which returns it
 as stored: strict UTF-8 with no newline translation, and bytes that are not
@@ -36,11 +42,12 @@ UTF-8 are a :class:`MalformedFileError` naming the file. Only CSV bodies take
 ``os.write``, with no pathlib or text-mode ``io`` wrapping, and an ``OSError``
 from either is raised as it is with its path in ``filename``. A stage directory
 is listed once by name: its series are the entries ending ``.csv``, in name
-order, and a series' sidecar is its stem (as ``Path.stem`` has it) plus
-``.meta.json``. A stage directory holds only its own stage: :func:`load_stage`
-and :func:`load_stage_meta` reject a series whose sidecar names another stage,
-or that has no sidecar outside ``original/`` (the default stage is
-``original``), while a standalone :func:`load_series` keeps the defaults.
+order, and a series' sidecar path is built from its entry: its stem (as
+``Path.stem`` has it) plus ``.meta.json``. A stage directory holds only its own
+stage: :func:`load_stage` and :func:`load_stage_meta` reject a series whose
+sidecar names another stage, or that has no sidecar outside ``original/`` (the
+default stage is ``original``), while a standalone :func:`load_series` keeps the
+defaults.
 """
 
 from __future__ import annotations
@@ -124,8 +131,12 @@ def load_series(path: str | Path) -> TimeSeries:
     unordered, a NaN or infinite value) naming the file.
     """
     path = os.fspath(path)
+    return _load_series(path, *_sidecar_of(path))
+
+
+def _load_series(path: str, meta_path: str, stem: str) -> TimeSeries:
     timestamps, values = _read_body(path)
-    meta = read_sidecar(path)
+    meta = _read_sidecar(meta_path, stem)
     try:
         return TimeSeries(meta.id, meta.source, timestamps, values, meta.stage,
                           meta.provenance, meta.comment)
@@ -152,13 +163,28 @@ def _read_body(path: str) -> tuple[list[date], list[float]]:
 
 
 def read_sidecar(path: str | Path) -> SeriesMeta:
-    """The sidecar of series file ``path``, or the defaults below without one; a
-    sidecar that is not a JSON object of known fields, or whose id or comment
-    is not a string, is a MalformedFileError (an unreadable one, its OSError)."""
-    head, sep, name = os.fspath(path).rpartition("/")
+    """The sidecar of series file ``path``, or without one the defaults: the
+    file's stem as id, source synthetic, stage original, no provenance, no
+    comment. A sidecar that is not a JSON object of known fields of their
+    types is a MalformedFileError naming it (an unreadable one, its OSError)."""
+    return _read_sidecar(*_sidecar_of(os.fspath(path)))
+
+
+def _sidecar_of(path: str) -> tuple[str, str]:
+    """The sidecar path of series file ``path`` and the stem (as ``Path.stem``) it has."""
+    head, sep, name = path.rpartition("/")
     dot = name.rfind(".")
-    stem = name[:dot] if 0 < dot < len(name) - 1 else name  # as Path.stem
-    meta_path = f"{head}{sep}{stem}.meta.json"
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name
+    return f"{head}{sep}{stem}.meta.json", stem
+
+
+# a sidecar's source, stage and provenance method, looked up by value
+_SOURCES = {member.value: member for member in Source}
+_STAGES = {member.value: member for member in Stage}
+_METHODS = {member.value: member for member in AugmentMethod}
+
+
+def _read_sidecar(meta_path: str, stem: str) -> SeriesMeta:
     try:
         meta = json.loads(read_file(meta_path))
     except FileNotFoundError:
@@ -169,12 +195,16 @@ def read_sidecar(path: str | Path) -> SeriesMeta:
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
         sid, comment = meta.get("id", stem), meta.get("comment", "")
-        if not isinstance(sid, str) or not isinstance(comment, str):
+        if type(sid) is not str or type(comment) is not str:
             raise ValueError("id and comment must be strings")
-        return SeriesMeta(sid, Source(meta.get("source", Source.SYNTHETIC)),
-                          Stage(meta.get("stage", Stage.ORIGINAL)),
-                          _provenance_from_meta(meta.get("provenance")), comment)
-    except ValueError as exc:  # any of the faults above, or an unknown source, stage or provenance
+        source, stage = meta.get("source", "synthetic"), meta.get("stage", "original")
+        try:
+            source, stage = _SOURCES[source], _STAGES[stage]
+        except (KeyError, TypeError):  # a value of no member, or an unhashable one
+            raise ValueError(f"unknown source {source!r} or stage {stage!r}") from None
+        return SeriesMeta(sid, source, stage, _provenance_from_meta(meta.get("provenance")),
+                          comment)
+    except ValueError as exc:  # any of the faults above, or a bad provenance record
         raise MalformedFileError(f"{meta_path}: bad sidecar: {exc}") from exc
 
 
@@ -277,12 +307,16 @@ def _provenance_to_meta(prov: Provenance | None) -> dict | None:
 
 
 def _provenance_from_meta(raw: dict | None) -> Provenance | None:
+    """The provenance record ``raw``, its fields of exactly the types the writer
+    writes: a non-empty str, a known method, an int (not a bool) in range, a bool."""
     if raw is None:
         return None
     try:
-        return Provenance(raw["parent_id"], AugmentMethod(raw["method"]), int(raw["seed"]),
-                          bool(raw["shift_verified"]))
-    except (KeyError, TypeError, ValueError, SeriesError) as exc:
+        parent_id, seed, verified = raw["parent_id"], raw["seed"], raw["shift_verified"]
+        if type(parent_id) is not str or type(seed) is not int or type(verified) is not bool:
+            raise TypeError("parent_id, seed and shift_verified must be a str, an int and a bool")
+        return Provenance(parent_id, _METHODS[raw["method"]], seed, verified)
+    except (KeyError, TypeError, SeriesError) as exc:
         raise MalformedFileError(f"bad provenance record: {raw!r}") from exc
 
 
@@ -328,15 +362,19 @@ def holds_files(directory: str | Path) -> bool:
     return os.path.exists(directory) and bool(os.listdir(directory))
 
 
-def _stage_files(root: str | Path, name: str, stage: Stage) -> list[str]:
-    """The paths of a stage directory's ``*.csv`` entries in name order; none
-    when the directory is missing or cannot be listed."""
+def _stage_files(root: str | Path, name: str, stage: Stage) -> list[tuple[str, str, str]]:
+    """Each ``*.csv`` entry of a stage directory in name order, as its path, its
+    sidecar's path and its stem; none when the directory is missing or cannot be listed."""
     directory = str(stage_dir(root, name, stage))
     try:
         names = os.listdir(directory)
     except OSError:
         return []
-    return [f"{directory}/{entry}" for entry in sorted(n for n in names if n.endswith(".csv"))]
+    files = []
+    for entry in sorted(n for n in names if n.endswith(".csv")):
+        stem = entry[:-4] or entry  # as Path.stem: a name of ".csv" alone has no suffix
+        files.append((f"{directory}/{entry}", f"{directory}/{stem}.meta.json", stem))
+    return files
 
 
 def _of_stage(stage: Stage, path: str,
@@ -351,14 +389,15 @@ def _of_stage(stage: Stage, path: str,
 def load_stage(root: str | Path, name: str, stage: Stage) -> list[TimeSeries]:
     """Load every series in a stage directory, sorted by id; a series of
     another stage there is a :class:`MalformedFileError`."""
-    return [_of_stage(stage, path, load_series(path)) for path in _stage_files(root, name, stage)]
+    return [_of_stage(stage, path, _load_series(path, meta_path, stem))
+            for path, meta_path, stem in _stage_files(root, name, stage)]
 
 
 def load_stage_meta(root: str | Path, name: str, stage: Stage) -> list[SeriesMeta]:
     """The sidecars of the series :func:`load_stage` loads, in its order, not their CSVs."""
     metas = []
-    for path in _stage_files(root, name, stage):
-        meta = _of_stage(stage, path, read_sidecar(path))
+    for path, meta_path, stem in _stage_files(root, name, stage):
+        meta = _of_stage(stage, path, _read_sidecar(meta_path, stem))
         if not meta.id or (meta.stage is Stage.AUGMENTED) != (meta.provenance is not None):
             raise MalformedFileError(f"{path}: sidecar has an empty id or misplaced provenance")
         metas.append(meta)

@@ -240,6 +240,18 @@ class TestWindowWarp:
             expect = oracle_window_warp(values, start, width, scale)
             assert np.allclose(out.values, expect, atol=1e-9)
 
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 2**32))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_scale_drawn_by_index_is_the_choice_draw(self, seed, high):
+        """The kernel draws its scale as ``WARP_SCALES[integers(0, 2)]`` after its
+        start draw: the same scale, and the same generator state after it, as
+        ``choice(WARP_SCALES)``."""
+        by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
+        by_choice.integers(0, high)
+        by_index.integers(0, high)
+        assert float(by_choice.choice(WARP_SCALES)) == WARP_SCALES[by_index.integers(0, 2)]
+        assert by_choice.bit_generator.state == by_index.bit_generator.state
+
     def test_kernel_against_oracle_pinned_window(self):
         values = np.random.default_rng(4).normal(0, 1, 100)
         out = apply_window_warp(values, 40, 10, 2.0)

@@ -1040,6 +1040,26 @@ class TestSplitFromSidecars:
         assert f"{sidecar}: bad sidecar: id and comment must be strings" in capsys.readouterr().err
         assert not (mini_data / "mini" / "splits").exists()
 
+    @pytest.mark.parametrize("fields", [
+        {"source": []}, {"stage": "raw"}, {"provenance": {"method": {}}},
+        {"provenance": {"parent_id": 5}}, {"provenance": {"seed": 3.9}},
+        {"provenance": {"seed": "3"}}, {"provenance": {"seed": True}},
+        {"provenance": {"shift_verified": "false"}},
+    ])
+    def test_sidecar_field_of_no_member_or_another_type_exits_5(self, mini_data, capsys, fields):
+        """Under split, which reads the augmented sidecars, and augment, which
+        loads the pruned series: the command names the sidecar and exits 5."""
+        augmented = sorted((mini_data / "mini" / "augmented").glob("*.meta.json"))[0]
+        pruned = sorted((mini_data / "mini" / "pruned").glob("*.meta.json"))[0]
+        doc = json.loads(augmented.read_text())
+        bad = {**doc, **fields, "provenance": {**doc["provenance"], **fields.get("provenance", {})}}
+        for sidecar, command in ((augmented, "split"), (pruned, "augment")):
+            sidecar.write_text(json.dumps(bad))
+            capsys.readouterr()
+            assert main([command, "--dataset", "mini", "--output-dir", str(mini_data)]) == 5
+            assert f"{sidecar}: bad sidecar" in capsys.readouterr().err
+        assert not (mini_data / "mini" / "splits").exists()
+
     @pytest.mark.parametrize("stage, command", [("augmented", "split"), ("pruned", "split"),
                                                 ("pruned", "augment")])
     def test_series_without_sidecar_outside_original_exits_5(self, mini_data, capsys, stage,

@@ -74,6 +74,19 @@ def test_bench_pairs_summaries():
     assert lower["change_wins"] == "3/4"
     assert lower["change_over_parent"] == round(5.75 / 6.5, 4)
     assert bench_pairs.compare(parent, change, "higher")["change_wins"] == "1/4"
+    for parent, change, better, expected in [
+        # 9 of 10 pairs won, medians 1.0 apart against a parent IQR of 0.5
+        ([10.0, 10.0, 10.5, 10.5, 10.0, 10.5, 10.0, 10.5, 10.0, 10.5],
+         [9.0, 9.0, 9.5, 9.5, 9.0, 9.5, 9.0, 9.5, 9.0, 10.6], "lower", "gain"),
+        # every pair won, but the medians differ by less than the parent's IQR
+        ([10.0, 12.0, 10.0, 12.0], [9.9, 11.9, 9.9, 11.9], "lower", "within bound"),
+        # a higher-is-better metric whose change reads 30.7% lower, past a bound of 0.25
+        ([10.0, 10.0, 10.2, 10.2], [7.0, 7.0, 7.0, 7.0], "higher", "worse"),
+        # a parent IQR of 3 against an allowed 2.375: no change within it can be told
+        ([8.0, 8.0, 11.0, 11.0, 9.5], [10.0, 10.0, 10.0, 10.0, 10.0], "lower", "unresolved"),
+    ]:
+        result = bench_pairs.compare(parent, change, better)
+        assert bench_pairs.verdict(result, better, 0.25) == expected
 
 
 def test_bench_pairs_digests_equal(capsys):
@@ -91,23 +104,28 @@ def test_bench_pairs_digests_equal(capsys):
 
 def test_bench_pairs_summary_lines():
     bench_pairs = load_bench_pairs()
+
+    def judged(parent, change, bound):
+        result = bench_pairs.compare(parent, change, "lower")
+        return {**result, "verdict": bench_pairs.verdict(result, "lower", bound)}
+
     end_to_end = {
-        "wide-collect": {"run_s": bench_pairs.compare([2.0, 2.2, 2.4, 2.6], [1.8, 1.9, 2.0, 2.7],
-                                                      "lower"),
-                         "peak_rss_mb": bench_pairs.compare([62.0, 62.0], [62.5, 61.5], "lower"),
+        "wide-collect": {"run_s": judged([2.0, 2.2, 2.4, 2.6], [1.8, 1.9, 2.0, 2.7], 0.25),
+                         "peak_rss_mb": judged([62.0, 62.0], [62.5, 61.5], 0.1),
                          "digests_equal": True},
-        "demo-30x": {"run_s": bench_pairs.compare([4.0, 4.0], [4.4, 4.4], "lower"),
-                     "peak_rss_mb": bench_pairs.compare([55.0, 55.0], [55.0, 55.0], "lower"),
+        "demo-30x": {"run_s": judged([4.0, 4.0], [4.4, 4.4], 0.25),
+                     "peak_rss_mb": judged([55.0, 55.0], [61.0, 61.0], 0.1),
                      "digests_equal": False},
     }
     assert bench_pairs.summary_lines(end_to_end, ["run_s", "peak_rss_mb"]) == [
         "wide-collect run_s: 2.3 -> 1.95 (-15.2%), change wins 3/4, parent IQR 2.15-2.45, "
-        "digests_equal true",
+        "verdict within bound, digests_equal true",
         "wide-collect peak_rss_mb: 62 -> 62 (+0.0%), change wins 1/2, parent IQR 62-62, "
-        "digests_equal true",
-        "demo-30x run_s: 4 -> 4.4 (+10.0%), change wins 0/2, parent IQR 4-4, digests_equal false",
-        "demo-30x peak_rss_mb: 55 -> 55 (+0.0%), change wins 0/2, parent IQR 55-55, "
-        "digests_equal false",
+        "verdict within bound, digests_equal true",
+        "demo-30x run_s: 4 -> 4.4 (+10.0%), change wins 0/2, parent IQR 4-4, "
+        "verdict within bound, digests_equal false",
+        "demo-30x peak_rss_mb: 55 -> 61 (+10.9%), change wins 0/2, parent IQR 55-55, "
+        "verdict worse, digests_equal false",
     ]
 
 
@@ -133,7 +151,7 @@ def test_bench_pairs_writes_digests_equal(tmp_path, monkeypatch, capsys):
     assert entry["digests_equal"] is False
     assert capsys.readouterr().out.splitlines() == [
         f"wide-collect {metric}: 1 -> 1 (+0.0%), change wins 0/2, parent IQR 1-1, "
-        "digests_equal false"
+        "verdict within bound, digests_equal false"
         for metric in ("run_s", "split_s", "peak_rss_mb", "setup_s")
     ]
 

@@ -8,8 +8,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shiftminer.series import AugmentMethod, Provenance, Source, Stage, TimeSeries
+from shiftminer.series import MAX_SEED, AugmentMethod, Provenance, Source, Stage, TimeSeries
 from shiftminer.storage import (
     MalformedFileError,
     SeriesMeta,
@@ -25,7 +27,15 @@ from shiftminer.storage import (
 from conftest import make_series
 
 WRONG_SHAPES = ["[]", '"x"', '{"provenance": "x"}', '{"provenance": []}',
-                '{"id": 5}', '{"id": null}', '{"comment": 5}', '{"comment": ["x"]}']
+                '{"id": 5}', '{"id": null}', '{"comment": 5}', '{"comment": ["x"]}',
+                '{"source": []}', '{"stage": "raw"}',
+                '{"stage": "augmented", "provenance": {"parent_id": "p", "method": {}, "seed": 1, '
+                '"shift_verified": true}}']
+# provenance fields of another type than the writer's, or out of range
+WRONG_PROVENANCE_FIELDS = [{"parent_id": 5}, {"parent_id": None}, {"parent_id": ""},
+                           {"seed": 3.9}, {"seed": "3"}, {"seed": True}, {"seed": -1},
+                           {"seed": 2**64}, {"shift_verified": "false"}, {"shift_verified": 0},
+                           {"shift_verified": None}]
 
 
 def meta_of(series: TimeSeries) -> SeriesMeta:
@@ -106,13 +116,32 @@ def test_dotted_id_finds_its_sidecar(tmp_path):
 
 @pytest.mark.parametrize("doc", WRONG_SHAPES)
 def test_sidecar_of_the_wrong_shape_is_malformed(tmp_path, doc):
-    path = save_series(make_series([1.0, 2.0], sid="s"), tmp_path)
-    sidecar = tmp_path / "s.meta.json"
+    path = save_series(make_series([1.0, 2.0], sid="s"), stage_dir(tmp_path, "ds", Stage.ORIGINAL))
+    sidecar = path.with_name("s.meta.json")
     sidecar.write_text(doc)
-    with pytest.raises(MalformedFileError, match=re.escape(str(sidecar))):
+    with pytest.raises(MalformedFileError, match=re.escape(f"{sidecar}: bad sidecar")):
         load_series(path)
-    with pytest.raises(MalformedFileError, match=re.escape(str(sidecar))):
+    with pytest.raises(MalformedFileError, match=re.escape(f"{sidecar}: bad sidecar")):
         read_sidecar(path)
+    with pytest.raises(MalformedFileError, match=re.escape(f"{sidecar}: bad sidecar")):
+        load_stage_meta(tmp_path, "ds", Stage.ORIGINAL)
+
+
+@pytest.mark.parametrize("fields", WRONG_PROVENANCE_FIELDS)
+def test_provenance_field_of_another_type_is_malformed(tmp_path, fields):
+    """Fields are read as the types the writer writes, not coerced: a seed of
+    3.9, "3" or true is no seed, and a shift_verified of "false" no bool."""
+    family(tmp_path)
+    sidecar = stage_dir(tmp_path, "ds", Stage.AUGMENTED) / "fred-P0-aug1.meta.json"
+    doc = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**doc, "provenance": {**doc["provenance"], **fields}}))
+    message = re.escape(f"{sidecar}: bad sidecar: bad provenance record")
+    for read in (lambda: read_sidecar(sidecar.with_name("fred-P0-aug1.csv")),
+                 lambda: load_series(sidecar.with_name("fred-P0-aug1.csv")),
+                 lambda: load_stage_meta(tmp_path, "ds", Stage.AUGMENTED),
+                 lambda: load_stage(tmp_path, "ds", Stage.AUGMENTED)):
+        with pytest.raises(MalformedFileError, match=message):
+            read()
 
 
 def test_provenance_with_a_null_seed_is_malformed(tmp_path):
@@ -152,3 +181,72 @@ def test_stage_meta_rejects_an_id_or_comment_that_is_not_a_string(tmp_path, fiel
     with pytest.raises(MalformedFileError, match=re.escape(f"{sidecar}: bad sidecar: id and "
                                                            "comment must be strings")):
         load_stage_meta(tmp_path, "ds", Stage.AUGMENTED)
+
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def stored_series(draw) -> TimeSeries:
+    stage = draw(st.sampled_from(Stage))
+    provenance = None if stage is not Stage.AUGMENTED else Provenance(
+        draw(st.text(min_size=1, max_size=6)), draw(st.sampled_from(AugmentMethod)),
+        draw(st.integers(0, MAX_SEED)), draw(st.booleans()))
+    return make_series([1.0, 2.0], sid=draw(st.text("aZ09._-", min_size=1, max_size=8)),
+                       source=draw(st.sampled_from(Source)), stage=stage,
+                       provenance=provenance, comment=draw(st.text(max_size=6)))
+
+
+def typed_meta(doc: dict) -> SeriesMeta | None:
+    """The SeriesMeta of a document whose every field has the type and range the
+    writer gives it, or None: the oracle, apart from the reader's code."""
+    prov = doc["provenance"]
+    typed = (type(doc["id"]) is str and type(doc["comment"]) is str
+             and doc["source"] in [m.value for m in Source]
+             and doc["stage"] in [m.value for m in Stage]
+             and (prov is None or (type(prov) is dict
+                                   and type(prov.get("parent_id")) is str and prov["parent_id"]
+                                   and prov.get("method") in [m.value for m in AugmentMethod]
+                                   and type(prov.get("seed")) is int
+                                   and 0 <= prov["seed"] <= MAX_SEED
+                                   and type(prov.get("shift_verified")) is bool)))
+    if not typed:
+        return None
+    return SeriesMeta(doc["id"], Source(doc["source"]), Stage(doc["stage"]),
+                      prov and Provenance(prov["parent_id"], AugmentMethod(prov["method"]),
+                                          prov["seed"], prov["shift_verified"]),
+                      doc["comment"])
+
+
+SWAPPABLE = ["id", "source", "stage", "comment", "provenance", "provenance.parent_id",
+             "provenance.method", "provenance.seed", "provenance.shift_verified"]
+
+
+@given(stored_series(), st.sets(st.sampled_from(SWAPPABLE), max_size=2), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_sidecar_reads_as_written_or_is_malformed(tmp_path_factory, series, swapped, data):
+    """A written sidecar with up to two fields (of it or of its provenance
+    record) swapped for any JSON value: a document of well-typed fields reads as
+    its SeriesMeta (the written one when none was swapped), any other raises
+    MalformedFileError naming the sidecar, and no other exception escapes."""
+    path = save_series(series, tmp_path_factory.getbasetemp() / "sidecars")
+    sidecar = path.with_name(f"{series.id}.meta.json")
+    doc = json.loads(sidecar.read_text())
+    for field in sorted(swapped):  # a swapped record before a field of it
+        key, _, inner = field.partition(".")
+        if not inner:
+            doc[key] = data.draw(ANY_JSON)
+        elif type(doc["provenance"]) is dict:
+            doc["provenance"][inner] = data.draw(ANY_JSON)
+    sidecar.write_text(json.dumps(doc))
+    expected = typed_meta(doc)
+    if expected is None:
+        with pytest.raises(MalformedFileError, match=re.escape(f"{sidecar}: bad sidecar")):
+            read_sidecar(path)
+    else:
+        assert read_sidecar(path) == expected
+        assert swapped or expected == meta_of(series)

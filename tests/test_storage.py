@@ -346,7 +346,7 @@ def test_stage_listing_and_reads_match_pathlib(tmp_path, layout):
         directory.write_text("a file where the stage directory belongs")
     old = old_stage_files(directory)
     new = storage._stage_files(tmp_path, "d", Stage.ORIGINAL)
-    assert new == [str(path) for path in old]
+    assert new == [(str(path), str(old_sidecar(path)), path.stem) for path in old]
     assert len(new) == (8 if layout == "crowded" else 0)
     metas = load_stage_meta(tmp_path, "d", Stage.ORIGINAL)
     for path, meta in zip(old, metas, strict=True):
