@@ -28,7 +28,7 @@ from .series import (
     TimeSeries,
     min_max_normalize,
 )
-from .sources import RetryPolicy, SourceQuery, dedup_queries, fetch, validate_query
+from .sources import SourceQuery, dedup_queries, fetch, validate_query
 from .storage import DatasetManifest, load_series, save_series
 
 __version__ = "0.1.0"
@@ -42,7 +42,6 @@ __all__ = [
     "PipelineConfig",
     "Provenance",
     "QuantileForecast",
-    "RetryPolicy",
     "ShiftCategory",
     "Source",
     "SourceQuery",

@@ -48,6 +48,13 @@ TRENDS_URL = "https://trends.google.com/trends/api/widgetdata/multiline"
 EIA_DEFAULT_PAGE = 5000
 EIA_MAX_PAGES = 100
 
+# one retry schedule for every source: up to MAX_ATTEMPTS sends, BASE_DELAY
+# seconds of backoff after the first failure, doubling after each later one,
+# and requests to one source at least MIN_REQUEST_INTERVAL seconds apart
+MAX_ATTEMPTS = 5
+BASE_DELAY = 1.0
+MIN_REQUEST_INTERVAL = 0.5
+
 _FRED_ID_RE = re.compile(r"^[A-Z0-9_]+$")
 
 
@@ -62,8 +69,8 @@ class RateLimitedError(Exception):
 class UpstreamError(Exception):
     """The API returned a non-retryable failure (or retries ran out)."""
 
-    def __init__(self, status: int, message: str = "") -> None:
-        super().__init__(f"HTTP {status}: {message}" if message else f"HTTP {status}")
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(f"HTTP {status}: {message}")
         self.status = status
 
 
@@ -148,24 +155,6 @@ class SourceQuery:
             raise QueryFieldError(
                 f"payload {type(self.payload).__name__} does not match source {self.source.value}"
             )
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry and pacing parameters for one fetch."""
-
-    max_attempts: int = 5
-    base_delay: float = 1.0
-    backoff_multiplier: float = 2.0
-    min_request_interval: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay <= 0 or self.min_request_interval < 0:
-            raise ValueError("delays must be positive")
-        if self.backoff_multiplier <= 0:
-            raise ValueError("backoff_multiplier must be positive")
 
 
 # --- validation and dedup -------------------------------------------------
@@ -382,11 +371,11 @@ class RequestPacer:
         self.clock = clock
         self._last: dict[str, float] = {}
 
-    def wait(self, source: str, interval: float) -> None:
-        """Sleep until ``interval`` seconds have passed since the last request
-        to ``source``, then record this one."""
+    def wait(self, source: str) -> None:
+        """Sleep until :data:`MIN_REQUEST_INTERVAL` seconds have passed since
+        the last request to ``source``, then record this one."""
         last = self._last.get(source)
-        if last is not None and (remaining := last + interval - self.clock.now()) > 0:
+        if last is not None and (remaining := last + MIN_REQUEST_INTERVAL - self.clock.now()) > 0:
             self.clock.sleep(remaining)
         self._last[source] = self.clock.now()
 
@@ -887,49 +876,45 @@ def _pacer_for(transport: Transport) -> RequestPacer:
     return RequestPacer(NullClock() if transport.mode == "replay" else SystemClock())
 
 
-def _execute(
-    request: Request, transport: Transport, policy: RetryPolicy, pacer: RequestPacer
-) -> Response:
+def _execute(request: Request, transport: Transport, pacer: RequestPacer) -> Response:
     last_status: int | None = None
-    for attempt in range(1, policy.max_attempts + 1):
-        pacer.wait(request.source, policy.min_request_interval)
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        pacer.wait(request.source)
         response: Response | None = None
         try:
             response = transport.send(request)
         except TransportError as exc:
             logger.warning("%s attempt %d/%d failed: %s",
-                           request.source, attempt, policy.max_attempts, exc)
+                           request.source, attempt, MAX_ATTEMPTS, exc)
         if response is not None:
             logger.info("%s attempt %d/%d -> HTTP %d",
-                        request.source, attempt, policy.max_attempts, response.status)
+                        request.source, attempt, MAX_ATTEMPTS, response.status)
             if response.status == 200:
                 return response
             if response.status != 429 and not 500 <= response.status < 600:
                 raise UpstreamError(response.status, request.url)
             last_status = response.status
-        if attempt < policy.max_attempts:
-            pacer.clock.sleep(policy.base_delay * policy.backoff_multiplier ** (attempt - 1))
+        if attempt < MAX_ATTEMPTS:
+            pacer.clock.sleep(BASE_DELAY * 2 ** (attempt - 1))
     if last_status == 429:
-        raise RateLimitedError(f"{request.url}: still throttled after {policy.max_attempts} attempts")
+        raise RateLimitedError(f"{request.url}: still throttled after {MAX_ATTEMPTS} attempts")
     raise UpstreamError(last_status or 0, f"{request.url}: retries exhausted")
 
 
 def fetch(
     query: SourceQuery,
     transport: Transport,
-    policy: RetryPolicy | None = None,
     *,
     pacer: RequestPacer | None = None,
 ) -> list[TimeSeries]:
     """Execute one query with pacing, retry, and pagination; normalize the
     response(s) into original-stage series. Without a ``pacer`` the query
     gets its own (see :func:`fetch_all`)."""
-    policy = policy or RetryPolicy()
     pacer = pacer or _pacer_for(transport)
     key = _api_key_for(query.source, transport.mode)
 
     def send(request: Request) -> Response:
-        return _execute(request, transport, policy, pacer)
+        return _execute(request, transport, pacer)
 
     return CONNECTORS[query.source].collect(query.payload, query.comment, key, send)
 
@@ -937,25 +922,23 @@ def fetch(
 def fetch_all(
     queries: Iterable[SourceQuery],
     transport: Transport,
-    policy: RetryPolicy | None = None,
     *,
     pacer: RequestPacer | None = None,
 ) -> tuple[list[TimeSeries], list[tuple[SourceQuery, str]]]:
     """Fetch many queries; per-query upstream failures are tallied, not fatal.
 
     One ``pacer`` (a new one by default) spaces the requests of all the
-    queries to each source ``policy.min_request_interval`` apart. Missing
+    queries to each source :data:`MIN_REQUEST_INTERVAL` apart. Missing
     credentials and missing fixtures abort the whole collection: both mean
     the run is misconfigured rather than the upstream flaking.
     """
-    policy = policy or RetryPolicy()
     pacer = pacer or _pacer_for(transport)
     collected: list[TimeSeries] = []
     failures: list[tuple[SourceQuery, str]] = []
     seen_ids: set[str] = set()
     for query in queries:
         try:
-            batch = fetch(query, transport, policy, pacer=pacer)
+            batch = fetch(query, transport, pacer=pacer)
         except (RateLimitedError, UpstreamError, ParseError, EmptyResultError,
                 TruncatedResultError) as exc:
             logger.warning("query failed (%s): %s", type(exc).__name__, exc)

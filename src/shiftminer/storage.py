@@ -55,7 +55,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Iterable
@@ -412,13 +412,28 @@ def write_manifest(root: str | Path, manifest: DatasetManifest) -> Path:
     return write_document(manifest_path(root, manifest.name), asdict(manifest))
 
 
+_MANIFEST_TYPES = {f.name: f.type for f in fields(DatasetManifest)}  # annotation strings
+
+
 def load_manifest(root: str | Path, name: str) -> DatasetManifest:
+    """A manifest not a JSON object of its fields, each of its exact type (a bool
+    is no int), is a MalformedFileError naming the file and the field."""
     path = manifest_path(root, name)
     try:
         raw = json.loads(read_file(path))
     except json.JSONDecodeError as exc:
         raise MalformedFileError(f"{path}: bad manifest") from exc
     try:
+        if not isinstance(raw, dict):
+            raise TypeError("not a JSON object")
+        for key, value in raw.items():
+            kind = _MANIFEST_TYPES.get(key)
+            if kind == "dict[str, str]":
+                exact = type(value) is dict and all(type(v) is str for v in value.values())
+            else:  # an unknown key is left to the constructor to name
+                exact = kind is None or type(value).__name__ == kind
+            if not exact:
+                raise TypeError(f"{key!r} is not of type {kind}")
         return DatasetManifest(**raw)
     except (TypeError, ManifestError) as exc:
         raise MalformedFileError(f"{path}: {exc}") from exc

@@ -32,9 +32,9 @@ from shiftminer.series import Source, Stage, TimeSeries
 from shiftminer.sources import (
     EmptyResultError,
     ParseError,
+    RateLimitedError,
     RequestPacer,
     Response,
-    RetryPolicy,
     eia_rows,
     eia_rows_to_series,
     fetch,
@@ -285,24 +285,22 @@ def test_criterion_6_replay_runs_byte_identical(capsys, fred_corpus, tmp_path):
 
 
 def test_criterion_7_connector_robustness(capsys, demo_fixture_root):
-    # backoff 1s / 2s / 4s under the virtual clock
+    # backoff 1s / 2s / 4s / 8s under the virtual clock
     clock = VirtualClock()
     unrate_query = demo.UNRATE_QUERY
-    transport = ScriptedTransport([Response(429, "")] * 4, clock)
-    policy = RetryPolicy(max_attempts=4, min_request_interval=0.0)
-    with pytest.raises(Exception):
-        fetch(unrate_query, transport, policy, pacer=RequestPacer(clock))
-    assert clock.sleeps == [1.0, 2.0, 4.0]
+    transport = ScriptedTransport([Response(429, "")] * 5, clock)
+    with pytest.raises(RateLimitedError):
+        fetch(unrate_query, transport, pacer=RequestPacer(clock))
+    assert clock.sleeps == [1.0, 2.0, 4.0, 8.0]
 
     # pacing never violated across many requests on one source
     clock = VirtualClock()
     dates = demo.month_starts(date(2007, 1, 1), 24)
     ok = Response(200, demo.fred_body(dates, [4.0 + 0.1 * i for i in range(24)]))
     transport = ScriptedTransport([ok] * 8, clock)
-    policy = RetryPolicy(min_request_interval=0.5)
     pacer = RequestPacer(clock)
     for _ in range(8):
-        fetch(unrate_query, transport, policy, pacer=pacer)
+        fetch(unrate_query, transport, pacer=pacer)
     times = [when for _, when in transport.calls]
     assert all(b - a >= 0.5 - 1e-9 for a, b in zip(times, times[1:]))
 
@@ -334,7 +332,7 @@ def test_criterion_7_connector_robustness(capsys, demo_fixture_root):
                 assert all(v == v and abs(v) != float("inf") for v in s.values)
             fuzz_count += 1
     assert fuzz_count >= 500
-    verdict(capsys, f"CRITERION 7: PASS - backoff 1s/2s/4s exact, pacing respected, "
+    verdict(capsys, f"CRITERION 7: PASS - backoff 1s/2s/4s/8s exact, pacing respected, "
                     f"{fuzz_count} fuzz cases all valid-or-ParseError")
 
 

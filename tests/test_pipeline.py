@@ -773,6 +773,23 @@ class TestCli:
         assert main(["report", "--dataset", "mini", "--output-dir", str(root)]) == 5
         assert str(manifest) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("count_augmented", True), ("name", 5), ("seed", "7"), ("notes", ["x"]),
+    ])
+    def test_exit_code_manifest_field_of_wrong_type(self, mini_corpus, capsys, key, value):
+        config_path = str(mini_corpus["config_path"])
+        root = mini_corpus["root"] / "data"
+        assert main(["run", "--config", config_path]) == 0
+        manifest = root / "mini" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+        before = tree_bytes(root / "mini")
+        capsys.readouterr()
+        assert main(["prune", "--dataset", "mini", "--config", config_path]) == 5
+        assert f"{manifest}: {key!r} is not of type" in capsys.readouterr().err
+        assert tree_bytes(root / "mini") == before
+        assert main(["report", "--dataset", "mini", "--output-dir", str(root)]) == 5
+        assert f"{manifest}: {key!r} is not of type" in capsys.readouterr().err
+
     def test_failed_collect_leaves_no_original_stage(self, mini_corpus, monkeypatch, capsys):
         written = fail_on_third_file(monkeypatch, Stage.ORIGINAL)
         assert main(["collect", "--config", str(mini_corpus["config_path"])]) == 5

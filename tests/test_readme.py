@@ -7,7 +7,7 @@ import json
 import re
 from pathlib import Path
 
-from shiftminer import demo
+from shiftminer import demo, sources
 from shiftminer.cli import build_parser
 from shiftminer.pipeline import load_config
 
@@ -35,3 +35,14 @@ def test_subcommand_table_matches_parser():
         assert {"-v", "--verbose"} <= options, name  # "all take -v"
         parsed[name] = {opt for opt in options if opt.startswith("--")} - {"--help", "--verbose"}
     assert documented == parsed
+
+
+def test_retry_schedule_is_the_sources_constants():
+    sends, backoff, last, pace = re.search(
+        r"sent up to (\d+) times.*?after a backoff of ([\d, ]+) and then (\d+) s\."
+        r".*?at least ([\d.]+) s apart", README, re.S
+    ).groups()
+    assert int(sends) == sources.MAX_ATTEMPTS
+    delays = [*map(float, backoff.split(", ")), float(last)]
+    assert delays == [sources.BASE_DELAY * 2 ** i for i in range(sources.MAX_ATTEMPTS - 1)]
+    assert float(pace) == sources.MIN_REQUEST_INTERVAL

@@ -32,7 +32,6 @@ from shiftminer.sources import (
     Request,
     RequestPacer,
     Response,
-    RetryPolicy,
     SourceQuery,
     TransportError,
     TrendsQuery,
@@ -150,11 +149,9 @@ class TestRetryAndPacing:
         transport = ScriptedTransport(
             [Response(429, ""), Response(429, ""), Response(200, fred_ok_body())], clock
         )
-        policy = RetryPolicy(max_attempts=5, base_delay=1.0, backoff_multiplier=2.0,
-                             min_request_interval=0.5)
         pacer = RequestPacer(clock)
         with caplog.at_level(logging.INFO, logger="shiftminer.sources"):
-            series = fetch(UNRATE, transport, policy, pacer=pacer)
+            series = fetch(UNRATE, transport, pacer=pacer)
         assert len(series) == 1
         assert len(transport.calls) == 3
         assert clock.sleeps == [1.0, 2.0]
@@ -163,55 +160,70 @@ class TestRetryAndPacing:
 
     def test_backoff_sequence_to_exhaustion(self):
         clock = VirtualClock()
-        transport = ScriptedTransport([Response(429, "")] * 4, clock)
-        policy = RetryPolicy(max_attempts=4, min_request_interval=0.0)
+        transport = ScriptedTransport([Response(429, "")] * 5, clock)
         pacer = RequestPacer(clock)
-        with pytest.raises(RateLimitedError):
-            fetch(UNRATE, transport, policy, pacer=pacer)
-        assert clock.sleeps == [1.0, 2.0, 4.0]
+        with pytest.raises(RateLimitedError, match="still throttled after 5 attempts"):
+            fetch(UNRATE, transport, pacer=pacer)
+        assert len(transport.calls) == 5
+        assert clock.sleeps == [1.0, 2.0, 4.0, 8.0]
 
     def test_server_errors_retry_then_upstream_error(self):
         clock = VirtualClock()
-        transport = ScriptedTransport([Response(500, "boom")] * 3, clock)
-        policy = RetryPolicy(max_attempts=3, min_request_interval=0.0)
+        transport = ScriptedTransport([Response(500, "boom")] * 5, clock)
         with pytest.raises(UpstreamError) as err:
-            fetch(UNRATE, transport, policy, pacer=RequestPacer(clock))
+            fetch(UNRATE, transport, pacer=RequestPacer(clock))
         assert err.value.status == 500
+        assert len(transport.calls) == 5
+
+    def test_transport_error_retried(self):
+        clock = VirtualClock()
+        transport = ScriptedTransport(
+            [TransportError("reset"), Response(200, fred_ok_body())], clock
+        )
+        assert len(fetch(UNRATE, transport, pacer=RequestPacer(clock))) == 1
+        assert clock.sleeps == [1.0]
+
+    def test_transport_errors_until_retries_run_out(self):
+        clock = VirtualClock()
+        transport = ScriptedTransport([TransportError("reset")] * 5, clock)
+        with pytest.raises(UpstreamError, match="retries exhausted") as err:
+            fetch(UNRATE, transport, pacer=RequestPacer(clock))
+        assert err.value.status == 0
+        assert len(transport.calls) == 5
+        assert clock.sleeps == [1.0, 2.0, 4.0, 8.0]
 
     def test_client_error_not_retried(self):
         clock = VirtualClock()
         transport = ScriptedTransport([Response(404, "")], clock)
         with pytest.raises(UpstreamError):
-            fetch(UNRATE, transport, RetryPolicy(), pacer=RequestPacer(clock))
+            fetch(UNRATE, transport, pacer=RequestPacer(clock))
         assert len(transport.calls) == 1
 
     def test_pacing_interval_respected_across_fetches(self):
         clock = VirtualClock()
         bodies = [Response(200, fred_ok_body())] * 5
         transport = ScriptedTransport(bodies, clock)
-        policy = RetryPolicy(min_request_interval=0.75)
         pacer = RequestPacer(clock)
         for _ in range(5):
-            fetch(UNRATE, transport, policy, pacer=pacer)
+            fetch(UNRATE, transport, pacer=pacer)
         times = [when for _, when in transport.calls]
-        gaps = np.diff(times)
-        assert np.all(gaps >= 0.75 - 1e-9)
+        assert np.diff(times).tolist() == [0.5] * 4
 
     def test_pacing_per_source_independent(self):
         clock = VirtualClock()
         pacer = RequestPacer(clock)
-        pacer.wait("fred", 10.0)
+        pacer.wait("fred")
         t0 = clock.now()
-        pacer.wait("eia", 10.0)  # different source, no wait
+        pacer.wait("eia")  # different source, no wait
         assert clock.now() == t0
-        pacer.wait("fred", 10.0)
-        assert clock.now() >= t0 + 10.0
+        pacer.wait("fred")
+        assert clock.sleeps == [0.5] and clock.now() == t0 + 0.5
 
     def test_unparseable_body(self):
         clock = VirtualClock()
         transport = ScriptedTransport([Response(200, "this is not json")], clock)
         with pytest.raises(ParseError):
-            fetch(UNRATE, transport, RetryPolicy(), pacer=RequestPacer(clock))
+            fetch(UNRATE, transport, pacer=RequestPacer(clock))
 
     def test_auth_missing_in_live_mode(self, monkeypatch):
         monkeypatch.delenv("FRED_API_KEY", raising=False)
@@ -219,7 +231,7 @@ class TestRetryAndPacing:
         transport = ScriptedTransport([Response(200, fred_ok_body())], clock)
         transport.mode = "live"
         with pytest.raises(AuthMissingError):
-            fetch(UNRATE, transport, RetryPolicy(), pacer=RequestPacer(clock))
+            fetch(UNRATE, transport, pacer=RequestPacer(clock))
 
 
 class LocalLive(LiveTransport):
@@ -234,10 +246,9 @@ class LocalLive(LiveTransport):
 
 
 class TestLiveTransport:
-    def _fetch(self, server, clock=None, policy=None):
+    def _fetch(self, server, clock=None):
         clock = clock or VirtualClock()
-        return fetch(UNRATE, LocalLive(server.url), policy or RetryPolicy(),
-                     pacer=RequestPacer(clock))
+        return fetch(UNRATE, LocalLive(server.url), pacer=RequestPacer(clock))
 
     def test_ok(self, http_server, monkeypatch):
         monkeypatch.setenv("FRED_API_KEY", "k3y")
@@ -265,17 +276,17 @@ class TestLiveTransport:
         monkeypatch.setenv("FRED_API_KEY", "k")
         http_server.replies += [Reply(429), Reply(200, fred_ok_body().encode())]
         clock = VirtualClock()
-        assert len(self._fetch(http_server, clock, RetryPolicy(base_delay=2.0))) == 1
-        assert clock.sleeps == [2.0]
+        assert len(self._fetch(http_server, clock)) == 1
+        assert clock.sleeps == [1.0]
         assert len(http_server.received) == 2
 
     def test_unavailable_until_retries_run_out(self, http_server, monkeypatch):
         monkeypatch.setenv("FRED_API_KEY", "k")
-        http_server.replies += [Reply(503, b"down")] * 3
+        http_server.replies += [Reply(503, b"down")] * 5
         with pytest.raises(UpstreamError) as err:
-            self._fetch(http_server, policy=RetryPolicy(max_attempts=3))
+            self._fetch(http_server)
         assert err.value.status == 503
-        assert len(http_server.received) == 3
+        assert len(http_server.received) == 5
 
     def test_timeout_and_refused_connection_are_transport_errors(self, http_server):
         http_server.replies.append(Reply(200, b"late", delay=1.0))
@@ -305,8 +316,7 @@ class TestConnectors:
     def test_fred_unrate_fixture(self, demo_fixture_root):
         transport = ReplayTransport(demo_fixture_root)
         clock = VirtualClock()
-        series = fetch(demo.UNRATE_QUERY, transport, RetryPolicy(min_request_interval=0.0),
-                       pacer=RequestPacer(clock))
+        series = fetch(demo.UNRATE_QUERY, transport, pacer=RequestPacer(clock))
         assert len(series) == 1
         s = series[0]
         assert s.timestamps[0] == date(2007, 1, 1)
@@ -329,8 +339,7 @@ class TestConnectors:
         eia_query = next(q for q in queries if q.source is Source.EIA)
         transport = ReplayTransport(demo_fixture_root)
         clock = VirtualClock()
-        series = fetch(eia_query, transport, RetryPolicy(min_request_interval=0.0),
-                       pacer=RequestPacer(clock))
+        series = fetch(eia_query, transport, pacer=RequestPacer(clock))
         assert len(series) == 1
         s = series[0]
         assert len(s) == 180  # both pages, resorted ascending
@@ -428,8 +437,7 @@ class TestConnectors:
         yq = next(q for q in queries if q.source is Source.YAHOO)
         transport = ReplayTransport(demo_fixture_root)
         clock = VirtualClock()
-        series = fetch(yq, transport, RetryPolicy(min_request_interval=0.0),
-                       pacer=RequestPacer(clock))
+        series = fetch(yq, transport, pacer=RequestPacer(clock))
         assert len(series) == 1
         assert series[0].source is Source.YAHOO
         # one null close was dropped
@@ -442,8 +450,7 @@ class TestConnectors:
         tq = next(q for q in queries if q.source is Source.TRENDS)
         transport = ReplayTransport(demo_fixture_root)
         clock = VirtualClock()
-        series = fetch(tq, transport, RetryPolicy(min_request_interval=0.0),
-                       pacer=RequestPacer(clock))
+        series = fetch(tq, transport, pacer=RequestPacer(clock))
         assert len(series) == 1
         assert len(series[0]) == 120
         assert series[0].source is Source.TRENDS
@@ -452,7 +459,7 @@ class TestConnectors:
         transport = ReplayTransport(tmp_path)
         clock = VirtualClock()
         with pytest.raises(FixtureMissingError):
-            fetch(UNRATE, transport, RetryPolicy(), pacer=RequestPacer(clock))
+            fetch(UNRATE, transport, pacer=RequestPacer(clock))
 
     def test_missing_fixture_message(self, tmp_path, monkeypatch):
         request = build_fred_request(UNRATE.payload, api_key=None)
@@ -522,17 +529,14 @@ class TestConnectors:
         transport = ReplayTransport(demo_fixture_root)
         clock = VirtualClock()
         with pytest.raises(FixtureMissingError):
-            fetch_all([demo.UNRATE_QUERY, bad], transport, RetryPolicy(min_request_interval=0.0),
-                      pacer=RequestPacer(clock))
+            fetch_all([demo.UNRATE_QUERY, bad], transport, pacer=RequestPacer(clock))
         # upstream failures, by contrast, are tallied
         scripted = ScriptedTransport(
             [Response(200, fred_ok_body()), Response(404, "")], VirtualClock()
         )
         scripted.clock = clock = VirtualClock()
-        collected, failures = fetch_all(
-            [demo.UNRATE_QUERY, bad], scripted, RetryPolicy(min_request_interval=0.0),
-            pacer=RequestPacer(clock),
-        )
+        collected, failures = fetch_all([demo.UNRATE_QUERY, bad], scripted,
+                                        pacer=RequestPacer(clock))
         assert len(collected) == 1 and len(failures) == 1
 
 
@@ -616,17 +620,6 @@ def test_request_key_excludes_credentials():
     with_key = build_fred_request(UNRATE.payload, api_key="abc")
     without = build_fred_request(UNRATE.payload, api_key=None)
     assert canonical_request_key(with_key) == canonical_request_key(without)
-
-
-class TestConcurrency:
-    def test_custom_backoff_parameters(self):
-        clock = VirtualClock()
-        transport = ScriptedTransport([Response(429, "")] * 4, clock)
-        policy = RetryPolicy(max_attempts=4, base_delay=0.5, backoff_multiplier=3.0,
-                             min_request_interval=0.0)
-        with pytest.raises(RateLimitedError):
-            fetch(UNRATE, transport, policy, pacer=RequestPacer(clock))
-        assert clock.sleeps == [0.5, 1.5, 4.5]
 
 
 # --- replay compatibility: fixture keys and query files are pinned -------------
