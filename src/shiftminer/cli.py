@@ -40,6 +40,13 @@ _FLAGS = {
 }
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an int of at least 1."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+    return value
+
+
 def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
         parser.add_argument(name, **_FLAGS[name])
@@ -52,9 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate-queries", help="ask the completion backend for queries")
     p.add_argument("--source", required=True, choices=[s.value for s in sources.CONNECTORS])
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=positive_int, default=50)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--max-rounds", type=int, default=2)
+    p.add_argument("--max-rounds", type=positive_int, default=2)
     _flags(p, "--transport", "--fixtures")
 
     p = sub.add_parser("collect", help="run the query and collection stages")
@@ -93,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discover", help="prompt for candidate data sources, write a catalog")
     p.add_argument("--out", type=Path, default=Path("data/catalog.json"))
-    p.add_argument("--max-rounds", type=int, default=1)
+    p.add_argument("--max-rounds", type=positive_int, default=1)
     _flags(p, "--transport", "--fixtures")
     return parser
 

@@ -234,10 +234,10 @@ class Stages:
         seed = self.config.master_seed
         augment_config = dc_replace(self.config.augment, master_seed=seed)
         with self._stage("augment", Stage.AUGMENTED):
-            memo, count, unverified = storage.WriteMemo(), 0, 0
+            count, unverified = 0, 0
             for parent in pruned:
                 children = augment_set([parent], augment_config, self.config.detector)
-                storage.save_stage(self.root, self.name, children, memo=memo)
+                storage.save_stage(self.root, self.name, children)
                 count += len(children)
                 unverified += sum(not child.provenance.shift_verified for child in children)
                 del children  # dropped before the next parent's children are drawn
@@ -331,6 +331,8 @@ def split_train_test(
     if not series_list:
         raise ConfigError("cannot split an empty series list")
     _check_ratio(ratio)
+    if not is_int(seed) or not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"seed must be an int in [0, 2**64): {seed!r}")
 
     # a parent and its augmented children form one unit, named by the parent
     # id; augmented series whose parent is absent still form their own unit

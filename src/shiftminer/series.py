@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 import numbers
-import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from datetime import date
 from typing import Sequence
 
@@ -57,6 +56,10 @@ class AugmentMethod(enum.Enum):
 
 MAX_SEED = 2**64 - 1
 
+DAY = np.dtype("datetime64[D]")
+FIRST_DAY, LAST_DAY = np.array(["0001-01-01", "9999-12-31"], dtype=DAY)  # those of ``date``
+_EPOCH = date(1970, 1, 1).toordinal()  # the ordinal of numpy's day 0
+
 
 @dataclass(frozen=True)
 class Provenance:
@@ -78,21 +81,23 @@ class Provenance:
 class TimeSeries:
     """One sampled series plus its pipeline metadata.
 
-    ``values`` is a read-only float64 copy of what the caller passed.
-    Series compare equal when every field does, ``values`` exactly; they
-    are not hashable.
+    ``timestamps`` is a read-only ``datetime64[D]`` array: one passed read-only
+    is shared (children and restamps keep their parent's), a writeable one copied,
+    and any other sequence must hold ``datetime.date``. ``values`` is a read-only
+    float64 copy. Series compare equal when every field does, both arrays exactly;
+    they are not hashable.
 
     Invariants (checked at construction):
 
     * ``values`` is 1-D and ``len(timestamps) == len(values) >= 2``
-    * timestamps strictly increasing
+    * timestamps strictly increasing days of years 1-9999
     * every value finite
     * ``stage == AUGMENTED`` exactly when ``provenance`` is present
     """
 
     id: str
     source: Source
-    timestamps: tuple[date, ...]
+    timestamps: np.ndarray
     values: np.ndarray
     stage: Stage
     provenance: Provenance | None = None
@@ -102,20 +107,29 @@ class TimeSeries:
         values = np.array(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
+        days = self.timestamps
+        if not isinstance(days, np.ndarray):  # a non-date raises toordinal's TypeError
+            days = (np.fromiter(map(date.toordinal, days), np.int64) - _EPOCH).view(DAY)
+        elif days.flags.writeable:
+            days = days.copy()
+        days.flags.writeable = False
+        object.__setattr__(self, "timestamps", days)
         if not self.id:
             raise SeriesError("series id must be non-empty")
-        if values.shape != (len(self.timestamps),):
+        if days.dtype != DAY or days.ndim != 1 or values.shape != days.shape:
             raise SeriesError(
                 f"series {self.id!r}: values of shape {values.shape} do not match "
-                f"{len(self.timestamps)} timestamps"
+                f"timestamps of shape {days.shape} and type {days.dtype} (1-D days)"
             )
         if values.size < 2:
             raise TooShortError(f"series {self.id!r} has {values.size} samples, need >= 2")
-        if any(map(operator.ge, self.timestamps, self.timestamps[1:])):
+        # False at a NaT too; strict increase puts every day between the first and the last
+        if not (days[1:] > days[:-1]).all():
             raise NonMonotonicTimestampsError(
                 f"series {self.id!r} timestamps must be strictly increasing"
             )
+        if not FIRST_DAY <= days[0] or not days[-1] <= LAST_DAY:
+            raise SeriesError(f"series {self.id!r}: a timestamp outside years 1-9999")
         if not np.isfinite(values).all():
             raise NonFiniteValueError(f"series {self.id!r} contains non-finite values")
         if (self.stage is Stage.AUGMENTED) != (self.provenance is not None):
@@ -126,10 +140,8 @@ class TimeSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TimeSeries):
             return NotImplemented
-        return np.array_equal(self.values, other.values) and all(
-            getattr(self, f.name) == getattr(other, f.name) for f in fields(self)
-            if f.name != "values"
-        )
+        return all(np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+                   for mine, theirs in zip(vars(self).values(), vars(other).values()))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -138,10 +150,11 @@ class TimeSeries:
         return replace(self, stage=stage)
 
 
-def make_series_id(source: Source, native_id: str, start: date, end: date) -> str:
-    """Stable storage key: ``<source>-<native id>-<start>-<end>``."""
+def make_series_id(source: Source, native_id: str, start: date | np.datetime64,
+                   end: date | np.datetime64) -> str:
+    """Stable storage key: ``<source>-<native id>-<start>-<end>``, days as ``YYYY-MM-DD``."""
     safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in native_id)
-    return f"{source.value}-{safe}-{start.isoformat()}-{end.isoformat()}"
+    return f"{source.value}-{safe}-{start}-{end}"
 
 
 def is_int(value: object) -> bool:
@@ -154,15 +167,26 @@ def is_real(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def iso_dates(texts: Sequence[str]) -> list[date]:
-    """Each text as a date, if all are ``YYYY-MM-DD`` (checked over the column:
-    ten characters, dashes at 4 and 7), the one form every supported Python's
-    ``date.fromisoformat`` reads; else a ``ValueError`` naming the first that is not."""
-    joined = "".join(texts)  # the dashes of every text, as two strided slices
+def iso_dates(texts: Sequence[str]) -> np.ndarray:
+    """The texts as a read-only ``datetime64[D]`` array, if all are ``YYYY-MM-DD`` (checked
+    over the column: ten characters, dashes at 4 and 7, ASCII digits elsewhere, a year of
+    at least 1), the one form ``date.fromisoformat`` reads on every supported Python; else
+    a ``ValueError`` naming the first that is not, or with ``date.fromisoformat``'s message."""
+    joined = "".join(texts)  # the characters at one place of each, as a strided slice
     if set(map(len, texts)) - {10} or joined[4::10].strip("-") or joined[7::10].strip("-"):
         bad = next(t for t in texts if len(t) != 10 or t[4] + t[7] != "--")
         raise ValueError(f"not a YYYY-MM-DD date: {bad!r}")
-    return list(map(date.fromisoformat, texts))
+    digits = "".join(joined[i::10] for i in (0, 1, 2, 3, 5, 6, 8, 9))
+    try:  # numpy alone reads ' 020-01-05', '+020-01-05' and a year 0000
+        days = np.array(texts, dtype=DAY)
+        if digits and not (digits.isascii() and digits.isdigit()) or (days < FIRST_DAY).any():
+            raise ValueError
+    except ValueError:
+        for text in texts:
+            date.fromisoformat(text)  # raises the message of the first it refuses
+        raise
+    days.flags.writeable = False
+    return days
 
 
 def min_max_normalize(series: TimeSeries) -> TimeSeries:

@@ -34,7 +34,8 @@ from typing import Callable, Iterable, Protocol, Sequence
 import numpy as np
 
 from .series import (
-    NonMonotonicTimestampsError, Source, Stage, TimeSeries, iso_dates, make_series_id,
+    DAY, FIRST_DAY, LAST_DAY, NonMonotonicTimestampsError, Source, Stage, TimeSeries, iso_dates,
+    make_series_id,
 )
 from .storage import read_file, write_document
 
@@ -222,7 +223,7 @@ def _bind_field(raw: dict, name: str, annotation: str) -> object:
     value = _require(raw, name)
     if annotation == "date":  # a YYYY-MM-DD string
         try:
-            return iso_dates([value])[0]
+            return iso_dates([value])[0].item()
         except (TypeError, ValueError):
             raise QueryFieldError(f"field {name} is not an ISO date: {value!r}") from None
     if annotation == "Interval":
@@ -569,60 +570,56 @@ def build_trends_request(payload: TrendsQuery) -> Request:
 
 # --- response parsing -------------------------------------------------------
 #
-# Each parser builds one column of dates and one of floats with C-level maps
-# and comprehensions: no (date, value) pair, regex or ``datetime`` per row.
-# EIA rows are checked, filtered and grouped by column; epoch stamps become
-# days in one numpy pass. The ``TimeSeries`` check is the one order check, and
-# a sort happens only when it fails.
+# Each parser builds one column of days and one of floats with C-level maps and
+# comprehensions: no (date, value) pair, ``date`` or ``datetime`` per row, and a
+# regex only for short EIA periods. EIA rows are checked, filtered and grouped by
+# column; epoch stamps become days in one numpy pass. The ``TimeSeries`` check is
+# the one order check, and a sort happens only when it fails.
 
-_YEAR_RE = re.compile(r"\d{4}")
-_MONTH_RE = re.compile(r"\d{4}-\d{2}")
-# the days from 1970-01-01 to 0001-01-01 and to 9999-12-31
-_FIRST_DAY = date(1, 1, 1).toordinal() - date(1970, 1, 1).toordinal()
-_LAST_DAY = date(9999, 12, 31).toordinal() - date(1970, 1, 1).toordinal()
+_YEAR_RE = re.compile(r"\d{4}", re.ASCII)
+_MONTH_RE = re.compile(r"\d{4}-\d{2}", re.ASCII)
 
 
-def _parse_period(raw: str) -> date:
-    """An EIA period: ``YYYY``, ``YYYY-MM``, or a string whose first ten
-    characters are a ``YYYY-MM-DD`` date (a day, or an hour after it)."""
+def _period_day(raw: str) -> str:
+    """An EIA period's ``YYYY-MM-DD`` day: ``YYYY`` and ``YYYY-MM`` name their first
+    day, a longer period's first ten characters are its day (or an hour after it)."""
     if len(raw) < 10:  # neither short form can match a longer string
         if _YEAR_RE.fullmatch(raw):
-            return date(int(raw), 1, 1)
+            return f"{raw}-01-01"
         if _MONTH_RE.fullmatch(raw):
-            year, month = raw.split("-")
-            return date(int(year), int(month), 1)
-    return iso_dates([raw[:10]])[0]
+            return f"{raw}-01"
+    return raw[:10]
 
 
-def _parse_periods(periods: list) -> list[date]:
-    """:func:`_parse_period` of the ``str`` of each period; one :func:`iso_dates`
-    over the column of first ten characters when every period is that long."""
+def _parse_periods(periods: list) -> np.ndarray:
+    """The day of the ``str`` of each period, by one :func:`iso_dates` over the
+    column; :func:`_period_day` maps it only when a period is under ten characters."""
     texts = list(map(str, periods))
     if min(map(len, texts), default=0) >= 10:
         return iso_dates(list(map(operator.getitem, texts, repeat(slice(10)))))
-    return list(map(_parse_period, texts))
+    return iso_dates(list(map(_period_day, texts)))
 
 
-def _utc_days(stamps: Iterable) -> list[date]:
+def _utc_days(stamps: Iterable) -> np.ndarray:
     """The UTC day of each epoch-seconds stamp: ``int`` of each (it truncates
     a float and reads a string), floor-divided by 86,400 in one int64 array.
     A day outside years 1-9999 raises ``ValueError``, a stamp past int64
     ``OverflowError``."""
-    days = np.array(list(map(int, stamps)), dtype=np.int64) // 86400
-    if days.size and (days.min() < _FIRST_DAY or days.max() > _LAST_DAY):
+    days = (np.array(list(map(int, stamps)), dtype=np.int64) // 86400).view(DAY)
+    if days.size and (days.min() < FIRST_DAY or days.max() > LAST_DAY):
         raise ValueError("epoch stamp outside years 1-9999")
-    return days.astype("datetime64[D]").tolist()
+    return days
 
 
 def _series_or_parse_error(
-    source: Source, native_id: str, comment: str, timestamps: list[date], values: Sequence[float]
+    source: Source, native_id: str, comment: str, timestamps: np.ndarray, values: Sequence[float]
 ) -> TimeSeries:
     """One original series from two columns. Only when the ``TimeSeries``
-    order check rejects them are both reordered by a stable sort of the dates
-    and checked again, so a repeated date is still rejected, and every error
+    order check rejects them are both reordered by a stable sort of the days
+    and checked again, so a repeated day is still rejected, and every error
     names the series by its sorted range."""
 
-    def build(timestamps: list[date], values: Sequence[float]) -> TimeSeries:
+    def build(timestamps: np.ndarray, values: Sequence[float]) -> TimeSeries:
         series_id = make_series_id(source, native_id, timestamps[0], timestamps[-1])
         return TimeSeries(series_id, source, timestamps, values, Stage.ORIGINAL, comment=comment)
 
@@ -630,9 +627,8 @@ def _series_or_parse_error(
         try:
             return build(timestamps, values)
         except NonMonotonicTimestampsError:
-            order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
-            return build(list(map(timestamps.__getitem__, order)),
-                         list(map(values.__getitem__, order)))
+            order = np.argsort(timestamps, kind="stable")
+            return build(timestamps[order], np.asarray(values)[order])
     except ValueError as exc:
         raise ParseError(f"{source.value} response for {native_id!r}: {exc}") from exc
 
@@ -710,8 +706,8 @@ def eia_rows_to_series(payload: EiaQuery, comment: str, rows: list[dict]) -> lis
     codes = np.fromiter(map({key: i for i, key in enumerate(keys)}.__getitem__, row_keys),
                         dtype=np.intp, count=len(row_keys))
     # one stable sort by group keeps each group's rows in arrival order
-    order = np.argsort(codes, kind="stable").tolist()
-    timestamps, values = (list(map(column.__getitem__, order)) for column in (timestamps, values))
+    order = np.argsort(codes, kind="stable")
+    timestamps, values = timestamps[order], np.array(values)[order]
     bounds = [0, *np.cumsum(np.bincount(codes, minlength=len(keys))).tolist()]
     return [
         _series_or_parse_error(Source.EIA, "-".join([stem, *(v for _, v in pairs(key))]),

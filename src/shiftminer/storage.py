@@ -12,15 +12,9 @@ tree is byte-stable across runs with the same inputs.
 
 :func:`save_stage` writes each CSV body with one ``%``: a row template of
 the header and ``<iso date>,%.12g`` per row is filled with the series'
-values. A series whose tuple is the previous series' one reuses the
-template; augmented children follow their parent and share its tuple. A
-new tuple builds a new template, from ISO strings memoized per date: each
-distinct date of the stage is formatted once, and the memo holds one
-ten-character string per distinct date (not one formatted column per tuple).
-The memo and the set of directories made live for one call or, when a stage
-is written in several calls (the augmented stage is written one parent's
-children at a time), in one :class:`WriteMemo` that the caller passes to each
-call and drops when the stage is written.
+values. The template is built from the series' day array in one numpy pass,
+and again only when a series' array is not the previous series' one:
+augmented children follow their parent and share its array.
 
 Every file the package writes or removes goes through this module: series through
 :func:`save_stage` and :func:`save_series`, every other file through :func:`write_document`,
@@ -56,11 +50,14 @@ import json
 import os
 import shutil
 from dataclasses import asdict, dataclass, field, fields
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .series import (
+    MAX_SEED,
     AugmentMethod,
     Provenance,
     SeriesError,
@@ -109,6 +106,8 @@ class DatasetManifest:
             raise ManifestError("lengths must be non-negative")
         if self.count_original > 0 and self.length_min == 0:
             raise ManifestError("non-empty dataset must report positive lengths")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ManifestError("seed must be in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def _load_series(path: str, meta_path: str, stem: str) -> TimeSeries:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _read_body(path: str) -> tuple[list[date], list[float]]:
+def _read_body(path: str) -> tuple[np.ndarray, list[float]]:
     text = read_file(path)
     # a CR or CRLF line end leaves a blank line more, and blank lines are dropped
     lines = [ln for ln in map(str.strip, text.replace("\r", "\n").split("\n")) if ln]
@@ -218,31 +217,33 @@ def save_series(series: TimeSeries, directory: str | Path) -> Path:
     return Path(directory) / f"{series.id}.csv"
 
 
-@dataclass
-class WriteMemo:
-    """What one stage write keeps across its calls to :func:`save_stage`: the
-    ISO string of each date it has formatted and the directories it has made."""
-
-    isos: dict[date, str] = field(default_factory=dict)
-    made: set[str] = field(default_factory=set)
+_ROW = np.frombuffer(b"0000-00-00,%.12g\n", dtype=np.uint8)  # one CSV row, its digits unset
+_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # the places of a row's YYYYMMDD
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint8).reshape(100, 2)
 
 
-def _save_all(items: Iterable[tuple[TimeSeries, str]], memo: WriteMemo | None = None) -> None:
+def _template(days: np.ndarray) -> str:
+    """The header and a ``_ROW`` per day, its century, year, month and day set as digit
+    pairs by integer arithmetic and decoded once: digits and "-" only, so no stray "%"."""
+    months = days.astype("datetime64[M]")
+    month = months.view(np.int64) + 1970 * 12  # months since 0000-01
+    pairs = np.stack([month // 1200, month // 12 % 100, month % 12 + 1,
+                      (days - months).view(np.int64) + 1], axis=1)
+    rows = np.tile(_ROW, (days.size, 1))
+    rows[:, _DIGITS] = _PAIRS.take(pairs, axis=0).reshape(-1, 8)
+    return f"{CSV_HEADER}\n" + rows.tobytes().decode("ascii")
+
+
+def _save_all(items: Iterable[tuple[TimeSeries, str]]) -> None:
     """Write each series into its directory, creating each directory once.
 
-    Each CSV body is one ``%`` of a row template over the series' values.
-    The template is built again only when a series' tuple is not the
-    previous series' one, from ISO strings memoized per date in ``memo``,
-    a new one per call by default (see the module docstring)."""
-    memo = WriteMemo() if memo is None else memo
-    made, isos, timestamps = memo.made, memo.isos, None
+    Each CSV body is one ``%`` of a row template over the series' values,
+    built again only when a series' day array is not the previous series' one."""
+    made, days = set(), None
     for series, directory in items:
-        if series.timestamps is not timestamps:
-            timestamps = series.timestamps
-            isos.update({ts: ts.isoformat() for ts in set(timestamps).difference(isos)})
-            # ISO dates hold digits and "-" only, so the template has no stray "%"
-            template = (f"{CSV_HEADER}\n" + ",%.12g\n".join(map(isos.__getitem__, timestamps))
-                        + ",%.12g\n")
+        if series.timestamps is not days:
+            days = series.timestamps
+            template = _template(days)
         meta = {"id": series.id, "source": series.source.value, "stage": series.stage.value,
                 "comment": series.comment, "provenance": _provenance_to_meta(series.provenance)}
         if directory not in made:
@@ -331,15 +332,12 @@ def stage_dir(root: str | Path, name: str, stage: Stage) -> Path:
     return dataset_dir(root, name) / stage.value
 
 
-def save_stage(root: str | Path, name: str, series_list: Iterable[TimeSeries], *,
-               memo: WriteMemo | None = None) -> None:
+def save_stage(root: str | Path, name: str, series_list: Iterable[TimeSeries]) -> None:
     """Write each series under its stage's directory, in the bytes of
     :func:`save_series`, building one row template per run of series that
-    share a timestamps tuple and formatting each distinct date once (see the
-    module docstring). A stage written in several calls passes each the same
-    :class:`WriteMemo`, so each date is formatted once per stage, not per call."""
+    share a day array (see the module docstring)."""
     directories = {stage: str(stage_dir(root, name, stage)) for stage in Stage}
-    _save_all(((series, directories[series.stage]) for series in series_list), memo)
+    _save_all((series, directories[series.stage]) for series in series_list)
 
 
 def clear_from_stage(root: str | Path, name: str, stage: Stage) -> None:

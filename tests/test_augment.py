@@ -198,7 +198,7 @@ class TestTimeWarp:
         out = time_warp(ts, AugmentConfig(master_seed=0), 5)
         assert np.array_equal(out.values, ts.values)
         assert out.provenance.method is AugmentMethod.TIME_WARP
-        assert out.timestamps == ts.timestamps
+        assert out.timestamps is ts.timestamps
 
     def test_sigma_zero_identity(self):
         ts = make_series(np.random.default_rng(2).normal(0, 1, 40), stage=Stage.PRUNED)

@@ -1,9 +1,10 @@
 """The response parsers against a pinned output tree and against the
 row-wise parsers they replaced.
 
-``Oracle*`` below are those row-wise parsers, kept verbatim but for one rule
+``Oracle*`` below are those row-wise parsers, kept verbatim but for two rules
 they now share: a day is read only from ``YYYY-MM-DD``, checked text by text
-(:func:`oracle_iso_date`). One ``(date, float)`` tuple per row,
+(:func:`oracle_iso_date`), and a short EIA period (``YYYY`` or ``YYYY-MM``) only
+from ASCII digits. One ``(date, float)`` tuple per row,
 ``datetime.fromtimestamp`` per stamp, two regex matches per EIA period, and a
 sort by date. For any body, the
 columnar parsers in ``shiftminer.sources`` must return equal series, bit
@@ -119,9 +120,9 @@ def oracle_iso_date(text: str) -> date:
 
 def oracle_parse_period(raw: str) -> date:
     raw = str(raw)
-    if re.fullmatch(r"\d{4}", raw):
+    if re.fullmatch(r"\d{4}", raw, re.ASCII):
         return date(int(raw), 1, 1)
-    if re.fullmatch(r"\d{4}-\d{2}", raw):
+    if re.fullmatch(r"\d{4}-\d{2}", raw, re.ASCII):
         year, month = raw.split("-")
         return date(int(year), int(month), 1)
     return oracle_iso_date(raw[:10])
@@ -259,7 +260,7 @@ def outcome(parse, payload, data):
         series = parse(payload, "a comment", data)
     except (ParseError, EmptyResultError) as exc:
         return type(exc)
-    return [(s.id, s.source, s.stage, s.provenance, s.comment, s.timestamps,
+    return [(s.id, s.source, s.stage, s.provenance, s.comment, s.timestamps.tolist(),
              s.values.dtype.str, s.values.tobytes()) for s in series]
 
 
@@ -494,7 +495,7 @@ def test_odd_stamps_by_hand(source, stamps, days):
     if days is None:
         assert outcome is ParseError
     else:
-        assert list(parse(payload, "", stamp_body(source, stamps))[0].timestamps) == days
+        assert parse(payload, "", stamp_body(source, stamps))[0].timestamps.tolist() == days
 
 
 # --- cases named by hand ----------------------------------------------------
@@ -599,6 +600,34 @@ def test_a_body_with_one_fault_keeps_its_message(source, data, message):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("period, day", [
+    ("2020", date(2020, 1, 1)), ("2020-03", date(2020, 3, 1)), ("0001", date(1, 1, 1)),
+    ("9999-12", date(9999, 12, 1)),
+])
+def test_a_short_eia_period_is_its_first_day(period, day):
+    rows = [{"period": period, "value": 1.0}, {"period": "9999-12-31", "value": 2.0}]
+    [series] = sources.eia_rows_to_series(EIA, "", rows)
+    assert series.timestamps.tolist() == [day, date(9999, 12, 31)]
+    assert_same("eia", rows)
+
+
+@pytest.mark.parametrize("period, message", [
+    ("\uff12\uff10\uff12\uff10", "not a YYYY-MM-DD date: '\uff12\uff10\uff12\uff10'"),
+    ("\u0662\u0660\u0662\u0660-\u0660\u0663",
+     "not a YYYY-MM-DD date: '\u0662\u0660\u0662\u0660-\u0660\u0663'"),
+    ("2020-\uff10\uff13", "not a YYYY-MM-DD date: '2020-\uff10\uff13'"),
+    ("0000", "year 0 is out of range"),
+    ("2020-13", "month must be in 1..12"),
+])
+def test_a_short_eia_period_takes_ascii_digits_only(period, message):
+    rows = [{"period": "2020-01-01", "value": 1.0}, {"period": period, "value": 2.0}]
+    parse, oracle, payload = PARSERS["eia"]
+    for fn in (parse, oracle):
+        with pytest.raises(ParseError) as err:
+            fn(payload, "", rows)
+        assert str(err.value) == f"bad EIA rows: {message}"
+
+
 def test_rows_reordered_stably_only_when_out_of_order():
     days = [date(2000, 1, 1) + timedelta(days=i) for i in range(50)]
     shuffled = list(zip(days, map(float, range(50))))
@@ -606,6 +635,6 @@ def test_rows_reordered_stably_only_when_out_of_order():
     body = json.dumps({"observations": [{"date": d.isoformat(), "value": repr(v)}
                                         for d, v in shuffled]})
     [series] = sources.fred_response_to_series(FRED, "", body)
-    assert series.timestamps == tuple(days)
+    assert series.timestamps.tolist() == days
     assert series.values.tolist() == list(map(float, range(50)))
     assert_same("fred", body)

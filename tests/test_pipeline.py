@@ -385,6 +385,28 @@ class TestAugmentMemory:
         assert many <= 1.5 * few, (few, many)
 
 
+def test_every_stage_holds_read_only_day_arrays_shared_down_the_stages(mini_corpus, monkeypatch):
+    """Collected, pruned, augmented and loaded series hold read-only ``datetime64[D]``
+    arrays; a pruned series keeps its original's array and a child its parent's."""
+    config = load_config(mini_corpus["config_path"])
+    stages = Stages(config, NOW)
+    originals = stages.collect()
+    pruned = stages.prune(originals)
+    children, save = [], storage.save_stage
+    monkeypatch.setattr(storage, "save_stage",
+                        lambda root, name, series: children.extend(series) or save(root, name, series))
+    stages.augment(pruned)
+    by_id = {s.id: s for s in originals + pruned}
+    assert pruned and all(s.timestamps is by_id[s.id].timestamps for s in pruned)
+    assert children and all(s.timestamps is by_id[s.provenance.parent_id].timestamps
+                            for s in children)
+    loaded = [s for stage in Stage for s in storage.load_stage(config.output_dir, "mini", stage)]
+    assert len(loaded) == len(originals) + len(pruned) + len(children)
+    for series in originals + children + loaded:
+        assert str(series.timestamps.dtype) == "datetime64[D]"
+        assert not series.timestamps.flags.writeable
+
+
 class TestCatalogDefaults:
     """A config without ``domain`` and ``description`` takes them from
     ``<output_dir>/catalog.json``; a catalog that is not a list of objects
@@ -471,6 +493,13 @@ class TestSplit:
         with pytest.raises(ConfigError, match="cannot split an empty series list"):
             split_train_test([], 0.8, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.0, True, "3"])
+    def test_seed_outside_the_seed_range_is_a_config_error(self, seed):
+        message = f"seed must be an int in [0, 2**64): {seed!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            split_train_test(self._flock(3, 1), 0.8, seed=seed)
+        assert split_train_test(self._flock(3, 1), 0.8, seed=2**64 - 1)
+
     def test_split_dataset_files(self, mini_corpus):
         config = load_config(mini_corpus["config_path"])
         manifest = run(config, now=NOW)
@@ -540,6 +569,23 @@ class TestCli:
         ])
         assert code == 0
         assert len(load_queries(out_path)) == 10
+
+    @pytest.mark.parametrize("command, flag", [
+        ("generate-queries", "--count"), ("generate-queries", "--max-rounds"),
+        ("discover", "--max-rounds"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_counts_below_one_exit_2_and_write_nothing(self, tmp_path, capsys, command, flag,
+                                                       value):
+        out_path = tmp_path / "out.json"
+        out_path.write_text("[]\n")
+        source = ["--source", "fred"] if command == "generate-queries" else []
+        with pytest.raises(SystemExit) as exit_:
+            main([command, *source, "--out", str(out_path), "--fixtures", str(tmp_path),
+                  flag, value])
+        assert exit_.value.code == 2
+        assert f"argument {flag}: must be at least 1: {value}" in capsys.readouterr().err
+        assert out_path.read_text() == "[]\n"
 
     def test_split_cli(self, mini_corpus, capsys):
         main(["run", "--config", str(mini_corpus["config_path"])])
@@ -775,8 +821,12 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [
         ("count_augmented", True), ("name", 5), ("seed", "7"), ("notes", ["x"]),
+        ("seed", -1), ("seed", 2**70),
     ])
     def test_exit_code_manifest_field_of_wrong_type(self, mini_corpus, capsys, key, value):
+        """A field of the wrong type, or a seed outside [0, 2**64), exits 5 and deletes nothing."""
+        fault = ("seed must be in [0, 2**64)" if key == "seed" and type(value) is int
+                 else f"{key!r} is not of type")
         config_path = str(mini_corpus["config_path"])
         root = mini_corpus["root"] / "data"
         assert main(["run", "--config", config_path]) == 0
@@ -785,10 +835,10 @@ class TestCli:
         before = tree_bytes(root / "mini")
         capsys.readouterr()
         assert main(["prune", "--dataset", "mini", "--config", config_path]) == 5
-        assert f"{manifest}: {key!r} is not of type" in capsys.readouterr().err
+        assert f"{manifest}: {fault}" in capsys.readouterr().err
         assert tree_bytes(root / "mini") == before
         assert main(["report", "--dataset", "mini", "--output-dir", str(root)]) == 5
-        assert f"{manifest}: {key!r} is not of type" in capsys.readouterr().err
+        assert f"{manifest}: {fault}" in capsys.readouterr().err
 
     def test_failed_collect_leaves_no_original_stage(self, mini_corpus, monkeypatch, capsys):
         written = fail_on_third_file(monkeypatch, Stage.ORIGINAL)
@@ -1101,6 +1151,9 @@ class TestSplitFromSidecars:
         (["--dataset", "mini", "--ratio", "1.5"], "ratio must be in (0, 1)"),
         (["--dataset", "nope", "--ratio", "1.5"], "ratio must be in (0, 1)"),
         (["--dataset", "mini", "--train-parents", "9999"], "train_parent_count out of range"),
+        (["--dataset", "mini", "--seed", "-1"], "seed must be an int in [0, 2**64): -1"),
+        (["--dataset", "mini", "--seed", str(2**70)],
+         f"seed must be an int in [0, 2**64): {2**70}"),
     ])
     def test_split_input_errors_exit_2(self, mini_data, capsys, args, message):
         assert main(["split", *args, "--output-dir", str(mini_data)]) == 2

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import re
-from datetime import date
+from datetime import date, datetime
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftminer.series import (
@@ -18,6 +18,7 @@ from shiftminer.series import (
     Stage,
     TimeSeries,
     TooShortError,
+    iso_dates,
     min_max_normalize,
 )
 from shiftminer.storage import (
@@ -69,7 +70,7 @@ class TestTimeSeriesInvariants:
             TimeSeries("x", Source.SYNTHETIC, stamps, [1.0] * len(days), Stage.ORIGINAL)
         increasing = tuple(sorted(set(stamps)))
         assert TimeSeries("x", Source.SYNTHETIC, increasing, [1.0] * len(increasing),
-                          Stage.ORIGINAL).timestamps == increasing
+                          Stage.ORIGINAL).timestamps.tolist() == list(increasing)
 
     def test_non_finite(self):
         with pytest.raises(SeriesError):
@@ -111,6 +112,113 @@ class TestTimeSeriesInvariants:
             make_series([1.0, 2.0], stage=Stage.ORIGINAL, provenance=prov)
         ts = make_series([1.0, 2.0], stage=Stage.AUGMENTED, provenance=prov)
         assert ts.provenance.parent_id == "parent"
+
+
+DAY = np.dtype("datetime64[D]")
+
+
+def days(*texts: str) -> np.ndarray:
+    return np.array(texts, dtype=DAY)
+
+
+class TestTimestamps:
+    def test_a_read_only_day_array_is_shared_and_a_writeable_one_copied(self):
+        mine = days("2020-01-01", "2020-01-03")
+        copied = TimeSeries("x", Source.SYNTHETIC, mine, [1.0, 2.0], Stage.ORIGINAL)
+        assert copied.timestamps is not mine and not copied.timestamps.flags.writeable
+        mine[0] = np.datetime64("2019-01-01")
+        assert copied.timestamps.tolist() == [date(2020, 1, 1), date(2020, 1, 3)]
+        shared = TimeSeries("y", Source.SYNTHETIC, copied.timestamps, [3.0, 4.0], Stage.ORIGINAL)
+        assert shared.timestamps is copied.timestamps
+        assert shared.with_stage(Stage.PRUNED).timestamps is copied.timestamps
+        with pytest.raises(ValueError):
+            shared.timestamps[0] = np.datetime64("2019-01-01")
+
+    def test_dates_become_their_days(self):
+        stamps = (date(1, 1, 1), datetime(1970, 1, 1, 23, 59), date(9999, 12, 31))
+        ts = TimeSeries("x", Source.SYNTHETIC, stamps, [1.0, 2.0, 3.0], Stage.ORIGINAL)
+        assert ts.timestamps.dtype == DAY and not ts.timestamps.flags.writeable
+        assert ts.timestamps.tolist() == [date(1, 1, 1), date(1970, 1, 1), date(9999, 12, 31)]
+        assert ts == TimeSeries("x", Source.SYNTHETIC, ts.timestamps.copy(), [1.0, 2.0, 3.0],
+                                Stage.ORIGINAL)
+        assert ts != TimeSeries("x", Source.SYNTHETIC, days("0001-01-01", "1970-01-02",
+                                                            "9999-12-31"), [1.0, 2.0, 3.0],
+                                Stage.ORIGINAL)
+
+    @pytest.mark.parametrize("stamps, values, error, message", [
+        (days("2020-01-01", "NaT", "2020-01-03"), 3, NonMonotonicTimestampsError, "increasing"),
+        (days("NaT", "2020-01-03"), 2, NonMonotonicTimestampsError, "increasing"),
+        (days("2020-01-01", "NaT"), 2, NonMonotonicTimestampsError, "increasing"),
+        (days("9999-12-31", "10000-01-01"), 2, SeriesError, "outside years 1-9999"),
+        (days("0000-12-31", "0001-01-01"), 2, SeriesError, "outside years 1-9999"),
+        (np.array([0, 86400], dtype="datetime64[s]"), 2, SeriesError, "type datetime64[s]"),
+        (np.array([0, 1]), 2, SeriesError, "type int64"),
+        (days("2020-01-01", "2020-01-02").reshape(1, 2), 2, SeriesError, "shape (1, 2)"),
+        (days("2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04").reshape(2, 2),
+         np.ones((2, 2)), SeriesError, "1-D days"),
+        ((date(2020, 1, 1), "2020-01-02"), 2, TypeError, "toordinal"),
+        ((date(2020, 1, 1), np.datetime64("2020-01-02")), 2, TypeError, "toordinal"),
+    ])
+    def test_rejected(self, stamps, values, error, message):
+        values = np.arange(float(values)) if isinstance(values, int) else values
+        with pytest.raises(error, match=re.escape(message)):
+            TimeSeries("x", Source.SYNTHETIC, stamps, values, Stage.ORIGINAL)
+
+
+# ten-character texts shaped YYYY-MM-DD: ASCII digits, and other digits, signs and spaces
+ODD_CHARS = "0123456789\u0660\u0662\uff10\uff12\u00b2 +"
+
+
+def part(width: int, picks: list[str]):
+    return (st.sampled_from(picks) | st.text("0123456789", min_size=width, max_size=width)
+            | st.text(ODD_CHARS, min_size=width, max_size=width))
+
+
+DAY_TEXTS = st.builds("{}-{}-{}".format,
+                      part(4, ["0000", "0001", "1969", "1970", "2000", "2100", "9999"]),
+                      part(2, ["00", "01", "02", "12", "13", "32"]),
+                      part(2, ["00", "01", "28", "29", "30", "31", "32"]))
+
+
+def read_by_iso_dates(texts: list[str]) -> list[date] | str:
+    try:
+        days = iso_dates(texts)
+    except ValueError as exc:
+        return str(exc)
+    assert days.dtype == DAY and not days.flags.writeable
+    return days.tolist()
+
+
+def read_by_fromisoformat(texts: list[str]) -> list[date] | str:
+    try:
+        return [date.fromisoformat(text) for text in texts]
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestIsoDates:
+    @given(DAY_TEXTS)
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_a_text_reads_as_fromisoformat_reads_it(self, text):
+        assert read_by_iso_dates([text]) == read_by_fromisoformat([text])
+
+    @given(st.lists(DAY_TEXTS, max_size=8))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_a_column_reads_as_fromisoformat_reads_it(self, texts):
+        assert read_by_iso_dates(texts) == read_by_fromisoformat(texts)
+
+    @pytest.mark.parametrize("text, message", [
+        (" 020-01-05", "Invalid isoformat string: ' 020-01-05'"),
+        ("+020-01-05", "Invalid isoformat string: '+020-01-05'"),
+        ("0000-01-01", "year 0 is out of range"),
+        ("2020-02-30", "day is out of range for month"),
+    ])
+    def test_a_refused_text_has_the_fromisoformat_message(self, text, message):
+        assert read_by_iso_dates(["2020-01-01", text]) == message
+
+    def test_the_empty_column(self):
+        empty = iso_dates([])
+        assert empty.dtype == DAY and empty.shape == (0,) and not empty.flags.writeable
 
 
 class TestNormalize:
@@ -224,7 +332,7 @@ class TestStorage:
             ts = make_series(values, sid=f"s{i}")
             save_series(ts, tmp_path)
             back = load_series(tmp_path / f"s{i}.csv")
-            assert back.timestamps == ts.timestamps
+            assert np.array_equal(back.timestamps, ts.timestamps)
             assert np.allclose(back.values, ts.values, rtol=1e-11, atol=0.0)
             assert back.stage is ts.stage
 

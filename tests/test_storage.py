@@ -14,6 +14,7 @@ import tempfile
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,15 +40,15 @@ NON_ASCII = "Ölpreis – 原油 ☃"
 finite = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
 
 
-def stamps(first_ordinal: int, n: int, cls: type[date] = date) -> tuple[date, ...]:
-    return tuple(cls.fromordinal(first_ordinal + i) for i in range(n))
+def stamps(first_ordinal: int, n: int) -> tuple[date, ...]:
+    return tuple(date.fromordinal(first_ordinal + i) for i in range(n))
 
 
 def family(parent_values, children_values, comment, other_values, other_first=730120):
-    """A pruned parent, augmented children that share its timestamps tuple,
-    and between the children an original series with its own tuple, which
-    starts at ``other_first`` and may overlap the parent's dates, and a
-    pruned twin whose tuple equals the parent's but is another object."""
+    """A pruned parent, augmented children that share its day array, and
+    between the children an original series with its own array, which starts
+    at ``other_first`` and may overlap the parent's dates, and a pruned twin
+    whose array equals the parent's but is another object."""
     parent = TimeSeries("fred-P", Source.FRED, stamps(737425, len(parent_values)),
                         parent_values, Stage.PRUNED, comment=comment)
     children = [
@@ -58,19 +59,21 @@ def family(parent_values, children_values, comment, other_values, other_first=73
     ]
     other = TimeSeries("eia-O", Source.EIA, stamps(other_first, len(other_values)), other_values,
                        Stage.ORIGINAL, None, NON_ASCII)
-    twin = TimeSeries("fred-T", Source.FRED, list(parent.timestamps), parent_values[::-1],
+    twin = TimeSeries("fred-T", Source.FRED, parent.timestamps.copy(), parent_values[::-1],
                       Stage.PRUNED, comment=comment)
-    assert twin.timestamps == parent.timestamps and twin.timestamps is not parent.timestamps
+    assert np.array_equal(twin.timestamps, parent.timestamps)
+    assert twin.timestamps is not parent.timestamps
     half = len(children) // 2
     return [parent, *children[:half], other, twin, *children[half:]]
 
 
 def reference_save(series: TimeSeries, directory: Path) -> None:
-    """The per-series writer that the batched one replaced, as the oracle of its bytes."""
+    """The per-series writer that the batched one replaced, as the oracle of its
+    bytes: each day formatted by ``date.isoformat``, not by the writer's template."""
     directory.mkdir(parents=True, exist_ok=True)
     rows = ["timestamp,value"]
-    rows.extend(f"{ts.isoformat()},{v:.12g}" for ts, v in zip(series.timestamps,
-                                                                series.values.tolist()))
+    rows.extend(f"{ts.item().isoformat()},{v:.12g}" for ts, v in zip(series.timestamps,
+                                                                       series.values.tolist()))
     (directory / f"{series.id}.csv").write_bytes(("\n".join(rows) + "\n").encode("utf-8"))
     prov = series.provenance
     meta = {
@@ -121,17 +124,13 @@ def test_save_stage_bytes_equal_save_series_loop(series_list):
         assert tree == tree_bytes(looped) == tree_bytes(oracle)
 
 
-class CountingDate(date):
-    calls = 0
-
-    def isoformat(self) -> str:
-        CountingDate.calls += 1
-        return super().isoformat()
-
-
-def test_children_reuse_the_parents_formatted_timestamps(tmp_path, monkeypatch):
+def test_a_template_per_run_of_one_array_and_directories_per_call(tmp_path, monkeypatch):
+    """A run of series that share one day array builds one row template, and
+    an interleaved other array one more before the first is built again; each
+    call makes each of its directories once, and a stage written in calls has
+    the bytes of one call."""
     n = 40
-    parent = TimeSeries("fred-P", Source.FRED, stamps(737425, n, CountingDate),
+    parent = TimeSeries("fred-P", Source.FRED, stamps(737425, n),
                         [float(i) for i in range(n)], Stage.PRUNED)
     children = [
         TimeSeries(f"fred-P-aug{i:02d}", Source.FRED, parent.timestamps,
@@ -139,66 +138,53 @@ def test_children_reuse_the_parents_formatted_timestamps(tmp_path, monkeypatch):
                    Provenance(parent.id, AugmentMethod.WINDOW_SLICE, i, True))
         for i in range(30)
     ]
-    (tmp_path / "d").mkdir()  # so that each stage directory is made by one mkdir call
+    other = TimeSeries("eia-O", Source.EIA, stamps(730120, 3), [1.0, 2.0, 3.0], Stage.ORIGINAL)
+    template, built = storage._template, []
+    monkeypatch.setattr(storage, "_template", lambda days: built.append(days) or template(days))
+    for root in ("one", "two", "calls", "whole"):
+        (tmp_path / root / "d").mkdir(parents=True)  # so that each stage directory is one mkdir
     mkdir, made = Path.mkdir, []
     monkeypatch.setattr(Path, "mkdir",
                         lambda path, *a, **k: made.append(path) or mkdir(path, *a, **k))
-    CountingDate.calls = 0
-    save_stage(tmp_path, "d", [parent, *children])
-    assert CountingDate.calls == n
-    assert made == [stage_dir(tmp_path, "d", stage) for stage in (Stage.PRUNED, Stage.AUGMENTED)]
 
-    # another tuple between the children rebuilds the parent's template from
-    # the call's date memo: the parent's dates are not formatted again
-    other = TimeSeries("eia-O", Source.EIA, stamps(730120, 3, CountingDate), [1.0, 2.0, 3.0],
-                       Stage.ORIGINAL)
-    CountingDate.calls = 0
-    save_stage(tmp_path / "again", "d", [parent, *children[:15], other, *children[15:]])
-    assert CountingDate.calls == n + 3
+    save_stage(tmp_path / "one", "d", [parent, *children])
+    assert len(built) == 1 and built[0] is parent.timestamps
+    assert made == [stage_dir(tmp_path / "one", "d", stage)
+                    for stage in (Stage.PRUNED, Stage.AUGMENTED)]
 
-    # two tuples that share dates: their union is formatted, once per date
-    overlap = TimeSeries("eia-V", Source.EIA, stamps(737425 + n - 10, 25, CountingDate),
-                         [float(i) for i in range(25)], Stage.ORIGINAL)
-    (tmp_path / "union" / "d").mkdir(parents=True)
+    built.clear()
+    save_stage(tmp_path / "two", "d", [parent, *children[:15], other, *children[15:]])
+    assert [days is parent.timestamps for days in built] == [True, False, True]
+    assert built[1] is other.timestamps
+
     made.clear()
-    CountingDate.calls = 0
-    save_stage(tmp_path / "union", "d", [parent, overlap, *children])
-    assert CountingDate.calls == len(set(parent.timestamps) | set(overlap.timestamps)) == n + 15
-    assert made == [stage_dir(tmp_path / "union", "d", stage)
-                    for stage in (Stage.PRUNED, Stage.ORIGINAL, Stage.AUGMENTED)]
-
-    # the memo lives for one call: the next call formats its dates again
-    CountingDate.calls = 0
-    save_stage(tmp_path / "union", "d", [parent])
-    assert CountingDate.calls == n
+    for part in (children[:15], children[15:]):
+        save_stage(tmp_path / "calls", "d", part)
+    assert made == [stage_dir(tmp_path / "calls", "d", Stage.AUGMENTED)] * 2
+    save_stage(tmp_path / "whole", "d", children)
+    assert tree_bytes(tmp_path / "calls") == tree_bytes(tmp_path / "whole")
 
 
-def test_a_stage_written_in_calls_shares_one_memo(tmp_path, monkeypatch):
-    """The augmented stage is written one parent's children at a time, passing
-    each call one WriteMemo: each date of the stage is formatted once and its
-    directory made once, and the bytes are those of one call."""
-    n = 40
-    families = []
-    for first in (737425, 737425 + n - 10):  # two parents whose dates overlap by ten
-        timestamps = stamps(first, n, CountingDate)
-        families.append([
-            TimeSeries(f"fred-P{first}-aug{i:02d}", Source.FRED, timestamps,
-                       [0.5 * i + j for j in range(n)], Stage.AUGMENTED,
-                       Provenance(f"fred-P{first}", AugmentMethod.TIME_WARP, i, True))
-            for i in range(3)
-        ])
-    (tmp_path / "parts" / "d").mkdir(parents=True)
-    mkdir, made = Path.mkdir, []
-    monkeypatch.setattr(Path, "mkdir",
-                        lambda path, *a, **k: made.append(path) or mkdir(path, *a, **k))
-    CountingDate.calls = 0
-    memo = storage.WriteMemo()
-    for children in families:
-        save_stage(tmp_path / "parts", "d", children, memo=memo)
-    assert CountingDate.calls == len(memo.isos) == 2 * n - 10
-    assert made == [stage_dir(tmp_path / "parts", "d", Stage.AUGMENTED)]
-    save_stage(tmp_path / "whole", "d", [s for children in families for s in children])
-    assert tree_bytes(tmp_path / "parts") == tree_bytes(tmp_path / "whole")
+BOUNDARY_YEARS = (1, 1969, 1970, 1971, 1999, 2000, 2001, 9999)
+
+
+def iso_rows(days: np.ndarray) -> str:
+    return "timestamp,value\n" + "".join(f"{day.isoformat()},%.12g\n" for day in days.tolist())
+
+
+def test_template_of_every_day_of_the_boundary_years():
+    days = np.concatenate([np.arange(np.datetime64(f"{year:04d}-01-01"),
+                                     np.datetime64(f"{year + 1:04d}-01-01"))
+                           for year in BOUNDARY_YEARS])
+    assert days.size == 8 * 365 + 1  # of the eight, only 2000 is a leap year
+    assert storage._template(days) == iso_rows(days)
+
+
+@given(st.lists(st.dates(), min_size=1, max_size=40, unique=True))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_template_of_drawn_days(dates):
+    days = np.array(sorted(dates), dtype="datetime64[D]")
+    assert storage._template(days) == iso_rows(days)
 
 
 def test_unwritable_stage_names_its_directory(tmp_path):
