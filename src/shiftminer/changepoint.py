@@ -164,21 +164,20 @@ def _resolve_penalty(values: np.ndarray, config: DetectorConfig) -> float | np.n
 
 
 def _validate_boundaries(
-    boundaries: Sequence[int], n: int, min_segment_size: int
-) -> tuple[int, ...]:
-    bounds = tuple(int(b) for b in boundaries)
-    if not bounds or bounds[-1] != n:
+    cps: ChangePointSet, n: int, min_segment_size: int
+) -> list[tuple[int, int]]:
+    """The segments of ``cps`` over ``n`` points, after the two checks
+    :class:`ChangePointSet` cannot make: the last boundary is ``n``, and no
+    segment is shorter than ``min_segment_size``."""
+    if cps.boundaries[-1] != n:
         raise InvalidSegmentationError(f"boundaries must end with the series length {n}")
-    prev = 0
-    for b in bounds:
-        if b <= prev:
-            raise InvalidSegmentationError("boundaries must be strictly increasing and > 0")
-        if b - prev < min_segment_size:
+    segments = cps.segments()
+    for start, end in segments:
+        if end - start < min_segment_size:
             raise InvalidSegmentationError(
-                f"segment [{prev}, {b}) shorter than min_segment_size={min_segment_size}"
+                f"segment [{start}, {end}) shorter than min_segment_size={min_segment_size}"
             )
-        prev = b
-    return bounds
+    return segments
 
 
 def total_objective(
@@ -189,15 +188,10 @@ def total_objective(
     The end sentinel is not charged: a single-segment solution pays no
     penalty at all.
     """
-    n = len(values)
-    bounds = _validate_boundaries(cps.boundaries, n, config.min_segment_size)
+    segments = _validate_boundaries(cps, len(values), config.min_segment_size)
     beta = _resolve_penalty(np.asarray(values, dtype=float), config)
-    cost = 0.0
-    prev = 0
-    for b in bounds:
-        cost += l2_cost(values, prev, b)
-        prev = b
-    return cost + beta * (len(bounds) - 1)
+    cost = sum(l2_cost(values, start, end) for start, end in segments)
+    return cost + beta * cps.n_internal
 
 
 def _best_split(

@@ -77,15 +77,25 @@ class Provenance:
             raise SeriesError("provenance seed must fit in 64 unsigned bits")
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """Whether ``array`` and every array down its ``.base`` chain are read-only, the
+    last owning its memory (a base that is no array, such as ``bytes``, fails)."""
+    while isinstance(array, np.ndarray) and not array.flags.writeable:
+        array = array.base
+    return array is None
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """One sampled series plus its pipeline metadata.
 
-    ``timestamps`` is a read-only ``datetime64[D]`` array: one passed read-only
-    is shared (children and restamps keep their parent's), a writeable one copied,
-    and any other sequence must hold ``datetime.date``. ``values`` is a read-only
-    float64 copy. Series compare equal when every field does, both arrays exactly;
-    they are not hashable.
+    ``timestamps`` is a read-only ``datetime64[D]`` array. One passed read-only is
+    shared (children and restamps keep their parent's) when it owns its memory or
+    every array down its ``.base`` chain is read-only; any other array is copied,
+    and any other sequence must hold ``datetime.date``. A writeable view taken
+    before its base was made read-only can still change a shared array.
+    ``values`` is a read-only float64 copy. Series compare equal when every field
+    does, both arrays exactly; they are not hashable.
 
     Invariants (checked at construction):
 
@@ -109,8 +119,8 @@ class TimeSeries:
         object.__setattr__(self, "values", values)
         days = self.timestamps
         if not isinstance(days, np.ndarray):  # a non-date raises toordinal's TypeError
-            days = (np.fromiter(map(date.toordinal, days), np.int64) - _EPOCH).view(DAY)
-        elif days.flags.writeable:
+            days = (np.fromiter(map(date.toordinal, days), np.int64) - _EPOCH).astype(DAY)
+        elif not _frozen(days):
             days = days.copy()
         days.flags.writeable = False
         object.__setattr__(self, "timestamps", days)

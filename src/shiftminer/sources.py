@@ -33,10 +33,7 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .series import (
-    DAY, FIRST_DAY, LAST_DAY, NonMonotonicTimestampsError, Source, Stage, TimeSeries, iso_dates,
-    make_series_id,
-)
+from .series import DAY, Source, Stage, TimeSeries, iso_dates, make_series_id
 from .storage import read_file, write_document
 
 logger = logging.getLogger(__name__)
@@ -573,8 +570,9 @@ def build_trends_request(payload: TrendsQuery) -> Request:
 # Each parser builds one column of days and one of floats with C-level maps and
 # comprehensions: no (date, value) pair, ``date`` or ``datetime`` per row, and a
 # regex only for short EIA periods. EIA rows are checked, filtered and grouped by
-# column; epoch stamps become days in one numpy pass. The ``TimeSeries`` check is
-# the one order check, and a sort happens only when it fails.
+# column; epoch stamps become days in one numpy pass. Each series' rows are put in
+# order by one stable sort of its days, and the ``TimeSeries`` check is the one
+# check that no day repeats.
 
 _YEAR_RE = re.compile(r"\d{4}", re.ASCII)
 _MONTH_RE = re.compile(r"\d{4}-\d{2}", re.ASCII)
@@ -603,32 +601,24 @@ def _parse_periods(periods: list) -> np.ndarray:
 def _utc_days(stamps: Iterable) -> np.ndarray:
     """The UTC day of each epoch-seconds stamp: ``int`` of each (it truncates
     a float and reads a string), floor-divided by 86,400 in one int64 array.
-    A day outside years 1-9999 raises ``ValueError``, a stamp past int64
-    ``OverflowError``."""
-    days = (np.array(list(map(int, stamps)), dtype=np.int64) // 86400).view(DAY)
-    if days.size and (days.min() < FIRST_DAY or days.max() > LAST_DAY):
-        raise ValueError("epoch stamp outside years 1-9999")
-    return days
+    A stamp past int64 raises ``OverflowError``; the ``TimeSeries`` check
+    rejects a day outside years 1-9999."""
+    return (np.array(list(map(int, stamps)), dtype=np.int64) // 86400).view(DAY)
 
 
 def _series_or_parse_error(
     source: Source, native_id: str, comment: str, timestamps: np.ndarray, values: Sequence[float]
 ) -> TimeSeries:
-    """One original series from two columns. Only when the ``TimeSeries``
-    order check rejects them are both reordered by a stable sort of the days
-    and checked again, so a repeated day is still rejected, and every error
-    names the series by its sorted range."""
-
-    def build(timestamps: np.ndarray, values: Sequence[float]) -> TimeSeries:
-        series_id = make_series_id(source, native_id, timestamps[0], timestamps[-1])
-        return TimeSeries(series_id, source, timestamps, values, Stage.ORIGINAL, comment=comment)
-
+    """One original series from two columns, both reordered by one stable sort
+    of the days, so a repeated day is still rejected, and every error names the
+    series by its sorted range. The sorted days are frozen for the series to share."""
+    order = np.argsort(timestamps, kind="stable")
+    timestamps = timestamps[order]
+    timestamps.flags.writeable = False
     try:
-        try:
-            return build(timestamps, values)
-        except NonMonotonicTimestampsError:
-            order = np.argsort(timestamps, kind="stable")
-            return build(timestamps[order], np.asarray(values)[order])
+        series_id = make_series_id(source, native_id, timestamps[0], timestamps[-1])
+        return TimeSeries(series_id, source, timestamps, np.asarray(values)[order],
+                          Stage.ORIGINAL, comment=comment)
     except ValueError as exc:
         raise ParseError(f"{source.value} response for {native_id!r}: {exc}") from exc
 

@@ -20,27 +20,31 @@ Every file the package writes or removes goes through this module: series throug
 :func:`save_stage` and :func:`save_series`, every other file through :func:`write_document`,
 a stage's outdated files through :func:`clear_from_stage` and :func:`remove_stage`.
 
-Reading has two halves, a CSV body reader and :func:`read_sidecar` (joined body
-first by :func:`load_series`); :func:`load_stage_meta` reads sidecars alone.
-A sidecar's fields are read as the types the writer gives them, never coerced:
-``id`` and ``comment`` strings, ``source``, ``stage`` and the provenance
-``method`` values of their enums (found in tables keyed by value), the
-provenance ``parent_id`` a non-empty string, ``seed`` an int that is not a bool
-in [0, 2**64) and ``shift_verified`` a bool. Anything else is a
-:class:`MalformedFileError` naming the sidecar.
+A series is read as a CSV body and a sidecar, whose path is built from the CSV's
+by one rule: its stem (as ``Path.stem`` has it) plus ``.meta.json``. A sidecar's
+fields are read as the types the writer gives them, never coerced: ``id`` and
+``comment`` strings, ``source``, ``stage`` and the provenance ``method`` values
+of their enums (found in tables keyed by value), the provenance ``parent_id`` a
+non-empty string, ``seed`` an int that is not a bool in [0, 2**64) and
+``shift_verified`` a bool. Anything else is a :class:`MalformedFileError` naming
+the sidecar.
 
 Every file the package reads goes through :func:`read_file`, which returns it
 as stored: strict UTF-8 with no newline translation, and bytes that are not
 UTF-8 are a :class:`MalformedFileError` naming the file. Only CSV bodies take
 ``\\r`` as a line end. It and ``_write_file`` use ``os.open``, ``os.read`` and
 ``os.write``, with no pathlib or text-mode ``io`` wrapping, and an ``OSError``
-from either is raised as it is with its path in ``filename``. A stage directory
-is listed once by name: its series are the entries ending ``.csv``, in name
-order, and a series' sidecar path is built from its entry: its stem (as
-``Path.stem`` has it) plus ``.meta.json``. A stage directory holds only its own
-stage: :func:`load_stage` and :func:`load_stage_meta` reject a series whose
-sidecar names another stage, or that has no sidecar outside ``original/`` (the
-default stage is ``original``), while a standalone :func:`load_series` keeps the
+from either is raised as it is with its path in ``filename``.
+
+A stage directory is read by one loop. It is listed once by name; its series are
+the entries ending ``.csv``, in name order, and each one's sidecar is read and
+held to the stage rules: its stage is the directory's (the default stage is
+``original``, so a series without a sidecar belongs only in ``original/``), its
+id is not empty, and it has provenance exactly when the stage is ``augmented``.
+A broken rule is a :class:`MalformedFileError` naming the CSV.
+:func:`load_stage_meta` returns the sidecars the loop yields, and
+:func:`load_stage` reads each CSV body after its sidecar. A standalone
+:func:`load_series` reads the body first, then the sidecar, and keeps the
 defaults.
 """
 
@@ -52,7 +56,7 @@ import shutil
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -130,12 +134,12 @@ def load_series(path: str | Path) -> TimeSeries:
     unordered, a NaN or infinite value) naming the file.
     """
     path = os.fspath(path)
-    return _load_series(path, *_sidecar_of(path))
-
-
-def _load_series(path: str, meta_path: str, stem: str) -> TimeSeries:
     timestamps, values = _read_body(path)
-    meta = _read_sidecar(meta_path, stem)
+    return _series(path, _read_sidecar(path), timestamps, values)
+
+
+def _series(path: str, meta: SeriesMeta, timestamps: np.ndarray,
+            values: list[float]) -> TimeSeries:
     try:
         return TimeSeries(meta.id, meta.source, timestamps, values, meta.stage,
                           meta.provenance, meta.comment)
@@ -161,29 +165,22 @@ def _read_body(path: str) -> tuple[np.ndarray, list[float]]:
         raise MalformedFileError(f"{path}: {exc}") from exc
 
 
-def read_sidecar(path: str | Path) -> SeriesMeta:
-    """The sidecar of series file ``path``, or without one the defaults: the
-    file's stem as id, source synthetic, stage original, no provenance, no
-    comment. A sidecar that is not a JSON object of known fields of their
-    types is a MalformedFileError naming it (an unreadable one, its OSError)."""
-    return _read_sidecar(*_sidecar_of(os.fspath(path)))
-
-
-def _sidecar_of(path: str) -> tuple[str, str]:
-    """The sidecar path of series file ``path`` and the stem (as ``Path.stem``) it has."""
-    head, sep, name = path.rpartition("/")
-    dot = name.rfind(".")
-    stem = name[:dot] if 0 < dot < len(name) - 1 else name
-    return f"{head}{sep}{stem}.meta.json", stem
-
-
 # a sidecar's source, stage and provenance method, looked up by value
 _SOURCES = {member.value: member for member in Source}
 _STAGES = {member.value: member for member in Stage}
 _METHODS = {member.value: member for member in AugmentMethod}
 
 
-def _read_sidecar(meta_path: str, stem: str) -> SeriesMeta:
+def _read_sidecar(path: str) -> SeriesMeta:
+    """The sidecar of series file ``path``, its stem (as ``Path.stem`` has it) plus
+    ``.meta.json``, or without one the defaults: the stem as id, source synthetic,
+    stage original, no provenance, no comment. A sidecar that is not a JSON object
+    of known fields of their types is a MalformedFileError naming it (an unreadable
+    one, its OSError)."""
+    head, sep, name = path.rpartition("/")
+    dot = name.rfind(".")
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name
+    meta_path = f"{head}{sep}{stem}.meta.json"
     try:
         meta = json.loads(read_file(meta_path))
     except FileNotFoundError:
@@ -360,46 +357,40 @@ def holds_files(directory: str | Path) -> bool:
     return os.path.exists(directory) and bool(os.listdir(directory))
 
 
-def _stage_files(root: str | Path, name: str, stage: Stage) -> list[tuple[str, str, str]]:
-    """Each ``*.csv`` entry of a stage directory in name order, as its path, its
-    sidecar's path and its stem; none when the directory is missing or cannot be listed."""
+def _stage_metas(root: str | Path, name: str, stage: Stage) -> Iterator[tuple[str, SeriesMeta]]:
+    """Each ``*.csv`` entry of a stage directory in name order, as its path and its
+    sidecar, checked against the stage rules (see :func:`load_stage_meta`); none
+    when the directory is missing or cannot be listed."""
     directory = str(stage_dir(root, name, stage))
     try:
         names = os.listdir(directory)
     except OSError:
-        return []
-    files = []
+        return
     for entry in sorted(n for n in names if n.endswith(".csv")):
-        stem = entry[:-4] or entry  # as Path.stem: a name of ".csv" alone has no suffix
-        files.append((f"{directory}/{entry}", f"{directory}/{stem}.meta.json", stem))
-    return files
-
-
-def _of_stage(stage: Stage, path: str,
-              item: TimeSeries | SeriesMeta) -> TimeSeries | SeriesMeta:
-    """``item``, read from ``path`` in ``stage``'s directory, when it is of that stage."""
-    if item.stage is not stage:
-        raise MalformedFileError(f"{path}: a series of stage {item.stage.value!r} (its sidecar's, "
-                                 f"or the default without one) in the {stage.value} directory")
-    return item
+        path = f"{directory}/{entry}"
+        meta = _read_sidecar(path)
+        if meta.stage is not stage:
+            raise MalformedFileError(f"{path}: a series of stage {meta.stage.value!r} (its "
+                                     f"sidecar's, or the default without one) in the "
+                                     f"{stage.value} directory")
+        if not meta.id or (stage is Stage.AUGMENTED) != (meta.provenance is not None):
+            raise MalformedFileError(f"{path}: sidecar has an empty id or misplaced provenance")
+        yield path, meta
 
 
 def load_stage(root: str | Path, name: str, stage: Stage) -> list[TimeSeries]:
-    """Load every series in a stage directory, sorted by id; a series of
-    another stage there is a :class:`MalformedFileError`."""
-    return [_of_stage(stage, path, _load_series(path, meta_path, stem))
-            for path, meta_path, stem in _stage_files(root, name, stage)]
+    """Load every series in a stage directory, in name order, each sidecar checked
+    (see :func:`load_stage_meta`) before its CSV body is read."""
+    return [_series(path, meta, *_read_body(path))
+            for path, meta in _stage_metas(root, name, stage)]
 
 
 def load_stage_meta(root: str | Path, name: str, stage: Stage) -> list[SeriesMeta]:
-    """The sidecars of the series :func:`load_stage` loads, in its order, not their CSVs."""
-    metas = []
-    for path, meta_path, stem in _stage_files(root, name, stage):
-        meta = _of_stage(stage, path, _read_sidecar(meta_path, stem))
-        if not meta.id or (meta.stage is Stage.AUGMENTED) != (meta.provenance is not None):
-            raise MalformedFileError(f"{path}: sidecar has an empty id or misplaced provenance")
-        metas.append(meta)
-    return metas
+    """The sidecars of the series :func:`load_stage` loads, in its order, not their CSVs.
+    A series of another stage (a missing sidecar reads as original), with an empty
+    id, or with provenance but not augmented or augmented without it, is a
+    :class:`MalformedFileError` naming its CSV."""
+    return [meta for _, meta in _stage_metas(root, name, stage)]
 
 
 def manifest_path(root: str | Path, name: str) -> Path:

@@ -1,6 +1,6 @@
 """Modules of the package use each other only through public names, and
 nothing outside the package but the standard library and numpy; only
-``storage`` reads, writes and removes files.
+``storage`` reads, writes, removes and lists files.
 
 A name with a leading underscore is private to the module that defines
 it; another module that imports it or reads it as an attribute couples
@@ -284,4 +284,56 @@ def test_read_checker_sees_every_form(tmp_path):
         "probe.py:9 calls read_text",
         "probe.py:10 calls read_bytes",
         "probe.py:11 calls open",
+    ]
+
+
+OS_LISTINGS = ("listdir", "scandir", "walk")
+LISTING_METHODS = ("iterdir", "glob", "rglob")
+
+
+def directory_listings(path: Path) -> list[str]:
+    """Every call in ``path`` that lists a directory: ``os.listdir``,
+    ``os.scandir``, ``os.walk``, ``.iterdir``, ``.glob`` and ``.rglob``, in line order."""
+    found: list[tuple[int, str]] = []
+    for node, name, module in calls(path):
+        if (module == "os" and name in OS_LISTINGS
+                or isinstance(node.func, ast.Attribute) and name in LISTING_METHODS):
+            found.append((node.lineno, f"{path.name}:{node.lineno} calls {name}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_only_storage_lists_directories():
+    modules = [path for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "storage.py"]
+    assert len(modules) > 5
+    assert [call for path in modules for call in directory_listings(path)] == []
+
+
+def test_listing_checker_sees_every_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import glob, os\n"
+        "def walk(path):\n"
+        "    os.listdir(path)\n"
+        "    with os.scandir(path) as entries:\n"
+        "        list(entries)\n"
+        "    for _ in os.walk(path):\n"
+        "        pass\n"
+        "    list(path.iterdir())\n"
+        "    sorted(path.glob('*.csv'))\n"
+        "    sorted(path.rglob('*.json'))\n"
+        "    glob.glob(str(path))\n"
+        "def fine(path):\n"
+        "    os.path.exists(path)\n"
+        "    path.is_dir()\n"
+        "    os.open(path, os.O_RDONLY)\n"
+        "    return path.name.endswith('.csv')\n"
+    )
+    assert directory_listings(path) == [
+        "probe.py:3 calls listdir",
+        "probe.py:4 calls scandir",
+        "probe.py:6 calls walk",
+        "probe.py:8 calls iterdir",
+        "probe.py:9 calls glob",
+        "probe.py:10 calls rglob",
+        "probe.py:11 calls glob",
     ]

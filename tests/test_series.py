@@ -134,6 +134,34 @@ class TestTimestamps:
         with pytest.raises(ValueError):
             shared.timestamps[0] = np.datetime64("2019-01-01")
 
+    def test_a_read_only_view_is_shared_only_when_its_base_is_read_only(self):
+        mine = days("2019-01-01", "2020-01-01")
+        view = mine.view()
+        view.flags.writeable = False
+        ts = TimeSeries("x", Source.SYNTHETIC, view, [1.0, 2.0], Stage.ORIGINAL)
+        mine[1] = np.datetime64("2018-01-01")
+        assert ts.timestamps is not view
+        assert ts.timestamps.tolist() == [date(2019, 1, 1), date(2020, 1, 1)]
+        frozen = days("2019-01-01", "2020-01-01")
+        frozen.flags.writeable = False
+        view = frozen[:]
+        shared = TimeSeries("y", Source.SYNTHETIC, view, [1.0, 2.0], Stage.ORIGINAL)
+        assert shared.timestamps is view
+        # a base that is no array, here a bytearray, may change under the view
+        raw = np.frombuffer(bytearray(frozen.tobytes()), dtype=DAY)
+        raw.flags.writeable = False
+        copied = TimeSeries("z", Source.SYNTHETIC, raw, [1.0, 2.0], Stage.ORIGINAL)
+        assert copied.timestamps is not raw
+
+    def test_days_from_dates_are_shared_by_children_and_restamps(self):
+        parent = TimeSeries("p", Source.SYNTHETIC, (date(2020, 1, 1), date(2020, 1, 2)),
+                            [1.0, 2.0], Stage.PRUNED)
+        assert parent.timestamps.base is None
+        child = TimeSeries("c", Source.SYNTHETIC, parent.timestamps, [3.0, 4.0], Stage.AUGMENTED,
+                           Provenance("p", AugmentMethod.TIME_WARP, 1, True))
+        assert child.timestamps is parent.timestamps
+        assert parent.with_stage(Stage.ORIGINAL).timestamps is parent.timestamps
+
     def test_dates_become_their_days(self):
         stamps = (date(1, 1, 1), datetime(1970, 1, 1, 23, 59), date(9999, 12, 31))
         ts = TimeSeries("x", Source.SYNTHETIC, stamps, [1.0, 2.0, 3.0], Stage.ORIGINAL)

@@ -1,5 +1,5 @@
-"""Sidecars read apart from series bodies: ``read_sidecar`` and
-``load_stage_meta`` against ``load_series`` and ``load_stage``."""
+"""Sidecars read apart from series bodies: ``load_stage_meta`` against
+``load_series`` and ``load_stage``."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from shiftminer.storage import (
     load_series,
     load_stage,
     load_stage_meta,
-    read_sidecar,
     save_series,
     save_stage,
     stage_dir,
@@ -109,9 +108,9 @@ def test_dotted_id_finds_its_sidecar(tmp_path):
     prov = Provenance("yahoo-BRK.B-parent", AugmentMethod.TIME_WARP, 1, True)
     series = make_series([1.0, 2.0], sid="yahoo-BRK.B-2020-01-01-2020-01-02",
                          source=Source.YAHOO, stage=Stage.AUGMENTED, provenance=prov)
-    path = save_series(series, tmp_path)
+    path = save_series(series, stage_dir(tmp_path, "ds", Stage.AUGMENTED))
     assert load_series(path) == series
-    assert read_sidecar(path) == meta_of(series)
+    assert load_stage_meta(tmp_path, "ds", Stage.AUGMENTED) == [meta_of(series)]
 
 
 @pytest.mark.parametrize("doc", WRONG_SHAPES)
@@ -119,12 +118,10 @@ def test_sidecar_of_the_wrong_shape_is_malformed(tmp_path, doc):
     path = save_series(make_series([1.0, 2.0], sid="s"), stage_dir(tmp_path, "ds", Stage.ORIGINAL))
     sidecar = path.with_name("s.meta.json")
     sidecar.write_text(doc)
-    with pytest.raises(MalformedFileError, match=re.escape(f"{sidecar}: bad sidecar")):
-        load_series(path)
-    with pytest.raises(MalformedFileError, match=re.escape(f"{sidecar}: bad sidecar")):
-        read_sidecar(path)
-    with pytest.raises(MalformedFileError, match=re.escape(f"{sidecar}: bad sidecar")):
-        load_stage_meta(tmp_path, "ds", Stage.ORIGINAL)
+    for read in (lambda: load_series(path), lambda: load_stage(tmp_path, "ds", Stage.ORIGINAL),
+                 lambda: load_stage_meta(tmp_path, "ds", Stage.ORIGINAL)):
+        with pytest.raises(MalformedFileError, match=re.escape(f"{sidecar}: bad sidecar")):
+            read()
 
 
 @pytest.mark.parametrize("fields", WRONG_PROVENANCE_FIELDS)
@@ -136,8 +133,7 @@ def test_provenance_field_of_another_type_is_malformed(tmp_path, fields):
     doc = json.loads(sidecar.read_text())
     sidecar.write_text(json.dumps({**doc, "provenance": {**doc["provenance"], **fields}}))
     message = re.escape(f"{sidecar}: bad sidecar: bad provenance record")
-    for read in (lambda: read_sidecar(sidecar.with_name("fred-P0-aug1.csv")),
-                 lambda: load_series(sidecar.with_name("fred-P0-aug1.csv")),
+    for read in (lambda: load_series(sidecar.with_name("fred-P0-aug1.csv")),
                  lambda: load_stage_meta(tmp_path, "ds", Stage.AUGMENTED),
                  lambda: load_stage(tmp_path, "ds", Stage.AUGMENTED)):
         with pytest.raises(MalformedFileError, match=message):
@@ -150,7 +146,7 @@ def test_provenance_with_a_null_seed_is_malformed(tmp_path):
                                                "seed": None, "shift_verified": True}}
     (tmp_path / "s.meta.json").write_text(json.dumps(bad))
     with pytest.raises(MalformedFileError, match="bad provenance record"):
-        read_sidecar(path)
+        load_series(path)
 
 
 def test_body_fault_is_reported_before_sidecar_fault(tmp_path):
@@ -161,14 +157,45 @@ def test_body_fault_is_reported_before_sidecar_fault(tmp_path):
         load_series(path)
 
 
+PROVENANCE = {"parent_id": "fred-P0", "method": "time_warp", "seed": 1, "shift_verified": True}
+
+
+@pytest.mark.parametrize("stage, victim, fault", [
+    (Stage.PRUNED, "fred-P1", {"stage": "original"}),
+    (Stage.PRUNED, "fred-P1", None),
+    (Stage.AUGMENTED, "fred-P0-aug0", {"id": ""}),
+    (Stage.AUGMENTED, "fred-P0-aug0", {"provenance": None}),
+    (Stage.PRUNED, "fred-P1", {"provenance": PROVENANCE}),
+    (Stage.AUGMENTED, "fred-P0-aug0", "{not JSON"),
+], ids=["other-stage", "no-sidecar", "empty-id", "augmented-without-provenance",
+        "pruned-with-provenance", "not-json"])
+def test_both_stage_loaders_refuse_the_same_faults(tmp_path, stage, victim, fault):
+    """A sidecar that breaks a stage rule (``fault`` a dict of fields, or None for
+    no sidecar) or is no JSON at all makes both loaders raise one MalformedFileError,
+    naming the CSV, or the sidecar when it is no JSON."""
+    family(tmp_path)
+    sidecar = stage_dir(tmp_path, "ds", stage) / f"{victim}.meta.json"
+    if fault is None:
+        sidecar.unlink()
+    elif isinstance(fault, str):
+        sidecar.write_text(fault)
+    else:
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **fault}))
+    named = sidecar if isinstance(fault, str) else sidecar.with_name(f"{victim}.csv")
+    messages = []
+    for load in (load_stage, load_stage_meta):
+        with pytest.raises(MalformedFileError, match=f"^{re.escape(str(named))}: ") as err:
+            load(tmp_path, "ds", stage)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 @pytest.mark.parametrize("fields", [{"provenance": None}, {"id": ""}])
-def test_stage_meta_keeps_the_series_label_checks(tmp_path, fields):
+def test_series_read_alone_keeps_the_label_checks(tmp_path, fields):
     family(tmp_path)
     sidecar = stage_dir(tmp_path, "ds", Stage.AUGMENTED) / "fred-P0-aug0.meta.json"
     sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **fields}))
     csv_path = sidecar.with_name("fred-P0-aug0.csv")
-    with pytest.raises(MalformedFileError, match=re.escape(str(csv_path))):
-        load_stage_meta(tmp_path, "ds", Stage.AUGMENTED)
     with pytest.raises(ValueError, match=re.escape(str(csv_path))):
         load_series(csv_path)
 
@@ -230,10 +257,14 @@ SWAPPABLE = ["id", "source", "stage", "comment", "provenance", "provenance.paren
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_sidecar_reads_as_written_or_is_malformed(tmp_path_factory, series, swapped, data):
     """A written sidecar with up to two fields (of it or of its provenance
-    record) swapped for any JSON value: a document of well-typed fields reads as
-    its SeriesMeta (the written one when none was swapped), any other raises
-    MalformedFileError naming the sidecar, and no other exception escapes."""
-    path = save_series(series, tmp_path_factory.getbasetemp() / "sidecars")
+    record) swapped for any JSON value, read by ``load_stage_meta`` from the
+    directory of the series' stage: a document of well-typed fields that keeps
+    the stage rules reads as its SeriesMeta (the written one when none was
+    swapped), one that breaks them raises MalformedFileError naming the CSV, any
+    other raises MalformedFileError naming the sidecar, and no other exception
+    escapes."""
+    root = tmp_path_factory.mktemp("sidecars")
+    path = save_series(series, stage_dir(root, "ds", series.stage))
     sidecar = path.with_name(f"{series.id}.meta.json")
     doc = json.loads(sidecar.read_text())
     for field in sorted(swapped):  # a swapped record before a field of it
@@ -246,7 +277,11 @@ def test_sidecar_reads_as_written_or_is_malformed(tmp_path_factory, series, swap
     expected = typed_meta(doc)
     if expected is None:
         with pytest.raises(MalformedFileError, match=re.escape(f"{sidecar}: bad sidecar")):
-            read_sidecar(path)
-    else:
-        assert read_sidecar(path) == expected
+            load_stage_meta(root, "ds", series.stage)
+    elif expected.stage is series.stage and expected.id and (
+            (expected.stage is Stage.AUGMENTED) == (expected.provenance is not None)):
+        assert load_stage_meta(root, "ds", series.stage) == [expected]
         assert swapped or expected == meta_of(series)
+    else:
+        with pytest.raises(MalformedFileError, match=re.escape(f"{path}: ")):
+            load_stage_meta(root, "ds", series.stage)

@@ -24,9 +24,10 @@ from shiftminer.series import AugmentMethod, Provenance, Source, Stage, TimeSeri
 from shiftminer.storage import (
     DatasetManifest,
     MalformedFileError,
+    SeriesMeta,
     load_series,
+    load_stage,
     load_stage_meta,
-    read_sidecar,
     save_series,
     save_stage,
     stage_dir,
@@ -331,23 +332,29 @@ def test_stage_listing_and_reads_match_pathlib(tmp_path, layout):
         directory.parent.mkdir(parents=True)
         directory.write_text("a file where the stage directory belongs")
     old = old_stage_files(directory)
-    new = storage._stage_files(tmp_path, "d", Stage.ORIGINAL)
-    assert new == [(str(path), str(old_sidecar(path)), path.stem) for path in old]
-    assert len(new) == (8 if layout == "crowded" else 0)
-    metas = load_stage_meta(tmp_path, "d", Stage.ORIGINAL)
-    for path, meta in zip(old, metas, strict=True):
-        assert meta == read_sidecar(str(path))
-        assert (meta.id, meta.comment) == ((path.stem, "") if path.name in ("a.csv", "sub.csv")
-                                           else (path.stem, old_sidecar(path).name))
+    assert len(old) == (8 if layout == "crowded" else 0)
+    # each entry's id is its stem (no sidecar names one), its comment its sidecar's name
+    assert load_stage_meta(tmp_path, "d", Stage.ORIGINAL) == [
+        SeriesMeta(path.stem, Source.SYNTHETIC, Stage.ORIGINAL, None,
+                   "" if path.name in ("a.csv", "sub.csv") else old_sidecar(path).name)
+        for path in old
+    ]
     for path in directory.iterdir() if directory.is_dir() else []:
         assert new_read(str(path)) == old_read(path)
     if layout == "crowded":
         # the reader keeps CRLF and CR line ends; the CSV body reader translates them
         assert load_series(directory / "a.csv") == TimeSeries(
             "a", Source.SYNTHETIC, stamps(737425, 2), [1.0, 2.0], Stage.ORIGINAL)
-        with pytest.raises(IsADirectoryError,
-                           match=re.escape(f"Is a directory: '{directory}/sub.csv'")):
-            load_series(directory / "sub.csv")
+        for load in (lambda: load_series(directory / "sub.csv"),
+                     lambda: load_stage(tmp_path, "d", Stage.ORIGINAL)):
+            with pytest.raises(IsADirectoryError,
+                               match=re.escape(f"Is a directory: '{directory}/sub.csv'")):
+                load()
+        (directory / "sub.csv").rmdir()
+        old.remove(directory / "sub.csv")
+    assert [(s.id, s.comment) for s in load_stage(tmp_path, "d", Stage.ORIGINAL)] == [
+        (meta.id, meta.comment) for meta in load_stage_meta(tmp_path, "d", Stage.ORIGINAL)
+    ] == [(path.stem, "" if path.name == "a.csv" else old_sidecar(path).name) for path in old]
 
 
 def test_read_file_returns_the_file_as_stored(tmp_path):
@@ -366,9 +373,16 @@ def not_utf8(path: Path) -> Path:
     return path
 
 
+def stage_sidecar(root: Path) -> list[SeriesMeta]:
+    """The sidecar of series ``s`` of ``original/``, read by ``load_stage_meta``,
+    which opens no CSV: so an empty one will do."""
+    (root / "d" / "original" / "s.csv").touch()
+    return load_stage_meta(root, "d", Stage.ORIGINAL)
+
+
 READERS = {  # kind: (its file under the root, a call on the root that reads it)
     "series": ("s.csv", lambda root: load_series(root / "s.csv")),
-    "sidecar": ("s.meta.json", lambda root: read_sidecar(root / "s.csv")),
+    "sidecar": ("d/original/s.meta.json", stage_sidecar),
     "manifest": ("d/manifest.json", lambda root: storage.load_manifest(root, "d")),
     "queries": ("q.json", lambda root: sources.load_queries(root / "q.json")),
     "catalog": ("c.json", lambda root: querygen.load_catalog(root / "c.json")),
