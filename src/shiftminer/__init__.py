@@ -1,9 +1,9 @@
 """shiftminer: mine, prune, and augment time series with distributional shifts.
 
-The pipeline has four stages: query generation against a completion
-backend, collection from public data APIs through a record/replay
-transport, pruning by penalized offline change point detection, and
-time-dimension augmentation of the survivors.
+The pipeline has four stages: query generation by an LLM and collection
+from public data APIs, both through one record/replay transport, pruning
+by penalized offline change point detection, and time-dimension
+augmentation of the survivors.
 """
 
 from .augment import AugmentConfig, augment_set, gen_warp_path, time_warp, window_slice, window_warp

@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shiftminer", epilog=EXIT_CODES_HELP)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate-queries", help="ask the completion backend for queries")
+    p = sub.add_parser("generate-queries", help="ask the LLM for queries")
     p.add_argument("--source", required=True, choices=[s.value for s in sources.CONNECTORS])
     p.add_argument("--count", type=positive_int, default=50)
     p.add_argument("--out", type=Path, required=True)
@@ -140,9 +140,9 @@ def _fixed_now() -> str | None:
 
 
 def _cmd_generate_queries(args) -> int:
-    backend = pipeline.completion_backend(args.transport or "replay", args.fixtures)
+    transport = sources.make_transport(args.transport or "replay", args.fixtures)
     queries = querygen.generate_queries(
-        Source(args.source), backend, query_count=args.count, max_rounds=args.max_rounds
+        Source(args.source), transport, query_count=args.count, max_rounds=args.max_rounds
     )
     sources.save_queries(queries, args.out)
     print(f"wrote {len(queries)} queries to {args.out}")
@@ -201,8 +201,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_discover(args) -> int:
-    backend = pipeline.completion_backend(args.transport or "replay", args.fixtures)
-    entries = querygen.discover_sources(backend, max_rounds=args.max_rounds)
+    transport = sources.make_transport(args.transport or "replay", args.fixtures)
+    entries = querygen.discover_sources(transport, max_rounds=args.max_rounds)
     querygen.write_catalog(entries, args.out)
     print(f"wrote {len(entries)} catalog entries to {args.out}")
     return EXIT_OK
@@ -238,7 +238,10 @@ def main(argv: list[str] | None = None) -> int:
         if exc.stage in ("queries", "collect"):
             return EXIT_COLLECT
         return EXIT_STAGE
-    except (querygen.BackendFailureError, querygen.NoQueriesFoundError) as exc:
+    except (sources.AuthMissingError, sources.FixtureMissingError, sources.RateLimitedError,
+            sources.UpstreamError, sources.ParseError, querygen.NoQueriesFoundError) as exc:
+        # a failed completion of generate-queries or discover; under run and
+        # collect, the queries stage raises it wrapped
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLLECT
     except (OSError, storage.MalformedFileError, SeriesError) as exc:

@@ -1,9 +1,9 @@
 """Synthetic replay corpus for offline demos and hermetic tests.
 
-Builds a complete fixture tree that the replay transport and replay
-completion backend can serve: recorded-style API response files, a query
-file, a completion fixture, and a ready-to-run pipeline config. Every
-byte is a deterministic function of the seed.
+Builds a complete fixture tree that the replay transport can serve:
+recorded-style API response files, a query file, a completion fixture,
+and a ready-to-run pipeline config. Every byte is a deterministic
+function of the seed.
 
 The canned unemployment-rate response mirrors the shape of a real
 monthly macro series over 2007-2013 (slow drift up to a plateau and back
@@ -32,15 +32,12 @@ from .sources import (
     build_fred_request,
     build_trends_request,
     build_yahoo_request,
+    query_to_raw,
     save_queries,
+    write_completion_fixture,
     write_fixture,
 )
-from .querygen import (
-    QUERY_TEMPLATE,
-    SOURCE_DISPLAY_NAMES,
-    render_text,
-    write_completion_fixture,
-)
+from .querygen import QUERY_TEMPLATE, SOURCE_DISPLAY_NAMES, render_text
 from .storage import write_document
 
 # Monthly unemployment-style values, 2007-01 through 2013-01 (73 points).
@@ -263,8 +260,6 @@ def build_llm_fixture(
         QUERY_TEMPLATE.body,
         {"source_name": SOURCE_DISPLAY_NAMES[source], "query_count": str(query_count)},
     )
-    from .sources import query_to_raw
-
     items = []
     for q in queries[:query_count]:
         raw = query_to_raw(q)

@@ -29,7 +29,6 @@ __all__ = [
     "StageError",
     "PruningEmptyError",
     "Stages",
-    "completion_backend",
     "run",
     "split_train_test",
     "split_dataset",
@@ -118,18 +117,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config {path}: {exc}") from exc
 
 
-def completion_backend(transport_mode: str, fixtures_dir: Path) -> querygen.CompletionBackend:
-    """The completion backend for a transport mode; replay and record keep
-    their completions under ``<fixtures_dir>/llm``."""
-    llm_root = fixtures_dir / "llm"
-    if transport_mode == "replay":
-        return querygen.ReplayBackend(llm_root)
-    live = querygen.HttpBackend()
-    if transport_mode == "record":
-        return querygen.RecordBackend(llm_root, live)
-    return live
-
-
 class Stages:
     """The pipeline's stages for one config, and the ``manifest`` they write.
 
@@ -186,11 +173,14 @@ class Stages:
         *,
         force: bool = False,
         transport: sources.Transport | None = None,
-        backend: querygen.CompletionBackend | None = None,
+        pacer: sources.RequestPacer | None = None,
     ) -> list[TimeSeries]:
         """Run the query and collection stages and start the manifest. A
         dataset directory that holds anything is only overwritten with
-        ``force=True``; the collection stage then clears the old stages."""
+        ``force=True``; the collection stage then clears the old stages.
+
+        Every completion and data request goes through ``transport`` (by
+        default the config's) and waits on ``pacer`` (a new one by default)."""
         config = self.config
         dataset_root = storage.dataset_dir(self.root, self.name)
         if not force and storage.holds_files(dataset_root):
@@ -199,6 +189,7 @@ class Stages:
                 "only a forced run overwrites it"
             )
         transport = transport or sources.make_transport(config.transport_mode, config.fixtures_dir)
+        pacer = pacer or sources.pacer_for(transport)
 
         notes = {"queries": "generated" if config.query_file is None else "external"}
         with self._stage("queries"):
@@ -206,12 +197,11 @@ class Stages:
                 loaded = sources.load_queries(config.query_file, default_source=config.source)
                 queries = sources.dedup_queries(loaded)
             else:
-                backend = backend or completion_backend(config.transport_mode, config.fixtures_dir)
                 queries = querygen.generate_queries(
-                    config.source, backend, query_count=config.query_count
+                    config.source, transport, query_count=config.query_count, pacer=pacer
                 )
         with self._stage("collect", Stage.ORIGINAL):
-            collected, failures = sources.fetch_all(queries, transport)
+            collected, failures = sources.fetch_all(queries, transport, pacer=pacer)
             notes["fetch_failures"] = str(len(failures))
             if not collected:
                 raise sources.EmptyResultError("no series collected")
@@ -280,16 +270,17 @@ def run(
     force: bool = False,
     now: str | None = None,
     transport: sources.Transport | None = None,
-    backend: querygen.CompletionBackend | None = None,
+    pacer: sources.RequestPacer | None = None,
 ) -> DatasetManifest:
     """Run every stage of :class:`Stages` and return the manifest written.
 
     ``now`` fixes ``created_at`` for reproducible manifests; otherwise
     the current UTC time is used. An existing dataset directory is only
     overwritten with ``force=True``, and not before the queries succeed.
+    ``transport`` and ``pacer`` go to :meth:`Stages.collect`.
     """
     stages = Stages(config, now)
-    stages.augment(stages.prune(stages.collect(force=force, transport=transport, backend=backend)))
+    stages.augment(stages.prune(stages.collect(force=force, transport=transport, pacer=pacer)))
     return stages.manifest
 
 

@@ -1,10 +1,12 @@
-"""Prompt construction, completion backends, and robust query extraction.
+"""Prompt construction, completion rounds, and robust query extraction.
 
-The contract of record for completions is the fixture store: a replay
-backend answers each prompt from ``fixtures/llm/<sha256(prompt)>.txt``,
-so no test or offline run ever talks to a remote model. A live HTTP
-backend (OpenAI-style chat endpoint, configured via environment
-variables) and a recording wrapper share the same interface.
+Each round's prompt is sent as one completion request through the run's
+:class:`~shiftminer.sources.Transport`, the one that collects the data, so
+completions are recorded, replayed, retried and paced like data requests.
+The contract of record is the fixture store: replay answers each prompt from
+``fixtures/llm/<sha256(prompt)>.http``, a chat reply, so no test or offline
+run ever talks to a remote model. Live and record mode post to an
+OpenAI-style chat endpoint configured via environment variables.
 
 Model output is treated as untrusted text: we extract JSON query objects
 from it, bind them to typed payloads, and validate; everything else,
@@ -13,25 +15,26 @@ including any generated code, is ignored.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence
+from typing import Iterator, Sequence
 
 from .series import Source
 from .sources import (
     QueryFieldError,
+    RequestPacer,
     SourceQuery,
-    TransportError,
+    Transport,
     dedup_queries,
-    http_request,
+    fetch_completion,
     infer_source,
     known_fields,
+    pacer_for,
     query_from_raw,
+    write_completion_fixture,  # re-exported: fixture builders write completions from here
 )
 from .storage import read_file, write_document
 
@@ -54,10 +57,6 @@ class MissingBindingError(KeyError):
 
 class NoQueriesFoundError(Exception):
     """No parseable query object in the completion text."""
-
-
-class BackendFailureError(Exception):
-    """The completion backend failed."""
 
 
 @dataclass(frozen=True)
@@ -112,89 +111,6 @@ def render_text(text: str, bindings: dict[str, str]) -> str:
         return str(bindings[name])
 
     return _PLACEHOLDER_RE.sub(substitute, text)
-
-
-# --- completion backends ----------------------------------------------------
-
-
-class CompletionBackend(Protocol):
-    name: str
-
-    def complete(self, prompt: str) -> str: ...
-
-
-def prompt_fingerprint(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-
-
-class ReplayBackend:
-    """Answers prompts from ``<root>/<sha256(prompt)>.txt``; deterministic."""
-
-    name = "replay"
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-
-    def fixture_path(self, prompt: str) -> Path:
-        return self.root / f"{prompt_fingerprint(prompt)}.txt"
-
-    def complete(self, prompt: str) -> str:
-        """The completion as recorded: read as stored, so a ``\\r\\n`` replays."""
-        path = self.fixture_path(prompt)
-        try:  # one open: no existence check that the read could race
-            return read_file(path)
-        except (FileNotFoundError, NotADirectoryError):
-            raise BackendFailureError(f"no completion fixture {path}") from None
-
-
-def write_completion_fixture(root: str | Path, prompt: str, completion: str) -> Path:
-    return write_document(ReplayBackend(root).fixture_path(prompt), completion)
-
-
-class RecordBackend:
-    """Wraps a live backend and freezes every completion for replay."""
-
-    name = "record"
-
-    def __init__(self, root: str | Path, inner: CompletionBackend) -> None:
-        self.root = Path(root)
-        self.inner = inner
-
-    def complete(self, prompt: str) -> str:
-        completion = self.inner.complete(prompt)
-        write_completion_fixture(self.root, prompt, completion)
-        return completion
-
-
-class HttpBackend:
-    """Thin chat-completions client configured entirely from the environment:
-    ``LLM_ENDPOINT``, ``LLM_MODEL``, and optionally ``LLM_API_KEY``."""
-
-    name = "http"
-
-    def __init__(self) -> None:
-        self.endpoint = os.environ.get("LLM_ENDPOINT")
-        self.model = os.environ.get("LLM_MODEL")
-        self.api_key = os.environ.get("LLM_API_KEY")
-        if not self.endpoint or not self.model:
-            raise BackendFailureError("LLM_ENDPOINT and LLM_MODEL must be set for live mode")
-
-    def complete(self, prompt: str) -> str:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        body = json.dumps({"model": self.model, "messages": [{"role": "user", "content": prompt}]})
-        try:
-            reply = http_request("POST", self.endpoint, data=body.encode("utf-8"),
-                                 headers=headers, timeout=120)
-            if reply.status != 200:
-                raise ValueError(f"HTTP {reply.status}")
-            content = json.loads(reply.body)["choices"][0]["message"]["content"]
-            if not isinstance(content, str):
-                raise TypeError("the reply's content is not a string")
-        except (TransportError, ValueError, LookupError, TypeError) as exc:
-            raise BackendFailureError(f"completion request failed: {exc!r}") from exc
-        return content
 
 
 # --- extraction -------------------------------------------------------------
@@ -276,35 +192,36 @@ def bind_queries(
 
 
 def _rounds(
-    backend: CompletionBackend, template: PromptTemplate, bindings: dict[str, str], max_rounds: int
+    transport: Transport,
+    pacer: RequestPacer | None,
+    template: PromptTemplate,
+    bindings: dict[str, str],
+    max_rounds: int,
 ) -> Iterator[str]:
     """Yield the completion of each round, at most ``max_rounds`` of them.
 
     The first prompt is the rendered body; each later round appends a blank
     line and the next follow-up (the last one repeats) to the transcript, so
-    every round's prompt, and therefore its fixture key, is distinct. Any
-    backend error but an ``OSError`` (a replay fixture that cannot be read, or a
-    recording that cannot be written) is raised as a :class:`BackendFailureError`.
+    every round's prompt, and therefore its fixture key, is distinct. One
+    ``pacer`` (a new one by default) spaces the rounds' requests. A failed
+    completion raises what :func:`~shiftminer.sources.fetch_completion` raises.
     """
+    pacer = pacer or pacer_for(transport)
     followups = [render_text(fu, bindings) for fu in template.followups]
     transcript = render_text(template.body, bindings)
     for round_no in range(1, max_rounds + 1):
         if round_no > 1:
             transcript += "\n\n" + followups[min(round_no - 2, len(followups) - 1)]
-        try:
-            completion = backend.complete(transcript)
-        except (BackendFailureError, OSError):
-            raise
-        except Exception as exc:
-            raise BackendFailureError(f"backend {backend.name} failed: {exc}") from exc
-        yield completion
+        yield fetch_completion(transcript, transport, pacer)
 
 
 def generate_queries(
     source: Source,
-    backend: CompletionBackend,
+    transport: Transport,
     query_count: int = 50,
     max_rounds: int = 2,
+    *,
+    pacer: RequestPacer | None = None,
 ) -> list[SourceQuery]:
     """Prompt, extract, bind, and dedup until ``query_count`` queries hold,
     over at most ``max_rounds`` rounds of :data:`QUERY_TEMPLATE`."""
@@ -313,7 +230,7 @@ def generate_queries(
         "query_count": str(query_count),
     }
     accepted: list[SourceQuery] = []
-    rounds = _rounds(backend, QUERY_TEMPLATE, bindings, max_rounds)
+    rounds = _rounds(transport, pacer, QUERY_TEMPLATE, bindings, max_rounds)
     for round_no, completion in enumerate(rounds, start=1):
         try:
             raw_objects = extract_query_objects(completion)
@@ -373,11 +290,13 @@ def parse_source_table(text: str) -> list[dict]:
     return entries
 
 
-def discover_sources(backend: CompletionBackend, max_rounds: int = 1) -> list[dict]:
+def discover_sources(
+    transport: Transport, max_rounds: int = 1, *, pacer: RequestPacer | None = None
+) -> list[dict]:
     """Run the discovery prompt and parse the returned tables (informational);
     an entry whose name an earlier one has is dropped."""
     unique: dict[str, dict] = {}
-    for completion in _rounds(backend, DISCOVERY_TEMPLATE, {}, max_rounds):
+    for completion in _rounds(transport, pacer, DISCOVERY_TEMPLATE, {}, max_rounds):
         for entry in parse_source_table(completion):
             unique.setdefault(entry["name"], entry)
     return list(unique.values())

@@ -1,17 +1,20 @@
-"""Connectors for the four public data-source APIs.
+"""Connectors for the four public data-source APIs, and the one way out to
+the network for them and for LLM completions.
 
 A :class:`SourceQuery` is a typed, validated request against one source.
 Execution goes through an injected transport so every test (and any
 offline run) can use recorded fixtures; live mode is the same code path
 with an HTTP client behind it. Responses are normalized into
-:class:`~shiftminer.series.TimeSeries` values at the original stage.
+:class:`~shiftminer.series.TimeSeries` values at the original stage. A
+completion is one more request, of source :data:`COMPLETION`, recorded,
+replayed, retried and paced like the others.
 
 Everything that differs between sources lives in :data:`CONNECTORS`,
 one :class:`Connector` record per source.
 
 Credentials come from the environment only (``FRED_API_KEY``,
-``EIA_API_KEY``); they are attached to live requests but excluded from
-fixture keys and never written to fixture files.
+``EIA_API_KEY``, ``LLM_API_KEY``); they are attached to live requests but
+excluded from fixture keys and never written to fixture files.
 """
 
 from __future__ import annotations
@@ -52,6 +55,12 @@ EIA_MAX_PAGES = 100
 MAX_ATTEMPTS = 5
 BASE_DELAY = 1.0
 MIN_REQUEST_INTERVAL = 0.5
+
+# the source of a completion request, and the seconds a live request waits
+# for its reply: a completion is generated while the client waits
+COMPLETION = "llm"
+REQUEST_TIMEOUT = 30.0
+COMPLETION_TIMEOUT = 120.0
 
 _FRED_ID_RE = re.compile(r"^[A-Z0-9_]+$")
 
@@ -308,6 +317,13 @@ class Request:
     method: str
     url: str
     params: tuple[tuple[str, str], ...]
+    body: bytes = b""
+    headers: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def target(self) -> str:
+        """The url, or the source of a completion replayed without an endpoint."""
+        return self.url or self.source
 
 
 @dataclass(frozen=True)
@@ -317,7 +333,12 @@ class Response:
 
 
 def canonical_request_key(request: Request) -> str:
-    """Fixture key: sha256 over method, url, and sorted params minus credentials."""
+    """Fixture key: sha256 over method, url, and sorted params minus credentials;
+    for a completion, the sha256 of its prompt alone, so that replay needs no
+    endpoint or model."""
+    if request.source == COMPLETION:
+        prompt = json.loads(request.body)["messages"][0]["content"]
+        return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
     params = sorted((k, v) for k, v in request.params if k != "api_key")
     blob = json.dumps(
         {"method": request.method, "url": request.url, "params": params}, sort_keys=True
@@ -378,15 +399,7 @@ class RequestPacer:
         self._last[source] = self.clock.now()
 
 
-def http_request(
-    method: str,
-    url: str,
-    params: Sequence[tuple[str, str]] = (),
-    *,
-    data: bytes | None = None,
-    headers: dict[str, str] | None = None,
-    timeout: float = 30.0,
-) -> Response:
+def _http_request(request: Request, timeout: float) -> Response:
     """One HTTP exchange. Every status, 429 and 5xx too, comes back as a
     :class:`Response` whose body is decoded with the declared charset (UTF-8
     when none is); a failed connection or a timeout raises :class:`TransportError`."""
@@ -395,19 +408,20 @@ def http_request(
     import urllib.error
     import urllib.request
 
-    query = f"?{urllib.parse.urlencode(params)}" if params else ""
-    headers = {"User-Agent": "shiftminer/0.1", **(headers or {})}
-    request = urllib.request.Request(url + query, data=data, headers=headers, method=method)
+    query = f"?{urllib.parse.urlencode(request.params)}" if request.params else ""
+    headers = {"User-Agent": "shiftminer/0.1", **dict(request.headers)}
+    outgoing = urllib.request.Request(request.url + query, data=request.body or None,
+                                      headers=headers, method=request.method)
     try:
         try:
-            reply = urllib.request.urlopen(request, timeout=timeout)
+            reply = urllib.request.urlopen(outgoing, timeout=timeout)
         except urllib.error.HTTPError as exc:  # a status to report, not a failure
             reply = exc
         with reply:
             raw = reply.read()
     except (OSError, http.client.HTTPException) as exc:
         # the query string stays out of the message: it may carry an API key
-        raise TransportError(f"{method} {url}: {exc}") from exc
+        raise TransportError(f"{request.method} {request.url}: {exc}") from exc
     try:
         body = raw.decode(reply.headers.get_content_charset("utf-8"), errors="replace")
     except LookupError:  # a charset name Python does not know
@@ -416,12 +430,14 @@ def http_request(
 
 
 class LiveTransport:
-    """Real HTTP client; network errors surface as retryable failures."""
+    """Real HTTP client; network errors surface as retryable failures. The
+    one place that decides how long a request waits for its reply."""
 
     mode = "live"
 
     def send(self, request: Request) -> Response:
-        return http_request(request.method, request.url, request.params)
+        timeout = COMPLETION_TIMEOUT if request.source == COMPLETION else REQUEST_TIMEOUT
+        return _http_request(request, timeout)
 
 
 class ReplayTransport:
@@ -440,7 +456,7 @@ class ReplayTransport:
         try:  # one open: no existence check that the read could race
             return read_fixture(path)
         except (FileNotFoundError, NotADirectoryError):
-            raise FixtureMissingError(f"no fixture {path} for {request.url}") from None
+            raise FixtureMissingError(f"no fixture {path} for {request.target}") from None
 
 
 def read_fixture(path: str | Path) -> Response:
@@ -506,16 +522,33 @@ def make_transport(mode: str, fixtures_root: str | Path) -> Transport:
 # --- request construction --------------------------------------------------
 
 
+def _from_env(name: str, mode: str, what: str) -> str | None:
+    """The value of the environment variable ``name``, required outside replay."""
+    value = os.environ.get(name)
+    if not value and mode != "replay":
+        raise AuthMissingError(f"{name} is required for {mode} access to {what}")
+    return value or None
+
+
 def _api_key_for(source: Source, mode: str) -> str | None:
     env_name = CONNECTORS[source].api_key_env
-    if env_name is None:
-        return None
-    key = os.environ.get(env_name)
-    if not key:
-        if mode == "replay":
-            return None
-        raise AuthMissingError(f"{env_name} is required for {mode} access to {source.value}")
-    return key
+    return _from_env(env_name, mode, source.value) if env_name else None
+
+
+def build_completion_request(prompt: str, mode: str) -> Request:
+    """A chat-completion request for ``prompt``. Outside replay it goes to
+    ``LLM_ENDPOINT`` for the model ``LLM_MODEL``, both required, with
+    ``LLM_API_KEY`` as a bearer token when set; replay, which keys on the
+    prompt alone, reads none of them."""
+    endpoint = model = None
+    headers = [("Content-Type", "application/json")]
+    if mode != "replay":
+        endpoint = _from_env("LLM_ENDPOINT", mode, "completions")
+        model = _from_env("LLM_MODEL", mode, "completions")
+        if api_key := os.environ.get("LLM_API_KEY"):
+            headers.append(("Authorization", f"Bearer {api_key}"))
+    body = json.dumps({"model": model, "messages": [{"role": "user", "content": prompt}]})
+    return Request(COMPLETION, "POST", endpoint or "", (), body.encode("utf-8"), tuple(headers))
 
 
 def build_fred_request(payload: FredQuery, api_key: str | None) -> Request:
@@ -857,7 +890,7 @@ CONNECTORS: dict[Source, Connector] = {
 
 # --- fetch ------------------------------------------------------------------
 
-def _pacer_for(transport: Transport) -> RequestPacer:
+def pacer_for(transport: Transport) -> RequestPacer:
     """A new pacer on the system clock; replay waits on a :class:`NullClock`."""
     return RequestPacer(NullClock() if transport.mode == "replay" else SystemClock())
 
@@ -878,13 +911,13 @@ def _execute(request: Request, transport: Transport, pacer: RequestPacer) -> Res
             if response.status == 200:
                 return response
             if response.status != 429 and not 500 <= response.status < 600:
-                raise UpstreamError(response.status, request.url)
+                raise UpstreamError(response.status, request.target)
             last_status = response.status
         if attempt < MAX_ATTEMPTS:
             pacer.clock.sleep(BASE_DELAY * 2 ** (attempt - 1))
     if last_status == 429:
-        raise RateLimitedError(f"{request.url}: still throttled after {MAX_ATTEMPTS} attempts")
-    raise UpstreamError(last_status or 0, f"{request.url}: retries exhausted")
+        raise RateLimitedError(f"{request.target}: still throttled after {MAX_ATTEMPTS} attempts")
+    raise UpstreamError(last_status or 0, f"{request.target}: retries exhausted")
 
 
 def fetch(
@@ -896,13 +929,36 @@ def fetch(
     """Execute one query with pacing, retry, and pagination; normalize the
     response(s) into original-stage series. Without a ``pacer`` the query
     gets its own (see :func:`fetch_all`)."""
-    pacer = pacer or _pacer_for(transport)
+    pacer = pacer or pacer_for(transport)
     key = _api_key_for(query.source, transport.mode)
 
     def send(request: Request) -> Response:
         return _execute(request, transport, pacer)
 
     return CONNECTORS[query.source].collect(query.payload, query.comment, key, send)
+
+
+def fetch_completion(prompt: str, transport: Transport, pacer: RequestPacer) -> str:
+    """The completion of ``prompt``, ``choices[0].message.content`` of the chat
+    reply to one :data:`COMPLETION` request, retried and paced like a data
+    request. A reply that is not a chat completion raises :class:`ParseError`."""
+    body = _execute(build_completion_request(prompt, transport.mode), transport, pacer).body
+    try:
+        content = json.loads(body)["choices"][0]["message"]["content"]
+        if not isinstance(content, str):
+            raise TypeError("the reply's content is not a string")
+    except (ValueError, LookupError, TypeError) as exc:
+        raise ParseError(f"not a chat completion: {exc!r}") from exc
+    return content
+
+
+def write_completion_fixture(root: str | Path, prompt: str, completion: str) -> Path:
+    """Record ``completion`` as the chat reply (status 200) to ``prompt`` under
+    ``root``, the :data:`COMPLETION` directory of a fixture tree, where replay
+    finds it."""
+    reply = json.dumps({"choices": [{"message": {"content": completion}}]})
+    return write_fixture(Path(root).parent, build_completion_request(prompt, "replay"),
+                         Response(200, reply))
 
 
 def fetch_all(
@@ -918,7 +974,7 @@ def fetch_all(
     credentials and missing fixtures abort the whole collection: both mean
     the run is misconfigured rather than the upstream flaking.
     """
-    pacer = pacer or _pacer_for(transport)
+    pacer = pacer or pacer_for(transport)
     collected: list[TimeSeries] = []
     failures: list[tuple[SourceQuery, str]] = []
     seen_ids: set[str] = set()

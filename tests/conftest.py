@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from dataclasses import dataclass
 from datetime import date, timedelta
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
 
 from shiftminer.series import Source, Stage, TimeSeries
-from shiftminer.sources import Request, Response
+from shiftminer.sources import LiveTransport, Request, Response
 
 
 def make_series(
@@ -77,6 +79,17 @@ class ScriptedTransport:
         if isinstance(item, Exception):
             raise item
         return item
+
+
+class LocalLive(LiveTransport):
+    """The live transport with each request sent to a local server, same path."""
+
+    def __init__(self, base_url: str) -> None:
+        self.base_url = base_url
+
+    def send(self, request):
+        url = self.base_url + urlsplit(request.url).path
+        return super().send(dataclasses.replace(request, url=url))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Modules of the package use each other only through public names, and
 nothing outside the package but the standard library and numpy; only
-``storage`` reads, writes, removes and lists files.
+``storage`` reads, writes, removes and lists files, and only ``sources``
+goes to the network.
 
 A name with a leading underscore is private to the module that defines
 it; another module that imports it or reads it as an attribute couples
@@ -336,4 +337,64 @@ def test_listing_checker_sees_every_form(tmp_path):
         "probe.py:9 calls glob",
         "probe.py:10 calls rglob",
         "probe.py:11 calls glob",
+    ]
+
+
+NETWORK_MODULES = ("urllib.request", "urllib.error", "http.client")
+NETWORK_CALLS = ("http_request", "_http_request")
+
+
+def network_uses(path: Path) -> list[str]:
+    """Every import in ``path`` of ``urllib.request``, ``urllib.error`` or
+    ``http.client``, in any form, and every call of ``http_request`` or
+    ``_http_request``, in line order."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not _internal(node):
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        found += [(node.lineno, f"{path.name}:{node.lineno} imports {name}")
+                  for name in names if name in NETWORK_MODULES]
+    found += [(node.lineno, f"{path.name}:{node.lineno} calls {name}")
+              for node, name, _ in calls(path) if name in NETWORK_CALLS]
+    return [text for _, text in sorted(found)]
+
+
+def test_only_sources_goes_to_the_network():
+    modules = [path for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "sources.py"]
+    assert len(modules) > 5
+    assert [use for path in modules for use in network_uses(path)] == []
+    assert network_uses(PACKAGE_DIR / "sources.py")  # the checker sees its one way out
+
+
+def test_network_checker_sees_every_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import urllib.request\n"
+        "import http.client as hc\n"
+        "from urllib.error import HTTPError\n"
+        "from urllib import request, parse\n"
+        "from http import client\n"
+        "import json, urllib.parse\n"
+        "from . import sources\n"
+        "from .sources import LiveTransport\n"
+        "def send(url, request_):\n"
+        "    sources.http_request('GET', url)\n"
+        "    http_request('GET', url)\n"
+        "    sources._http_request(request_, 30.0)\n"
+        "    return LiveTransport().send(request_), urllib.parse.urlencode({})\n"
+    )
+    assert network_uses(path) == [
+        "probe.py:1 imports urllib.request",
+        "probe.py:2 imports http.client",
+        "probe.py:3 imports urllib.error",
+        "probe.py:4 imports urllib.request",
+        "probe.py:5 imports http.client",
+        "probe.py:10 calls http_request",
+        "probe.py:11 calls http_request",
+        "probe.py:12 calls _http_request",
     ]

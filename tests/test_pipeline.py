@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 import re
@@ -29,13 +30,26 @@ from shiftminer.pipeline import (
     split_dataset,
     split_train_test,
 )
-from shiftminer.querygen import RecordBackend
+from shiftminer.querygen import (
+    DISCOVERY_TEMPLATE,
+    QUERY_TEMPLATE,
+    SOURCE_DISPLAY_NAMES,
+    render_text,
+)
 from shiftminer.series import Source, Stage
-from shiftminer.sources import load_queries
+from shiftminer.sources import (
+    RecordTransport,
+    build_completion_request,
+    RequestPacer,
+    Response,
+    load_queries,
+    read_fixture,
+    write_fixture,
+)
 from shiftminer.storage import DatasetManifest, load_stage
 
-from conftest import make_series, step_values
-from test_querygen import TWO_QUERY_TEXT, CannedBackend
+from conftest import LocalLive, Reply, ScriptedTransport, VirtualClock, make_series, step_values
+from test_querygen import TWO_QUERY_TEXT, chat_reply
 
 NOW = "2024-06-01T00:00:00+00:00"
 
@@ -243,6 +257,55 @@ class TestRun:
         manifest = run(config, now=NOW)
         assert manifest.notes["queries"] == "generated"
         assert manifest.count_original == 12
+
+
+LLM_ENV = {"LLM_ENDPOINT": "https://llm.test/v1/chat/completions", "LLM_MODEL": "m1",
+           "LLM_API_KEY": "llm-s3cret"}
+
+
+@pytest.mark.parametrize("source", ["fred", "eia", "yahoo", "trends"])
+def test_a_recorded_run_replays_to_the_same_tree(tmp_path, monkeypatch, http_server, source):
+    """A whole ``run`` in record mode against a local server, which answers the
+    completion and then the data requests, one 429 and one 503 among them,
+    waited out on a virtual clock; then a replay run of that recording, with
+    no variable set, writes the same tree."""
+    canned = demo.build_connector_fixtures(tmp_path / "canned")
+    query = next(q for q in load_queries(canned["queries"]) if q.source.value == source)
+    completion = read_fixture(demo.build_llm_fixture(tmp_path / "canned", [query], 1)).body
+    bodies = [read_fixture(path).body.encode("utf-8")
+              for name, path in canned.items() if name.startswith(source)]
+    http_server.replies += [Reply(429), Reply(200, completion.encode("utf-8")), Reply(503),
+                            *(Reply(200, body) for body in bodies)]
+    for name, value in {**LLM_ENV, "FRED_API_KEY": "fred-s3cret",
+                        "EIA_API_KEY": "eia-s3cret"}.items():
+        monkeypatch.setenv(name, value)
+    fixtures = tmp_path / "recorded"
+    config = PipelineConfig("rec", Source(source), transport_mode="record", query_count=1,
+                            output_dir=tmp_path / "live", fixtures_dir=fixtures, master_seed=3,
+                            augment=AugmentConfig(factor=3, master_seed=None))
+    clock = VirtualClock()
+    manifest = run(config, now=NOW, transport=RecordTransport(fixtures, LocalLive(http_server.url)),
+                   pacer=RequestPacer(clock))
+    assert (manifest.notes["queries"], manifest.count_original) == ("generated", 1)
+    assert manifest.count_augmented == 3 * manifest.count_pruned > 0
+    assert [method for method, *_ in http_server.received] == ["POST"] * 2 + ["GET"] * (
+        len(bodies) + 1)
+    assert http_server.received[0][1] == "/v1/chat/completions"
+    # backoff after the 429 and after the 503, then EIA's second page paced
+    assert clock.sleeps == [1.0, 1.0] + [0.5] * (len(bodies) - 1)
+    recorded = tree_bytes(fixtures)
+    prompt = render_text(QUERY_TEMPLATE.body, {
+        "source_name": SOURCE_DISPLAY_NAMES[Source(source)], "query_count": "1"})
+    fingerprint = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+    assert read_fixture(fixtures / "llm" / f"{fingerprint}.http").body == completion
+    assert len(recorded) == 1 + len(bodies)
+    assert not any(b"s3cret" in data for data in recorded.values())
+
+    for name in (*LLM_ENV, "FRED_API_KEY", "EIA_API_KEY"):
+        monkeypatch.delenv(name)
+    replayed = dataclasses.replace(config, transport_mode="replay", output_dir=tmp_path / "replay")
+    assert run(replayed, now=NOW) == manifest
+    assert tree_bytes(tmp_path / "replay") == tree_bytes(tmp_path / "live")
 
 
 def run_queries(config, queries, out: Path) -> dict[str, bytes]:
@@ -659,31 +722,68 @@ class TestCli:
         path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path)]) == 5
 
-    def test_record_mode_queries_stage_cannot_write_its_recording(self, tmp_path):
+    def test_record_mode_queries_stage_cannot_write_its_recording(self, tmp_path, monkeypatch):
+        for name, value in LLM_ENV.items():
+            monkeypatch.setenv(name, value)
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
         config = PipelineConfig("rec", Source.FRED, transport_mode="record",
                                 output_dir=tmp_path / "data", fixtures_dir=blocker / "fx")
+        live = ScriptedTransport([Response(200, chat_reply(TWO_QUERY_TEXT))])
         with pytest.raises(StageError) as err:
-            run(config, backend=RecordBackend(blocker / "fx" / "llm", CannedBackend()))
+            run(config, transport=RecordTransport(blocker / "fx", live))
         assert err.value.stage == "queries"
         assert isinstance(err.value.cause, OSError)
         assert err.value.cause.filename == str(blocker / "fx" / "llm")
 
-    @pytest.mark.parametrize("reply, code", [(TWO_QUERY_TEXT, 5), (ValueError("bad reply"), 3)],
+    @pytest.mark.parametrize("endpoint, code", [(True, 5), (False, 3)],
                              ids=["unwritable-recording", "backend-error"])
     def test_exit_code_record_mode_query_generation(self, tmp_path, monkeypatch, capsys,
-                                                    reply, code):
-        """An unwritable recording is an I/O error; any other backend error a collect error."""
+                                                    http_server, endpoint, code):
+        """An unwritable recording is an I/O error; a completion that fails
+        before it is recorded, here for want of ``LLM_ENDPOINT``, a collect error."""
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        monkeypatch.setattr("shiftminer.querygen.HttpBackend", lambda: CannedBackend(reply))
+        monkeypatch.setenv("LLM_MODEL", "m1")
+        if endpoint:
+            monkeypatch.setenv("LLM_ENDPOINT", http_server.url)
+            http_server.replies += [Reply(200, chat_reply(TWO_QUERY_TEXT).encode())] * 2
+        else:
+            monkeypatch.delenv("LLM_ENDPOINT", raising=False)
         config = {"dataset_name": "rec", "source": "fred", "transport_mode": "record",
                   "output_dir": str(tmp_path / "data"), "fixtures_dir": str(blocker / "fx")}
         config_path = storage.write_document(tmp_path / "rec.json", config)
         assert main(["run", "--config", str(config_path)]) == code
         assert main(["generate-queries", "--source", "fred", "--transport", "record",
                      "--fixtures", str(blocker / "fx"), "--out", str(tmp_path / "q.json")]) == code
+
+    @pytest.mark.parametrize("command", ["generate-queries", "discover", "run", "collect"])
+    @pytest.mark.parametrize("reply, message", [
+        (None, "no fixture {path} for llm"),
+        (Response(404, "{}"), "HTTP 404: llm"),
+        (Response(503, "busy"), "HTTP 503: llm: retries exhausted"),
+        (Response(200, '{"choices": []}'), "not a chat completion"),
+    ], ids=["missing", "not-found", "retries-run-out", "not-a-chat-completion"])
+    def test_every_completion_failure_exits_3(self, tmp_path, capsys, command, reply, message):
+        fixtures = tmp_path / "fx"
+        template, bindings = QUERY_TEMPLATE, {"source_name": "FRED", "query_count": "50"}
+        if command == "discover":
+            template, bindings = DISCOVERY_TEMPLATE, {}
+        request = build_completion_request(render_text(template.body, bindings), "replay")
+        path = sources.ReplayTransport(fixtures).fixture_path(request)
+        if reply is not None:
+            assert write_fixture(fixtures, request, reply) == path
+        config = storage.write_document(tmp_path / "cfg.json", {
+            "dataset_name": "gen", "source": "fred", "output_dir": str(tmp_path / "data"),
+            "fixtures_dir": "fx"})
+        args = {"generate-queries": ["--source", "fred", "--out", str(tmp_path / "q.json")],
+                "discover": ["--out", str(tmp_path / "catalog.json")]}.get(
+            command, ["--config", str(config)])
+        if command in ("generate-queries", "discover"):
+            args += ["--fixtures", str(fixtures)]
+        assert main([command, *args]) == 3
+        assert message.format(path=path) in capsys.readouterr().err
+        assert not (tmp_path / "data").exists() and not (tmp_path / "q.json").exists()
 
     def test_prune_and_augment_subcommands(self, mini_corpus, capsys):
         config_path = str(mini_corpus["config_path"])

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import re
 from datetime import date
 
 import pytest
@@ -9,14 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftminer.querygen import (
-    BackendFailureError,
     DISCOVERY_TEMPLATE,
-    HttpBackend,
     MissingBindingError,
     NoQueriesFoundError,
     QUERY_TEMPLATE,
-    RecordBackend,
-    ReplayBackend,
     bind_queries,
     discover_sources,
     extract_query_objects,
@@ -26,9 +24,22 @@ from shiftminer.querygen import (
     write_completion_fixture,
 )
 from shiftminer.series import Source
-from shiftminer.sources import EiaQuery, FredQuery
+from shiftminer.sources import (
+    AuthMissingError,
+    EiaQuery,
+    FixtureMissingError,
+    FredQuery,
+    ParseError,
+    RecordTransport,
+    ReplayTransport,
+    RequestPacer,
+    Response,
+    UpstreamError,
+    fetch_completion,
+    read_fixture,
+)
 
-from conftest import Reply
+from conftest import LocalLive, Reply, ScriptedTransport, VirtualClock
 
 # Two query objects in the shape a completion mixes them: a macro series
 # pick and an energy API route, each with a one-line justification.
@@ -154,18 +165,22 @@ class TestBind:
             assert validate_query(q) == []
 
 
+def chat_reply(content) -> str:
+    """The body of a chat-completion reply whose first choice says ``content``."""
+    return json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]})
+
+
 class TestGenerate:
-    def _backend_with(self, tmp_path, completions, query_count=50):
+    def _replay_with(self, tmp_path, completions, query_count=50):
         """First-round prompt plus growing transcript, fixture per round."""
-        backend = ReplayBackend(tmp_path)
         bindings = {"source_name": "FRED", "query_count": str(query_count)}
         transcript = render_text(QUERY_TEMPLATE.body, bindings)
         followup = render_text(QUERY_TEMPLATE.followups[0], bindings)
         for i, completion in enumerate(completions):
             if i > 0:
                 transcript += "\n\n" + followup
-            write_completion_fixture(tmp_path, transcript, completion)
-        return backend
+            write_completion_fixture(tmp_path / "llm", transcript, completion)
+        return ReplayTransport(tmp_path)
 
     @staticmethod
     def _fred_objects(start, count):
@@ -183,16 +198,16 @@ class TestGenerate:
 
     def test_single_round_full_batch(self, tmp_path):
         completion = "```json\n" + self._fred_objects(0, 50) + "\n```"
-        backend = self._backend_with(tmp_path, [completion])
-        queries = generate_queries(Source.FRED, backend, query_count=50, max_rounds=2)
+        transport = self._replay_with(tmp_path, [completion])
+        queries = generate_queries(Source.FRED, transport, query_count=50, max_rounds=2)
         assert len(queries) == 50
 
     def test_second_round_tops_up_and_caps(self, tmp_path):
         malformed = ', {"series_id": 1, "start_date": "nope"}' * 5
         first = "```json\n" + self._fred_objects(0, 30)[:-1] + malformed + "]\n```"
         second = "```json\n" + self._fred_objects(100, 25) + "\n```"
-        backend = self._backend_with(tmp_path, [first, second])
-        queries = generate_queries(Source.FRED, backend, query_count=50, max_rounds=2)
+        transport = self._replay_with(tmp_path, [first, second])
+        queries = generate_queries(Source.FRED, transport, query_count=50, max_rounds=2)
         assert len(queries) == 50
         ids = [q.payload.series_id for q in queries]
         assert ids[:30] == [f"SER{i:03d}" for i in range(30)]
@@ -200,19 +215,21 @@ class TestGenerate:
 
     def test_duplicates_merged_across_rounds(self, tmp_path):
         first = "```json\n" + self._fred_objects(0, 10) + "\n```"
-        backend = self._backend_with(tmp_path, [first, first.replace("window", "again")])
-        queries = generate_queries(Source.FRED, backend, query_count=50, max_rounds=2)
+        transport = self._replay_with(tmp_path, [first, first.replace("window", "again")])
+        queries = generate_queries(Source.FRED, transport, query_count=50, max_rounds=2)
         assert len(queries) == 10
 
-    def test_backend_failure(self, tmp_path):
-        backend = ReplayBackend(tmp_path)  # no fixtures at all
-        with pytest.raises(BackendFailureError):
-            generate_queries(Source.FRED, backend, query_count=5, max_rounds=1)
+    def test_missing_completion_fixture(self, tmp_path):
+        transport = ReplayTransport(tmp_path)  # no fixtures at all
+        prompt = render_text(QUERY_TEMPLATE.body, {"source_name": "FRED", "query_count": "5"})
+        path = tmp_path / "llm" / f"{hashlib.sha256(prompt.encode()).hexdigest()}.http"
+        with pytest.raises(FixtureMissingError, match=f"^no fixture {re.escape(str(path))} for llm$"):
+            generate_queries(Source.FRED, transport, query_count=5, max_rounds=1)
 
     def test_no_queries_after_rounds(self, tmp_path):
-        backend = self._backend_with(tmp_path, ["nothing useful", "still nothing"], query_count=5)
+        transport = self._replay_with(tmp_path, ["nothing useful", "still nothing"], query_count=5)
         with pytest.raises(NoQueriesFoundError):
-            generate_queries(Source.FRED, backend, query_count=5, max_rounds=2)
+            generate_queries(Source.FRED, transport, query_count=5, max_rounds=2)
 
 
 class TestCatalog:
@@ -253,17 +270,18 @@ Search & Google Trends & Search interest over time & No &  &  \\
 
     def test_discover_via_replay(self, tmp_path):
         prompt = render_text(DISCOVERY_TEMPLATE.body, {})
-        write_completion_fixture(tmp_path, prompt, self.LATEX)
-        entries = discover_sources(ReplayBackend(tmp_path))
+        write_completion_fixture(tmp_path / "llm", prompt, self.LATEX)
+        entries = discover_sources(ReplayTransport(tmp_path))
         assert len(entries) == 3
 
     def test_discover_two_rounds_keeps_the_first_of_a_name(self, tmp_path):
         first = render_text(DISCOVERY_TEMPLATE.body, {})
-        write_completion_fixture(tmp_path, first, self.LATEX)
+        write_completion_fixture(tmp_path / "llm", first, self.LATEX)
         again = ("| Economics | FRED | Another description | No | | |\n"
                  "| Finance | Yahoo Finance | Market quotes | Yes | | |\n")
-        write_completion_fixture(tmp_path, first + "\n\n" + DISCOVERY_TEMPLATE.followups[0], again)
-        entries = discover_sources(ReplayBackend(tmp_path), max_rounds=2)
+        write_completion_fixture(tmp_path / "llm", first + "\n\n" + DISCOVERY_TEMPLATE.followups[0],
+                                 again)
+        entries = discover_sources(ReplayTransport(tmp_path), max_rounds=2)
         assert [e["name"] for e in entries] == [
             "FRED", "EIA Open Data", "Google Trends", "Yahoo Finance",
         ]
@@ -271,59 +289,59 @@ Search & Google Trends & Search interest over time & No &  &  \\
         assert entries[0]["has_api"] is True
 
 
-def test_replay_backend_deterministic(tmp_path):
+def test_replay_deterministic(tmp_path):
     prompt = render_text(QUERY_TEMPLATE.body, {"source_name": "FRED", "query_count": "3"})
-    write_completion_fixture(tmp_path, prompt, '{"series_id": "A", "start_date": "2020-01-01", "end_date": "2021-01-01"}')
-    backend = ReplayBackend(tmp_path)
-    first = generate_queries(Source.FRED, backend, query_count=3, max_rounds=1)
-    second = generate_queries(Source.FRED, backend, query_count=3, max_rounds=1)
+    write_completion_fixture(tmp_path / "llm", prompt, '{"series_id": "A", "start_date": "2020-01-01", "end_date": "2021-01-01"}')
+    transport = ReplayTransport(tmp_path)
+    first = generate_queries(Source.FRED, transport, query_count=3, max_rounds=1)
+    second = generate_queries(Source.FRED, transport, query_count=3, max_rounds=1)
     assert first == second
 
 
-def test_replay_backend_returns_the_completion_as_recorded(tmp_path):
+def test_replay_returns_the_completion_as_recorded(tmp_path, monkeypatch):
+    """A completion fixture is a chat reply of status 200 under ``llm/``, named by
+    the prompt's sha256; replay reads no LLM_* variable, even when one is set."""
     completion = '```json\r\n[{"series_id": "A"}]\r\n```\r\nÖlpreis\r'
-    write_completion_fixture(tmp_path, "a prompt", completion)
-    backend = ReplayBackend(tmp_path)
-    assert backend.complete("a prompt") == completion
-    with pytest.raises(BackendFailureError, match="no completion fixture .*txt$"):
-        backend.complete("another prompt")
+    path = write_completion_fixture(tmp_path / "llm", "a prompt", completion)
+    assert path == tmp_path / "llm" / f"{hashlib.sha256(b'a prompt').hexdigest()}.http"
+    assert read_fixture(path) == Response(200, json.dumps(
+        {"choices": [{"message": {"content": completion}}]}))
+    monkeypatch.setenv("LLM_ENDPOINT", "https://llm.test/v1")
+    pacer = RequestPacer(VirtualClock())
+    assert fetch_completion("a prompt", ReplayTransport(tmp_path), pacer) == completion
+    with pytest.raises(FixtureMissingError, match=r"\.http for llm$"):
+        fetch_completion("another prompt", ReplayTransport(tmp_path), pacer)
 
 
-class CannedBackend:
-    """A live backend's stand-in: answers every prompt with ``reply``, or raises it."""
-
-    name = "canned"
-
-    def __init__(self, reply: str | Exception = TWO_QUERY_TEXT) -> None:
-        self.reply = reply
-
-    def complete(self, prompt):
-        if isinstance(self.reply, Exception):
-            raise self.reply
-        return self.reply
-
-
-def test_a_recording_that_cannot_be_written_is_an_io_failure(tmp_path):
+def test_a_recording_that_cannot_be_written_is_an_io_failure(tmp_path, monkeypatch):
+    monkeypatch.setenv("LLM_ENDPOINT", "https://llm.test/v1/chat/completions")
+    monkeypatch.setenv("LLM_MODEL", "m1")
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
-    backend = RecordBackend(blocker / "llm", CannedBackend())
+    live = ScriptedTransport([Response(200, chat_reply(TWO_QUERY_TEXT))])
     with pytest.raises(NotADirectoryError) as err:
-        generate_queries(Source.FRED, backend, query_count=2, max_rounds=1)
+        generate_queries(Source.FRED, RecordTransport(blocker, live), query_count=2, max_rounds=1)
     assert err.value.filename == str(blocker / "llm")
 
 
-class TestHttpBackend:
+class TestLiveCompletion:
+    """A completion sent to a chat endpoint through the live transport, with
+    the data requests' retry schedule on a virtual clock."""
+
     @pytest.fixture
-    def backend(self, http_server, monkeypatch):
-        monkeypatch.setenv("LLM_ENDPOINT", f"{http_server.url}/v1/chat/completions")
+    def live(self, http_server, monkeypatch):
+        monkeypatch.setenv("LLM_ENDPOINT", "https://llm.test/v1/chat/completions")
         monkeypatch.setenv("LLM_MODEL", "m1")
         monkeypatch.setenv("LLM_API_KEY", "s3cret")
-        return HttpBackend()
+        self.clock = VirtualClock()
+        return LocalLive(http_server.url)
 
-    def test_chat_completion(self, backend, http_server):
-        reply = {"choices": [{"message": {"role": "assistant", "content": TWO_QUERY_TEXT}}]}
-        http_server.replies.append(Reply(200, json.dumps(reply).encode()))
-        assert backend.complete("list queries") == TWO_QUERY_TEXT
+    def complete(self, transport, prompt="list queries"):
+        return fetch_completion(prompt, transport, RequestPacer(self.clock))
+
+    def test_chat_completion(self, live, http_server):
+        http_server.replies.append(Reply(200, chat_reply(TWO_QUERY_TEXT).encode()))
+        assert self.complete(live) == TWO_QUERY_TEXT
         method, path, headers, body = http_server.received[0]
         assert (method, path) == ("POST", "/v1/chat/completions")
         assert headers["Authorization"] == "Bearer s3cret"
@@ -332,22 +350,49 @@ class TestHttpBackend:
             "model": "m1", "messages": [{"role": "user", "content": "list queries"}],
         }
 
-    def test_no_authorization_without_key(self, http_server, monkeypatch):
-        monkeypatch.setenv("LLM_ENDPOINT", http_server.url)
-        monkeypatch.setenv("LLM_MODEL", "m1")
-        monkeypatch.delenv("LLM_API_KEY", raising=False)
-        reply = {"choices": [{"message": {"content": "ok"}}]}
-        http_server.replies.append(Reply(200, json.dumps(reply).encode()))
-        assert HttpBackend().complete("p") == "ok"
+    def test_no_authorization_without_key(self, live, http_server, monkeypatch):
+        monkeypatch.delenv("LLM_API_KEY")
+        http_server.replies.append(Reply(200, chat_reply("ok").encode()))
+        assert self.complete(live, "p") == "ok"
         assert "Authorization" not in http_server.received[0][2]
 
+    @pytest.mark.parametrize("name", ["LLM_ENDPOINT", "LLM_MODEL"])
+    def test_endpoint_and_model_are_required(self, live, http_server, monkeypatch, name):
+        monkeypatch.delenv(name)
+        with pytest.raises(AuthMissingError, match=f"{name} is required for live access"):
+            self.complete(live)
+        assert http_server.received == []
+
+    def test_throttled_then_ok_retries(self, live, http_server):
+        http_server.replies += [Reply(429), Reply(200, chat_reply("ok").encode())]
+        assert self.complete(live) == "ok"
+        assert len(http_server.received) == 2 and self.clock.sleeps == [1.0]
+
+    def test_server_error_until_retries_run_out(self, live, http_server):
+        http_server.replies += [Reply(500, b'{"error": "overloaded"}')] * 5
+        with pytest.raises(UpstreamError) as err:
+            self.complete(live)
+        assert err.value.status == 500
+        assert len(http_server.received) == 5 and self.clock.sleeps == [1.0, 2.0, 4.0, 8.0]
+
     @pytest.mark.parametrize("reply", [
-        Reply(500, b'{"error": "overloaded"}'),
         Reply(200, b'{"choices": [{"message": '),
         Reply(200, b'{"choices": []}'),
         Reply(200, b'{"choices": [{"message": {"content": null}}]}'),
-    ], ids=["server-error", "truncated", "no-choice", "null-content"])
-    def test_failures(self, backend, http_server, reply):
+    ], ids=["truncated", "no-choice", "null-content"])
+    def test_a_reply_that_is_not_a_chat_completion(self, live, http_server, reply):
         http_server.replies.append(reply)
-        with pytest.raises(BackendFailureError):
-            backend.complete("list queries")
+        with pytest.raises(ParseError, match="not a chat completion"):
+            self.complete(live)
+        assert len(http_server.received) == 1
+
+    def test_recorded_without_the_key_and_replayed_without_the_endpoint(
+        self, live, http_server, monkeypatch, tmp_path
+    ):
+        http_server.replies.append(Reply(200, chat_reply("Zürich ☃\r\n").encode()))
+        assert self.complete(RecordTransport(tmp_path, live)) == "Zürich ☃\r\n"
+        (fixture,) = (tmp_path / "llm").iterdir()
+        assert "s3cret" not in fixture.read_text(encoding="utf-8")
+        for name in ("LLM_ENDPOINT", "LLM_MODEL", "LLM_API_KEY"):
+            monkeypatch.delenv(name)
+        assert self.complete(ReplayTransport(tmp_path)) == "Zürich ☃\r\n"

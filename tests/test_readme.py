@@ -46,3 +46,10 @@ def test_retry_schedule_is_the_sources_constants():
     delays = [*map(float, backoff.split(", ")), float(last)]
     assert delays == [sources.BASE_DELAY * 2 ** i for i in range(sources.MAX_ATTEMPTS - 1)]
     assert float(pace) == sources.MIN_REQUEST_INTERVAL
+
+
+def test_timeouts_are_the_sources_constants():
+    data, completion = re.search(
+        r"time out after (\d+) s\s+\((\d+) s for a completion\)", README).groups()
+    assert (float(data), float(completion)) == (sources.REQUEST_TIMEOUT,
+                                                sources.COMPLETION_TIMEOUT)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftminer import demo, sources
+from shiftminer import demo, querygen, sources
 from shiftminer.cli import main
 from shiftminer.sources import Request, Response
 
@@ -272,6 +273,61 @@ def test_convert_fixtures_names_a_file_whose_key_differs(tmp_path):
     result = convert_fixtures(tmp_path)
     assert result.returncode == 1
     assert f"cannot convert {moved}" in result.stderr
+    assert list(tmp_path.glob("*/*.http")) == []  # checked before anything is written
+
+
+# Two rounds of completions for ``generate-queries --source fred --count 3
+# --max-rounds 2``, with CRLF, a lone CR and non-ASCII text, as an older
+# recorder stored them: ``llm/<sha256 of the prompt>.txt``, the text as received.
+OLD_COMPLETIONS = [
+    'Here:\r\n```json\r\n[{"series_id": "UNRATE", "start_date": "2007-01-01", '
+    '"end_date": "2013-01-01", "comment": "Ölpreis – 原油"}]\r\n```\r\n',
+    '{"series_id": "GDP", "start_date": "2005-01-01", "end_date": "2012-01-01"} then '
+    '{"series_id": "UNRATE", "start_date": "2007-01-01", "end_date": "2013-01-01"} and\n'
+    '{"series_id": "CPIAUCSL", "start_date": "2001-01-01", "end_date": "2003-01-01", '
+    '"comment": "a\\r\\nb"}\r',
+]
+# sha256 of the query file that generate-queries wrote from those ``.txt`` files
+# before completions were recorded as chat replies
+OLD_QUERY_FILE_SHA256 = "98cd263ecb29d13d3ce812ec6e484fd5121530cd7894c509342f6f49f2f84161"
+
+
+def old_completion_tree(root: Path) -> dict[Path, bytes]:
+    bindings = {"source_name": "FRED", "query_count": "3"}
+    first = querygen.render_text(querygen.QUERY_TEMPLATE.body, bindings)
+    prompts = [first, first + "\n\n" + querygen.render_text(querygen.QUERY_TEMPLATE.followups[0],
+                                                             bindings)]
+    old = {}
+    for prompt, text in zip(prompts, OLD_COMPLETIONS):
+        path = root / "llm" / f"{hashlib.sha256(prompt.encode('utf-8')).hexdigest()}.txt"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode("utf-8"))
+        old[path] = text.encode("utf-8")
+    return old
+
+
+def test_convert_fixtures_replays_old_completions_as_before(tmp_path, capsys):
+    root = tmp_path / "fixtures"
+    old = old_completion_tree(root)
+    result = convert_fixtures(root)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"converted 2 fixtures under {root}\n"
+    assert {path: path.read_bytes() for path in root.glob("llm/*.txt")} == old  # left in place
+    assert sorted(p.name for p in root.glob("llm/*.http")) == sorted(
+        path.with_suffix(".http").name for path in old)
+    out = tmp_path / "q.json"
+    assert main(["generate-queries", "--source", "fred", "--count", "3", "--max-rounds", "2",
+                 "--out", str(out), "--fixtures", str(root)]) == 0, capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OLD_QUERY_FILE_SHA256
+
+
+def test_convert_fixtures_names_a_completion_that_is_not_named_by_a_sha256(tmp_path):
+    good = min(old_completion_tree(tmp_path))
+    bad = good.with_stem(good.stem.upper())
+    bad.write_text("a completion")
+    result = convert_fixtures(tmp_path)
+    assert result.returncode == 1
+    assert f"cannot convert {bad}" in result.stderr
     assert list(tmp_path.glob("*/*.http")) == []  # checked before anything is written
 
 

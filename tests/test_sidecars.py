@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from shiftminer.series import MAX_SEED, AugmentMethod, Provenance, Source, Stage, TimeSeries
@@ -218,8 +218,9 @@ ANY_JSON = st.recursive(
 
 
 @st.composite
-def stored_series(draw) -> TimeSeries:
-    stage = draw(st.sampled_from(Stage))
+def stored_series(draw, stage: Stage | None = None) -> TimeSeries:
+    """A two-row series of ``stage``, or of a drawn one."""
+    stage = stage or draw(st.sampled_from(Stage))
     provenance = None if stage is not Stage.AUGMENTED else Provenance(
         draw(st.text(min_size=1, max_size=6)), draw(st.sampled_from(AugmentMethod)),
         draw(st.integers(0, MAX_SEED)), draw(st.booleans()))
@@ -251,18 +252,32 @@ def typed_meta(doc: dict) -> SeriesMeta | None:
 
 SWAPPABLE = ["id", "source", "stage", "comment", "provenance", "provenance.parent_id",
              "provenance.method", "provenance.seed", "provenance.shift_verified"]
+# well-typed fields that break one stage rule in a sidecar of a series of ``stage``
+STAGE_FAULTS = {
+    "another stage": lambda stage: {"stage": next(s.value for s in Stage if s is not stage)},
+    "empty id": lambda stage: {"id": ""},
+    "augmented without provenance": lambda stage: {"provenance": None},
+    "pruned with provenance": lambda stage: {"provenance": {
+        "parent_id": "p", "method": "time_warp", "seed": 1, "shift_verified": True}},
+}
+FAULT_STAGES = {"augmented without provenance": Stage.AUGMENTED,
+                "pruned with provenance": Stage.PRUNED}  # the stage a fault needs, if one
 
 
-@given(stored_series(), st.sets(st.sampled_from(SWAPPABLE), max_size=2), st.data())
+@given(st.none() | st.sampled_from(list(STAGE_FAULTS)),
+       st.sets(st.sampled_from(SWAPPABLE), max_size=2), st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_sidecar_reads_as_written_or_is_malformed(tmp_path_factory, series, swapped, data):
+def test_sidecar_reads_as_written_or_is_malformed(tmp_path_factory, fault, swapped, data):
     """A written sidecar with up to two fields (of it or of its provenance
-    record) swapped for any JSON value, read by ``load_stage_meta`` from the
-    directory of the series' stage: a document of well-typed fields that keeps
-    the stage rules reads as its SeriesMeta (the written one when none was
-    swapped), one that breaks them raises MalformedFileError naming the CSV, any
-    other raises MalformedFileError naming the sidecar, and no other exception
-    escapes."""
+    record) swapped for any JSON value, and then perhaps one of the
+    :data:`STAGE_FAULTS`, read by ``load_stage_meta`` from the directory of the
+    series' stage: a document of well-typed fields that keeps the stage rules
+    reads as its SeriesMeta (the written one when nothing was changed), one that
+    breaks them raises MalformedFileError naming the CSV, any other raises
+    MalformedFileError naming the sidecar, and no other exception escapes. Each
+    outcome is a hypothesis ``event``: ``--hypothesis-show-statistics`` shows
+    how many examples reached it."""
+    series = data.draw(stored_series(FAULT_STAGES.get(fault)))
     root = tmp_path_factory.mktemp("sidecars")
     path = save_series(series, stage_dir(root, "ds", series.stage))
     sidecar = path.with_name(f"{series.id}.meta.json")
@@ -273,15 +288,20 @@ def test_sidecar_reads_as_written_or_is_malformed(tmp_path_factory, series, swap
             doc[key] = data.draw(ANY_JSON)
         elif type(doc["provenance"]) is dict:
             doc["provenance"][inner] = data.draw(ANY_JSON)
+    if fault is not None:
+        doc.update(STAGE_FAULTS[fault](series.stage))
     sidecar.write_text(json.dumps(doc))
     expected = typed_meta(doc)
     if expected is None:
+        event("malformed")
         with pytest.raises(MalformedFileError, match=re.escape(f"{sidecar}: bad sidecar")):
             load_stage_meta(root, "ds", series.stage)
     elif expected.stage is series.stage and expected.id and (
             (expected.stage is Stage.AUGMENTED) == (expected.provenance is not None)):
+        event("reads as written")
         assert load_stage_meta(root, "ds", series.stage) == [expected]
-        assert swapped or expected == meta_of(series)
+        assert swapped or fault or expected == meta_of(series)
     else:
+        event(f"breaks a stage rule: {fault or 'a swap'} ({series.stage.value})")
         with pytest.raises(MalformedFileError, match=re.escape(f"{path}: ")):
             load_stage_meta(root, "ds", series.stage)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from shiftminer import demo
+from shiftminer import demo, sources
 from shiftminer.series import Source, Stage
 from shiftminer.sources import (
     CONNECTORS,
@@ -37,6 +37,7 @@ from shiftminer.sources import (
     TrendsQuery,
     UpstreamError,
     YahooQuery,
+    build_completion_request,
     build_eia_request,
     build_fred_request,
     build_trends_request,
@@ -48,7 +49,6 @@ from shiftminer.sources import (
     fetch,
     fetch_all,
     fred_response_to_series,
-    http_request,
     known_fields,
     load_queries,
     query_from_raw,
@@ -61,7 +61,7 @@ from shiftminer.sources import (
     yahoo_response_to_series,
 )
 
-from conftest import Reply, ScriptedTransport, VirtualClock
+from conftest import LocalLive, Reply, ScriptedTransport, VirtualClock
 
 FRED_URL = "https://api.stlouisfed.org/fred/series/observations"
 
@@ -234,17 +234,6 @@ class TestRetryAndPacing:
             fetch(UNRATE, transport, pacer=RequestPacer(clock))
 
 
-class LocalLive(LiveTransport):
-    """The live transport with each request sent to a local server, same path."""
-
-    def __init__(self, base_url: str) -> None:
-        self.base_url = base_url
-
-    def send(self, request):
-        url = self.base_url + urlsplit(request.url).path
-        return super().send(dataclasses.replace(request, url=url))
-
-
 class TestLiveTransport:
     def _fetch(self, server, clock=None):
         clock = clock or VirtualClock()
@@ -288,10 +277,11 @@ class TestLiveTransport:
         assert err.value.status == 503
         assert len(http_server.received) == 5
 
-    def test_timeout_and_refused_connection_are_transport_errors(self, http_server):
+    def test_timeout_and_refused_connection_are_transport_errors(self, http_server, monkeypatch):
         http_server.replies.append(Reply(200, b"late", delay=1.0))
+        monkeypatch.setattr(sources, "REQUEST_TIMEOUT", 0.1)
         with pytest.raises(TransportError, match="timed out"):
-            http_request("GET", http_server.url, timeout=0.1)
+            LocalLive(http_server.url).send(build_fred_request(UNRATE.payload, api_key=None))
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
             closed_port = sock.getsockname()[1]
@@ -620,6 +610,39 @@ def test_request_key_excludes_credentials():
     with_key = build_fred_request(UNRATE.payload, api_key="abc")
     without = build_fred_request(UNRATE.payload, api_key=None)
     assert canonical_request_key(with_key) == canonical_request_key(without)
+
+
+def test_completion_key_is_the_prompts_sha256_in_every_mode(monkeypatch):
+    """A completion is keyed by its prompt alone, not by the endpoint, the model
+    or the key, so a recording replays with no LLM_* variable set."""
+    prompt = "Let's focus on FRED. Ölpreis"
+    replay = build_completion_request(prompt, "replay")
+    monkeypatch.setenv("LLM_ENDPOINT", "https://llm.test/v1/chat/completions")
+    monkeypatch.setenv("LLM_MODEL", "m1")
+    monkeypatch.setenv("LLM_API_KEY", "s3cret")
+    live = build_completion_request(prompt, "live")
+    assert (replay.url, live.url) == ("", "https://llm.test/v1/chat/completions")
+    assert ("Authorization", "Bearer s3cret") in live.headers
+    expected = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+    assert canonical_request_key(replay) == canonical_request_key(live) == expected
+    assert len({replay, live}) == 2  # hashable: the traced bench keeps a set of requests
+
+
+def test_live_transport_waits_longer_for_a_completion(monkeypatch):
+    waits = []
+
+    def urlopen(request, timeout):
+        waits.append(timeout)
+        raise OSError("refused")
+
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    monkeypatch.setenv("LLM_ENDPOINT", "https://llm.test/v1/chat/completions")
+    monkeypatch.setenv("LLM_MODEL", "m1")
+    for request in (build_fred_request(UNRATE.payload, api_key=None),
+                    build_completion_request("p", "live")):
+        with pytest.raises(TransportError, match="refused"):
+            LiveTransport().send(request)
+    assert waits == [30.0, 120.0]
 
 
 # --- replay compatibility: fixture keys and query files are pinned -------------

@@ -252,8 +252,11 @@ def demo_config_case(root):
 
 
 def completion_case(root):
-    text = "Here:\r\n```json\n[]\n```" + NON_ASCII  # written as it is, no newline added
-    return querygen.write_completion_fixture(root / "llm", "a prompt", text), text
+    """A completion is recorded as a chat reply: the fixture header, then the reply."""
+    text = "Here:\r\n```json\n[]\n```" + NON_ASCII
+    header = '{"request": {"method": "POST", "params": [], "url": ""}, "status": 200}\n'
+    reply = json.dumps({"choices": [{"message": {"content": text}}]})
+    return querygen.write_completion_fixture(root / "llm", "a prompt", text), header + reply
 
 
 @pytest.mark.parametrize("case", [manifest_case, split_case, queries_case, fixture_case,
@@ -386,8 +389,6 @@ READERS = {  # kind: (its file under the root, a call on the root that reads it)
     "manifest": ("d/manifest.json", lambda root: storage.load_manifest(root, "d")),
     "queries": ("q.json", lambda root: sources.load_queries(root / "q.json")),
     "catalog": ("c.json", lambda root: querygen.load_catalog(root / "c.json")),
-    "completion": (querygen.ReplayBackend("").fixture_path("p").name,
-                   lambda root: querygen.ReplayBackend(root).complete("p")),
 }
 
 
@@ -404,6 +405,11 @@ def test_fixture_and_config_readers_name_a_file_that_is_not_utf8(tmp_path):
     with pytest.raises(sources.FixtureMissingError,
                        match=re.escape(f"unreadable fixture {fixture}: MalformedFileError")):
         sources.read_fixture(fixture)
+    completion = not_utf8(querygen.write_completion_fixture(tmp_path / "llm", "p", "text"))
+    with pytest.raises(sources.FixtureMissingError,
+                       match=re.escape(f"unreadable fixture {completion}: MalformedFileError")):
+        sources.fetch_completion("p", sources.ReplayTransport(tmp_path),
+                                 sources.RequestPacer(sources.NullClock()))
     config = not_utf8(tmp_path / "cfg.json")
     with pytest.raises(pipeline.ConfigError, match=re.escape(f"{config}: not UTF-8 at byte 8")):
         pipeline.load_config(config)
