@@ -9,7 +9,7 @@ body as received, which is what replay reads.
 
 Older completion recordings are ``<root>/llm/<sha256 of the prompt>.txt``
 files, each the completion text as received. Each is rewritten through
-``querygen.write_completion_fixture`` as ``<root>/llm/<same sha256>.http``,
+``sources.write_completion_fixture`` as ``<root>/llm/<same sha256>.http``,
 the chat reply that replay reads. The old files stay in place.
 
 Every old file is checked before any new one is written. A file that is not
@@ -30,9 +30,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from shiftminer.querygen import write_completion_fixture
 from shiftminer.series import Source
-from shiftminer.sources import Request, Response, canonical_request_key, write_fixture
+from shiftminer.sources import (
+    Request,
+    Response,
+    canonical_request_key,
+    write_completion_fixture,
+    write_fixture,
+)
 from shiftminer.storage import read_file
 
 

@@ -34,7 +34,7 @@ from .sources import (
     known_fields,
     pacer_for,
     query_from_raw,
-    write_completion_fixture,  # re-exported: fixture builders write completions from here
+    write_completion_fixture,  # re-exported for the benchmark's fixture builder
 )
 from .storage import read_file, write_document
 
@@ -290,13 +290,11 @@ def parse_source_table(text: str) -> list[dict]:
     return entries
 
 
-def discover_sources(
-    transport: Transport, max_rounds: int = 1, *, pacer: RequestPacer | None = None
-) -> list[dict]:
+def discover_sources(transport: Transport, max_rounds: int = 1) -> list[dict]:
     """Run the discovery prompt and parse the returned tables (informational);
     an entry whose name an earlier one has is dropped."""
     unique: dict[str, dict] = {}
-    for completion in _rounds(transport, pacer, DISCOVERY_TEMPLATE, {}, max_rounds):
+    for completion in _rounds(transport, None, DISCOVERY_TEMPLATE, {}, max_rounds):
         for entry in parse_source_table(completion):
             unique.setdefault(entry["name"], entry)
     return list(unique.values())

@@ -955,7 +955,10 @@ def fetch_completion(prompt: str, transport: Transport, pacer: RequestPacer) -> 
 def write_completion_fixture(root: str | Path, prompt: str, completion: str) -> Path:
     """Record ``completion`` as the chat reply (status 200) to ``prompt`` under
     ``root``, the :data:`COMPLETION` directory of a fixture tree, where replay
-    finds it."""
+    from ``root``'s parent finds it. A ``root`` not named :data:`COMPLETION` is
+    a ``ValueError``."""
+    if Path(root).name != COMPLETION:
+        raise ValueError(f"{root}: a completion fixture goes under a directory named {COMPLETION}")
     reply = json.dumps({"choices": [{"message": {"content": completion}}]})
     return write_fixture(Path(root).parent, build_completion_request(prompt, "replay"),
                          Response(200, reply))

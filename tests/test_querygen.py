@@ -313,6 +313,13 @@ def test_replay_returns_the_completion_as_recorded(tmp_path, monkeypatch):
         fetch_completion("another prompt", ReplayTransport(tmp_path), pacer)
 
 
+def test_a_completion_fixture_root_must_be_the_llm_directory(tmp_path):
+    """The file goes into ``root``, never into a sibling ``llm/`` of it."""
+    with pytest.raises(ValueError, match=r"directory named llm$"):
+        write_completion_fixture(tmp_path / "fixtures", "a prompt", "text")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_recording_that_cannot_be_written_is_an_io_failure(tmp_path, monkeypatch):
     monkeypatch.setenv("LLM_ENDPOINT", "https://llm.test/v1/chat/completions")
     monkeypatch.setenv("LLM_MODEL", "m1")
